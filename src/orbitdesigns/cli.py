@@ -35,7 +35,6 @@ class CliConfig:
     tol: Tolerance
     t_max: int
     fmt: str
-    workers: int
     max_order: int
 
 
@@ -70,8 +69,6 @@ def _add_common(p: argparse.ArgumentParser, t_max_default: int) -> None:
                    help="abort group closure beyond this many elements")
     p.add_argument("--tmax", type=_positive_int, default=t_max_default,
                    help="largest design order probed")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="worker threads for potential sums")
     p.add_argument("--format", choices=("table", "json"), default="table",
                    help="output format")
 
@@ -129,8 +126,7 @@ def _config(args) -> CliConfig:
                         dedup_digits=args.dedup_digits)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    return CliConfig(tol=tol, t_max=args.tmax, fmt=args.format,
-                     workers=args.workers, max_order=args.max_order)
+    return CliConfig(tol=tol, t_max=args.tmax, fmt=args.format, max_order=args.max_order)
 
 
 def _emit(payload: dict, fmt: str, lines: list[str]) -> None:
@@ -165,19 +161,20 @@ def _orbit(group: FiniteMatrixGroup, label: str, text: str,
 
 def cmd_group(args, cfg: CliConfig) -> int:
     g = build_group(args.spec, cfg.tol, cfg.max_order)
+    deviation = g.unitarity_deviation()
     payload = {
         "group": g.spec.label,
         "order": g.order,
         "dim": g.dim,
         "field": g.field,
-        "unitarity_deviation": g.unitarity_deviation(),
+        "unitarity_deviation": deviation,
     }
     _emit(payload, cfg.fmt, [
         f"group: {g.spec.label}",
         f"order: {g.order}",
         f"dim: {g.dim}",
         f"field: {g.field}",
-        f"unitarity deviation: {g.unitarity_deviation():.3e}",
+        f"unitarity deviation: {deviation:.3e}",
     ])
     return 0
 
@@ -185,7 +182,7 @@ def cmd_group(args, cfg: CliConfig) -> int:
 def cmd_orbit(args, cfg: CliConfig) -> int:
     g = build_group(args.spec, cfg.tol, cfg.max_order)
     X = _orbit(g, args.spec, args.seed, cfg)
-    rep = strength(X, cfg.t_max, cfg.tol, cfg.workers)
+    rep = strength(X, cfg.t_max, cfg.tol)
     payload = {
         "group": g.spec.label,
         "seed": X.seed_literal,
@@ -224,7 +221,7 @@ def cmd_union(args, cfg: CliConfig) -> int:
     g = build_group(args.spec, cfg.tol, cfg.max_order)
     X = _orbit(g, args.spec, args.x, cfg)
     Y = _orbit(g, args.spec, args.y, cfg)
-    sol = solve_union(X, Y, args.t, cfg.tol, cfg.t_max, cfg.workers)
+    sol = solve_union(X, Y, args.t, cfg.tol, cfg.t_max)
     q = sol.quad
     payload = {
         "group": g.spec.label,
@@ -309,7 +306,7 @@ def cmd_scan(args, cfg: CliConfig) -> int:
 
 
 def cmd_verify(args, cfg: CliConfig) -> int:
-    result = verify_certificate(args.path, cfg.tol, cfg.workers)
+    result = verify_certificate(args.path, cfg.tol)
     payload = {
         "passed": result.passed,
         "reasons": list(result.reasons),
@@ -336,11 +333,11 @@ def _run_expectation(row: dict, cfg: CliConfig) -> tuple[bool, str]:
     g = build_group(label, cfg.tol, cfg.max_order)
     X = _orbit(g, label, row["seedX"], cfg)
     if not row["seedY"]:
-        rep = strength(X, max(cfg.t_max, t), cfg.tol, cfg.workers)
+        rep = strength(X, max(cfg.t_max, t), cfg.tol)
         desc = f"{label} single orbit {X.n_lines} lines: strength {rep.strength}"
         return rep.strength >= t, desc
     Y = _orbit(g, label, row["seedY"], cfg)
-    sol = solve_union(X, Y, t, cfg.tol, cfg.t_max, cfg.workers)
+    sol = solve_union(X, Y, t, cfg.tol, cfg.t_max)
     shape = f"{label} ({X.n_lines}+{Y.n_lines} lines, t={t})"
     if not row["betaX"]:
         return sol.empty, f"{shape}: expected no real root"

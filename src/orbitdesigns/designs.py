@@ -8,7 +8,6 @@ never materialize the full Gram matrix.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -16,7 +15,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import MismatchError
-from .numerics import DEFAULT_TOL, Rational, Tolerance, compensated_sum
+from .numerics import DEFAULT_TOL, Rational, Tolerance, compensated_sum, quantized_key
 from .orbits import LineSet
 
 _BLOCK_TERMS = 1 << 18  # soft cap on terms materialized per block
@@ -38,65 +37,41 @@ def welch_constant(field: str, d: int, t: int) -> Rational:
     raise ValueError(f"field must be 'R' or 'C', got {field!r}")
 
 
-def _int_pow(u: np.ndarray, t: int) -> np.ndarray:
-    """u**t by repeated squaring on the bits of t (deterministic, no pow)."""
-    result = None
-    base = u
-    while t:
-        if t & 1:
-            result = base.copy() if result is None else result * base
-        t >>= 1
-        if t:
-            base = base * base
-    return result
+def moments(A: np.ndarray, wa: np.ndarray, B: np.ndarray, wb: np.ndarray,
+            orders) -> list[float]:
+    """[sum_{a,b} wa wb |<a,b>|^(2t) for t in orders], each correctly rounded.
 
-
-def _chunk_terms(A: np.ndarray, wa: np.ndarray, B: np.ndarray, wb: np.ndarray,
-                 t: int, lo: int, hi: int):
-    """Yield the weighted pair terms for rows lo:hi of A, in a fixed order."""
+    orders is a sequence of positive ints. Row blocks of A are streamed so at
+    most one block of terms is held at a time; u^t is formed left to right
+    (u, u*u, (u*u)*u, ...) for every t.
+    """
+    if any(t < 1 for t in orders):
+        raise ValueError("t >= 1 required")
     rows = max(1, _BLOCK_TERMS // max(1, B.shape[0]))
     Bc = B.conj().T
-    for start in range(lo, hi, rows):
-        stop = min(start + rows, hi)
-        M = A[start:stop] @ Bc
-        u = (M * M.conj()).real if np.iscomplexobj(M) else M * M
-        P = _int_pow(u, t)
-        terms = (wa[start:stop, None] * wb[None, :]) * P
-        yield terms.ravel().tolist()
+
+    def terms(t: int):
+        for start in range(0, A.shape[0], rows):
+            M = A[start:start + rows] @ Bc
+            u = (M * M.conj()).real if np.iscomplexobj(M) else M * M
+            power = u
+            for _ in range(t - 1):
+                power = power * u
+            yield ((wa[start:start + rows, None] * wb[None, :]) * power).ravel().tolist()
+
+    return [compensated_sum(chain.from_iterable(terms(t))) for t in orders]
 
 
-def _pair_sum(A: np.ndarray, wa: np.ndarray, B: np.ndarray, wb: np.ndarray,
-              t: int, workers: int = 1) -> float:
-    """sum_{a,b} wa wb |<a,b>|^(2t), exact-rounded per worker chunk."""
-    n = A.shape[0]
-    if workers <= 1 or n < 2 * workers:
-        return compensated_sum(chain.from_iterable(_chunk_terms(A, wa, B, wb, t, 0, n)))
-    bounds = [round(k * n / workers) for k in range(workers + 1)]
-    spans = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-
-    def one(span):
-        lo, hi = span
-        return compensated_sum(chain.from_iterable(_chunk_terms(A, wa, B, wb, t, lo, hi)))
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        partials = list(pool.map(one, spans))
-    return compensated_sum(partials)
-
-
-def potential(X: LineSet, t: int, workers: int = 1) -> float:
+def potential(X: LineSet, t: int) -> float:
     """Design potential of X at order t."""
-    if t < 1:
-        raise ValueError("t >= 1 required")
-    return _pair_sum(X.lines, X.weights, X.lines, X.weights, t, workers)
+    return moments(X.lines, X.weights, X.lines, X.weights, [t])[0]
 
 
-def cross_potential(X: LineSet, Y: LineSet, t: int, workers: int = 1) -> float:
+def cross_potential(X: LineSet, Y: LineSet, t: int) -> float:
     """Mixed potential sum_{x in X, y in Y} w_x w_y |<x,y>|^(2t)."""
     if X.dim != Y.dim or X.field != Y.field:
         raise MismatchError("cross potential needs matching dimension and field")
-    if t < 1:
-        raise ValueError("t >= 1 required")
-    return _pair_sum(X.lines, X.weights, Y.lines, Y.weights, t, workers)
+    return moments(X.lines, X.weights, Y.lines, Y.weights, [t])[0]
 
 
 @dataclass(frozen=True)
@@ -118,28 +93,20 @@ class DesignReport:
         return self.residuals[self.t_values.index(t)]
 
 
-def strength(X: LineSet, t_max: int = 12, tol: Tolerance = DEFAULT_TOL,
-             workers: int = 1) -> DesignReport:
+def strength(X: LineSet, t_max: int = 12, tol: Tolerance = DEFAULT_TOL) -> DesignReport:
     """Evaluate potentials for t = 1..t_max and certify the design strength."""
     if t_max < 1:
         raise ValueError("t_max >= 1 required")
-    ts, pots, targets, residuals = [], [], [], []
+    ts = tuple(range(1, t_max + 1))
+    pots = tuple(moments(X.lines, X.weights, X.lines, X.weights, ts))
+    targets = tuple(welch_constant(X.field, X.dim, t) for t in ts)
+    residuals = tuple((p - float(c)) / float(c) for p, c in zip(pots, targets))
     s = 0
-    run = True
-    for t in range(1, t_max + 1):
-        p = potential(X, t, workers)
-        c = welch_constant(X.field, X.dim, t)
-        r = (p - float(c)) / float(c)
-        ts.append(t)
-        pots.append(p)
-        targets.append(c)
-        residuals.append(r)
-        if run and abs(r) <= tol.rel_eq:
-            s = t
-        else:
-            run = False
-    return DesignReport(tuple(ts), tuple(pots), tuple(targets), tuple(residuals),
-                        s, X.signed)
+    for t, r in zip(ts, residuals):
+        if abs(r) > tol.rel_eq:
+            break
+        s = t
+    return DesignReport(ts, pots, targets, residuals, s, X.signed)
 
 
 @dataclass(frozen=True)
@@ -180,23 +147,27 @@ def antipodal_design_check(aset: AntipodalSet, t: int, tol: Tolerance = DEFAULT_
     """
     V, w = aset.vectors, aset.weights
     digits = tol.dedup_digits
-    index = {(np.round(v, digits) + 0.0).tobytes(): i for i, v in enumerate(V)}
+    index = {quantized_key(v, digits): i for i, v in enumerate(V)}
     paired = True
     for i, v in enumerate(V):
-        j = index.get((np.round(-v, digits) + 0.0).tobytes())
+        j = index.get(quantized_key(-v, digits))
         if j is None or abs(w[i] - w[j]) > tol.rel_eq:
             paired = False
             break
-    even_terms, odd_terms = [], []
-    rows = max(1, _BLOCK_TERMS // max(1, V.shape[0]))
-    for start in range(0, V.shape[0], rows):
-        M = V[start:start + rows] @ V.T
-        P = _int_pow(M * M, t)
-        ww = w[start:start + rows, None] * w[None, :]
-        even_terms.append((ww * P).ravel().tolist())
-        odd_terms.append((ww * P * M).ravel().tolist())
-    even = compensated_sum(chain.from_iterable(even_terms))
-    odd = compensated_sum(chain.from_iterable(odd_terms))
+    even = moments(V, w, V, w, [t])[0]
+
+    def odd_terms():
+        # <x,y>^(2t) <x,y> flips sign exactly with <x,y>, so +-x pairs cancel
+        rows = max(1, _BLOCK_TERMS // max(1, V.shape[0]))
+        for start in range(0, V.shape[0], rows):
+            M = V[start:start + rows] @ V.T
+            u = M * M
+            power = u
+            for _ in range(t - 1):
+                power = power * u
+            yield ((w[start:start + rows, None] * w[None, :]) * power * M).ravel().tolist()
+
+    odd = compensated_sum(chain.from_iterable(odd_terms()))
     target = float(welch_constant("R", V.shape[1], t))
     even_residual = (even - target) / target
     passes = paired and abs(even_residual) <= tol.rel_eq and abs(odd) <= tol.rel_eq

@@ -1,4 +1,5 @@
-"""Exception hierarchy. Each class maps to a stable CLI exit code (see cli.EXIT_CODES)."""
+"""Exception hierarchy. Each class maps to a stable CLI exit code (see the README's
+exit-code table)."""
 
 
 class OrbitDesignsError(Exception):

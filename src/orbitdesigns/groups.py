@@ -22,7 +22,7 @@ from .errors import (
     KeyCollisionError,
     SizeLimitError,
 )
-from .numerics import DEFAULT_TOL, Tolerance
+from .numerics import DEFAULT_TOL, Tolerance, quantized_key
 
 DEFAULT_MAX_ORDER = 200_000
 
@@ -372,11 +372,6 @@ def group_order(spec: GroupSpec) -> int | None:
     return None
 
 
-def _matrix_key(M: np.ndarray, digits: int) -> bytes:
-    # adding 0.0 maps -0.0 to +0.0 so signed zeros share a key
-    return (np.round(M, digits) + 0.0).tobytes()
-
-
 def close_group(
     generators: list[np.ndarray],
     field: str,
@@ -393,7 +388,7 @@ def close_group(
     gens = [np.asarray(g, dtype=dtype) for g in generators]
     digits = tol.dedup_digits
     elements: list[np.ndarray] = [np.eye(d, dtype=dtype)]
-    seen: dict[bytes, int] = {_matrix_key(elements[0], digits): 0}
+    seen: dict[bytes, int] = {quantized_key(elements[0], digits): 0}
     frontier = elements[:]
     while frontier:
         block = np.stack(frontier)
@@ -401,7 +396,7 @@ def close_group(
         for g in gens:
             products = block @ g
             for P in products:
-                key = _matrix_key(P, digits)
+                key = quantized_key(P, digits)
                 idx = seen.get(key)
                 if idx is None:
                     if len(elements) >= max_order:

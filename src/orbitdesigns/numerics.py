@@ -1,5 +1,6 @@
 """Scalar plumbing shared by every module: tolerance policy, compensated
-summation, and reconstruction of exact rationals from floating point values.
+summation, quantized dedup keys, and reconstruction of exact rationals from
+floating point values.
 
 All heavy arithmetic in this package is binary64; exact `Fraction` values
 appear only at the reporting boundary, where a floating root or weight is
@@ -11,6 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
+
+import numpy as np
 
 from .errors import NumericRangeError
 
@@ -56,6 +59,12 @@ def compensated_sum(terms: Iterable[float]) -> float:
     if not math.isfinite(total):
         raise NumericRangeError("sum is not finite")
     return total
+
+
+def quantized_key(a: np.ndarray, digits: int) -> bytes:
+    """Dedup key of an array: its entries rounded to `digits` decimals."""
+    # adding 0.0 maps -0.0 to +0.0 so signed zeros share a key
+    return (np.round(a, digits) + 0.0).tobytes()
 
 
 def approx_eq(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> bool:

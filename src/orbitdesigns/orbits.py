@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConsistencyError, InputError, MismatchError
 from .groups import FiniteMatrixGroup
-from .numerics import DEFAULT_TOL, Rational, Tolerance
+from .numerics import DEFAULT_TOL, Rational, Tolerance, quantized_key
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,9 @@ def canonical_line(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Idempotent: applying it to its own output changes nothing.
     """
     v = np.asarray(v)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
+    if np.linalg.norm(v) == 0.0:
         raise InputError("zero vector spans no line")
-    v = v / norm
-    pivot = int(np.argmax(np.abs(v) > tol.rel_eq))
-    p = v[pivot]
-    if np.iscomplexobj(v):
-        return v / (p / abs(p))
-    return v if p > 0 else -v
+    return _canonicalize_rows(v[None], tol)[0]
 
 
 def _canonicalize_rows(rows: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -89,10 +83,6 @@ def _canonicalize_rows(rows: np.ndarray, tol: Tolerance) -> np.ndarray:
     if np.iscomplexobj(rows):
         return rows / (p / np.abs(p))[:, None]
     return rows * np.sign(p)[:, None]
-
-
-def _line_key(row: np.ndarray, digits: int) -> bytes:
-    return (np.round(row, digits) + 0.0).tobytes()
 
 
 def orbit_lines(
@@ -117,7 +107,7 @@ def orbit_lines(
     counts: list[int] = []
     index: dict[bytes, int] = {}
     for row in canon:
-        key = _line_key(row, tol.dedup_digits)
+        key = quantized_key(row, tol.dedup_digits)
         i = index.get(key)
         if i is None:
             index[key] = len(reps)
@@ -167,7 +157,7 @@ def union_lines(
         ws = ls.exact_weights if exact else ls.weights
         for row, w in zip(ls.lines, ws):
             scaled = b * w if exact else float(b) * w
-            key = _line_key(row, tol.dedup_digits)
+            key = quantized_key(row, tol.dedup_digits)
             i = merged.get(key)
             if i is None:
                 merged[key] = len(lines)

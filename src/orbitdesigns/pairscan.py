@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import fsum
 
 import numpy as np
 
-from .designs import welch_constant
+from .designs import moments, welch_constant
 from .errors import ConsistencyError, InputError
 from .groups import FiniteMatrixGroup
 from .numerics import DEFAULT_TOL, Tolerance
@@ -33,28 +32,17 @@ DEGENERATE_TOL = 1e-10  # both sides this small (vs term scale) means f == 0
 REDRAW_F_TOL = 1e-12  # |f| below this at every t marks a non-generic pair
 MAX_REDRAWS = 8
 
-_BLOCK = 8192
 
-
-def _pair_moments(group: FiniteMatrixGroup, x: np.ndarray, y: np.ndarray,
-                  t_max: int) -> list[float]:
-    """[p_G(x, y, t) for t = 1..t_max], streamed over group elements."""
+def _p_G(group: FiniteMatrixGroup, x: np.ndarray, y: np.ndarray, orders) -> list[float]:
+    """[p_G(x, y, t) for t in orders]."""
     n = group.order
-    u = np.empty(n)
-    xc = np.conj(x)
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        vals = (group.elements[lo:hi] @ y) @ xc
-        if np.iscomplexobj(vals):
-            u[lo:hi] = (vals * vals.conj()).real
-        else:
-            u[lo:hi] = vals * vals
-    moments = []
-    power = np.ones(n)
-    for _ in range(t_max):
-        power = power * u
-        moments.append(fsum(power.tolist()) / n)
-    return moments
+    sums = moments(x[None], np.ones(1), group.elements @ y, np.ones(n), orders)
+    return [m / n for m in sums]
+
+
+def _p_triple(group: FiniteMatrixGroup, x: np.ndarray, y: np.ndarray, orders):
+    """(p_G(x,x,t), p_G(y,y,t), p_G(x,y,t)) as three lists over t in orders."""
+    return _p_G(group, x, x, orders), _p_G(group, y, y, orders), _p_G(group, x, y, orders)
 
 
 def _as_vector(group: FiniteMatrixGroup, v) -> np.ndarray:
@@ -70,18 +58,13 @@ def p_G(group: FiniteMatrixGroup, x, y, t: int) -> float:
     """Averaged pair potential (1/|G|) sum_g |<x, g y>|^(2t)."""
     if t < 1:
         raise InputError("t must be a positive integer")
-    x = _as_vector(group, x)
-    y = _as_vector(group, y)
-    return _pair_moments(group, x, y, t)[t - 1]
+    return _p_G(group, _as_vector(group, x), _as_vector(group, y), [t])[0]
 
 
 def f_G(group: FiniteMatrixGroup, x, y, t: int) -> float:
     """p_G(x,x,t) p_G(y,y,t) - p_G(x,y,t)^2."""
-    x = _as_vector(group, x)
-    y = _as_vector(group, y)
-    p_xx = _pair_moments(group, x, x, t)[t - 1]
-    p_yy = _pair_moments(group, y, y, t)[t - 1]
-    p_xy = _pair_moments(group, x, y, t)[t - 1]
+    (p_xx,), (p_yy,), (p_xy,) = _p_triple(group, _as_vector(group, x),
+                                          _as_vector(group, y), [t])
     return p_xx * p_yy - p_xy * p_xy
 
 
@@ -116,9 +99,7 @@ def pairs_identity_holds(group: FiniteMatrixGroup, x, y, t: int,
     """
     x = _as_vector(group, x)
     y = _as_vector(group, y)
-    p_xx = _pair_moments(group, x, x, t)[t - 1]
-    p_yy = _pair_moments(group, y, y, t)[t - 1]
-    p_xy = _pair_moments(group, x, y, t)[t - 1]
+    (p_xx,), (p_yy,), (p_xy,) = _p_triple(group, x, y, [t])
     c_t = float(welch_constant(group.field, group.dim, t))
     nx2t = float(np.linalg.norm(x)) ** (2 * t)
     ny2t = float(np.linalg.norm(y)) ** (2 * t)
@@ -209,9 +190,7 @@ def scan(group: FiniteMatrixGroup, t_max: int = 10, samples: int = 20,
         for attempt in range(MAX_REDRAWS + 1):
             x = _draw_unit(rng, group.dim, group.field)
             y = _draw_unit(rng, group.dim, group.field)
-            p_xx = _pair_moments(group, x, x, t_max)
-            p_yy = _pair_moments(group, y, y, t_max)
-            p_xy = _pair_moments(group, x, y, t_max)
+            p_xx, p_yy, p_xy = _p_triple(group, x, y, range(1, t_max + 1))
             f_vals = [a * b - c * c for a, b, c in zip(p_xx, p_yy, p_xy)]
             if any(abs(f) > REDRAW_F_TOL for f in f_vals):
                 break

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .designs import DesignReport, cross_potential, potential, strength, welch_constant
+from .designs import DesignReport, cross_potential, moments, potential, strength, welch_constant
 from .errors import CertificateError, MismatchError, NoSolutionError
 from .numerics import (
     DEFAULT_TOL,
@@ -88,14 +88,14 @@ class UnionSolution:
         return self.roots[self.preferred] if self.preferred is not None else None
 
 
-def pair_quadratic(X: LineSet, Y: LineSet, t: int, tol: Tolerance = DEFAULT_TOL,
-                   workers: int = 1) -> PairQuadratic:
+def pair_quadratic(X: LineSet, Y: LineSet, t: int,
+                   tol: Tolerance = DEFAULT_TOL) -> PairQuadratic:
     """Coefficients of the union quadratic in alpha = beta_X."""
     if X.dim != Y.dim or X.field != Y.field:
         raise MismatchError("pair quadratic needs matching dimension and field")
-    b_xx = potential(X, t, workers)
-    b_yy = potential(Y, t, workers)
-    b_xy = cross_potential(X, Y, t, workers)
+    b_xx = potential(X, t)
+    b_yy = potential(Y, t)
+    b_xy = cross_potential(X, Y, t)
     c_t = welch_constant(X.field, X.dim, t)
     a = b_xx + b_yy - 2.0 * b_xy
     b = 2.0 * b_xy - 2.0 * b_yy
@@ -156,14 +156,14 @@ def _build_root(alpha: float, double: bool, q: PairQuadratic, n_x: int, n_y: int
 
 
 def solve_union(X: LineSet, Y: LineSet, t: int, tol: Tolerance = DEFAULT_TOL,
-                t_max: int = 12, workers: int = 1) -> UnionSolution:
+                t_max: int = 12) -> UnionSolution:
     """Solve the union quadratic, snap roots, and verify the preferred union.
 
     Root preference: convex interior root, then boundary {0, 1}, then signed;
     ties go to the root nearer 1/2. The preferred snapped root's union is
     assembled and its strength certified up to t_max.
     """
-    q = pair_quadratic(X, Y, t, tol, workers)
+    q = pair_quadratic(X, Y, t, tol)
     raw_roots, doubles, degenerate, disc = _solve_roots(q, tol)
     roots = tuple(
         _build_root(r, d, q, X.n_lines, Y.n_lines, tol)
@@ -180,7 +180,7 @@ def solve_union(X: LineSet, Y: LineSet, t: int, tol: Tolerance = DEFAULT_TOL,
     best = roots[preferred] if preferred is not None else None
     if best is not None and best.beta is not None:
         union = union_lines(X, Y, best.beta, tol)
-        verified = strength(union, t_max, tol, workers)
+        verified = strength(union, t_max, tol)
     return UnionSolution(
         t=t, n_x=X.n_lines, n_y=Y.n_lines, quad=q, discriminant=disc,
         degenerate=degenerate, roots=roots, preferred=preferred,
@@ -304,8 +304,7 @@ def _load_certificate(source) -> dict:
         raise CertificateError(f"certificate is not valid JSON: {exc}") from exc
 
 
-def verify_certificate(source, tol: Tolerance = DEFAULT_TOL,
-                       workers: int = 1) -> VerifyResult:
+def verify_certificate(source, tol: Tolerance = DEFAULT_TOL) -> VerifyResult:
     """Re-verify a certificate from its stored lines and weights.
 
     Structural problems raise CertificateError; numerical discrepancies are
@@ -338,20 +337,17 @@ def verify_certificate(source, tol: Tolerance = DEFAULT_TOL,
     wsum = sum(weights, Fraction(0))
     if wsum != 1:
         reasons.append(f"weights sum to {wsum}, not 1")
-    ls = LineSet(
-        field=cert["field"], lines=lines,
-        weights=np.array([float(w) for w in weights]),
-        exact_weights=tuple(weights),
-    )
+    stored = sorted((int(t), float(r)) for t, r in cert["residuals"].items())
+    w = np.array([float(x) for x in weights])
+    pots = moments(lines, w, lines, w, [t for t, _ in stored])
     residuals = {}
-    for t_str, stored in sorted(cert["residuals"].items(), key=lambda kv: int(kv[0])):
-        t = int(t_str)
-        c_t = welch_constant(cert["field"], cert["dim"], t)
-        recomputed = (potential(ls, t, workers) - float(c_t)) / float(c_t)
-        residuals[t] = (float(stored), recomputed)
+    for (t, r), p in zip(stored, pots):
+        c_t = float(welch_constant(cert["field"], cert["dim"], t))
+        recomputed = (p - c_t) / c_t
+        residuals[t] = (r, recomputed)
         if abs(recomputed) > tol.rel_eq:
             reasons.append(f"t={t}: recomputed residual {recomputed:.3e} exceeds tolerance")
-        if abs(recomputed - float(stored)) > tol.rel_eq:
-            reasons.append(f"t={t}: stored residual {float(stored):.3e} disagrees "
+        if abs(recomputed - r) > tol.rel_eq:
+            reasons.append(f"t={t}: stored residual {r:.3e} disagrees "
                            f"with recomputed {recomputed:.3e}")
     return VerifyResult(not reasons, tuple(reasons), residuals)

@@ -200,6 +200,7 @@ def test_reproduce_rejects_unknown_table(capsys):
         ["scan", "binT", "--samples", "-3"],
         ["group", "B(2)", "--rel-eq", "-1"],
         ["orbit", "B(2)", "--seed", "0,0"],
+        ["union", "B(2)", "--x", "1,0", "--y", "1,1", "--t", "2", "--workers", "2"],
     ],
 )
 def test_usage_errors(argv, capsys):

@@ -1,12 +1,14 @@
 """Design potentials, Welch constants, strength reports, antipodal doubling."""
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import exact_oracle as oracle
 from orbitdesigns import (
     MismatchError,
     antipodal_design_check,
@@ -20,6 +22,9 @@ from orbitdesigns import (
     union_lines,
     welch_constant,
 )
+from orbitdesigns.designs import moments
+
+EPS = np.finfo(float).eps
 
 
 def _orbit(label, k):
@@ -128,12 +133,31 @@ def test_orbits_are_tight_frames(label):
 
 
 def test_strength_report_shape_and_closure():
-    rep = strength(_orbit("H3", 1), t_max=6)
+    X = _orbit("H3", 1)
+    rep = strength(X, t_max=6)
     assert rep.t_values == (1, 2, 3, 4, 5, 6)
+    assert rep.potentials == tuple(potential(X, t) for t in rep.t_values)
     assert len(rep.potentials) == len(rep.targets) == len(rep.residuals) == 6
     for t in range(1, rep.strength + 1):
         assert abs(rep.residual_at(t)) <= 1e-9
     assert abs(rep.residual_at(rep.strength + 1)) > 1e-9
+
+
+def test_moments_match_exact_oracle():
+    # float lines round entries such as 1/sqrt(3), so the relative error of
+    # |<a,b>|^(2t) grows like 2t ulp; 4t ulp leaves a factor-2 margin
+    for label in ("A(3)", "B(3)", "D(3)"):
+        elements, _ = oracle.oracle_group(label)
+        g = build_group(label)
+        seeds = catalog_entry(label).seeds
+        float_orbits = [orbit_lines(g, s) for s in seeds]
+        exact_orbits = [oracle.orbit(elements, tuple(int(v) for v in s)) for s in seeds]
+        for i, j in itertools.combinations_with_replacement(range(len(seeds)), 2):
+            X, Y = float_orbits[i], float_orbits[j]
+            got = moments(X.lines, X.weights, Y.lines, Y.weights, range(1, 9))
+            for t, value in enumerate(got, start=1):
+                exact = float(oracle.cross_potential(exact_orbits[i], exact_orbits[j], t))
+                assert abs(value - exact) <= 4 * t * EPS * exact, (label, i, j, t)
 
 
 def test_welch_lower_bound_on_positive_sets():

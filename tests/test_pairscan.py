@@ -9,8 +9,10 @@ import pytest
 from orbitdesigns import (
     build_group,
     f_G,
+    orbit_lines,
     p_G,
     pairs_identity_holds,
+    potential,
     scan,
     welch_constant,
 )
@@ -54,6 +56,18 @@ def test_p_diagonal_matches_orbit_design_constant():
     c2 = float(welch_constant("R", 2, 2))
     assert c2 == 3.0 / 8.0
     assert abs(p_G(g, x, x, 2) - c2) <= 1e-12
+
+
+@pytest.mark.parametrize("label", ["H3", "binO"])
+def test_p_diagonal_is_orbit_potential(label):
+    # every orbit line is hit |G|/n times, so the element average p_G(x,x,t)
+    # equals the orbit's potential; the scan reads orbit strength off it
+    g = build_group(label)
+    x = _unit(np.random.default_rng(3), g.dim, g.field)
+    X = orbit_lines(g, x)
+    for t in range(1, 9):
+        expect = potential(X, t)
+        assert abs(p_G(g, x, x, t) - expect) <= 4 * t * np.finfo(float).eps * expect
 
 
 def test_f_vanishes_on_shared_orbits():
