@@ -66,7 +66,8 @@ def _add_common(p: argparse.ArgumentParser, t_max_default: int) -> None:
                    default=DEFAULT_TOL.dedup_digits,
                    help="rounding digits for projective deduplication keys")
     p.add_argument("--max-order", type=_positive_int, default=DEFAULT_MAX_ORDER,
-                   help="abort group closure beyond this many elements")
+                   help="abort a group closure or an orbit walk that passes "
+                        "this many elements or lines")
     p.add_argument("--tmax", type=_positive_int, default=t_max_default,
                    help="largest design order probed")
     p.add_argument("--format", choices=("table", "json"), default="table",

@@ -15,7 +15,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import MismatchError
-from .numerics import DEFAULT_TOL, Rational, Tolerance, compensated_sum, quantized_key
+from .numerics import DEFAULT_TOL, Rational, Tolerance, compensated_sum, quantized_keys
 from .orbits import LineSet
 
 _BLOCK_TERMS = 1 << 18  # soft cap on terms materialized per block
@@ -147,10 +147,10 @@ def antipodal_design_check(aset: AntipodalSet, t: int, tol: Tolerance = DEFAULT_
     """
     V, w = aset.vectors, aset.weights
     digits = tol.dedup_digits
-    index = {quantized_key(v, digits): i for i, v in enumerate(V)}
+    index = {key: i for i, key in enumerate(quantized_keys(V, digits))}
     paired = True
-    for i, v in enumerate(V):
-        j = index.get(quantized_key(-v, digits))
+    for i, key in enumerate(quantized_keys(-V, digits)):
+        j = index.get(key)
         if j is None or abs(w[i] - w[j]) > tol.rel_eq:
             paired = False
             break

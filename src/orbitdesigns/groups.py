@@ -11,18 +11,19 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import (
+    ConsistencyError,
     DegeneracyError,
     InputError,
     KeyCollisionError,
     SizeLimitError,
 )
-from .numerics import DEFAULT_TOL, Tolerance, quantized_key
+from .numerics import DEFAULT_TOL, Tolerance, quantized_keys
 
 DEFAULT_MAX_ORDER = 200_000
 
@@ -58,25 +59,40 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class FiniteMatrixGroup:
-    """A closed, enumerated matrix group.
+    """A finite unitary matrix group, given by its generators.
 
-    elements   (order, d, d) array, float64 for real groups, complex128 otherwise
+    generators (d, d) unitary matrices, float64 for real groups, complex128
+               otherwise
     seed_basis optional (ambient, d) orthonormal basis used to embed seed
                vectors given in ambient coordinates (sum-zero model of A(d))
+    tol, max_order
+               the dedup policy and size limit of closure and orbit walks
+
+    `elements` is enumerated by close_group on first use only.
     """
 
     spec: GroupSpec
     field: str  # "R" or "C"
-    elements: np.ndarray
+    generators: tuple
     seed_basis: np.ndarray | None = None
+    tol: Tolerance = DEFAULT_TOL
+    max_order: int = DEFAULT_MAX_ORDER
+
+    @cached_property
+    def elements(self) -> np.ndarray:
+        """(order, d, d) array of every element, identity first."""
+        return close_group(list(self.generators), self.field, self.spec, self.tol,
+                           self.max_order, self.seed_basis).elements
 
     @property
     def dim(self) -> int:
-        return self.elements.shape[1]
+        return self.generators[0].shape[0]
 
     @property
     def order(self) -> int:
-        return self.elements.shape[0]
+        """The family's closed-form order, else the number of closed elements."""
+        known = group_order(self.spec)
+        return known if known is not None else len(self.elements)
 
     def embed_seed(self, v: np.ndarray) -> np.ndarray:
         """Map a seed vector into the representation space.
@@ -107,13 +123,24 @@ class FiniteMatrixGroup:
 
     def unitarity_deviation(self) -> float:
         """max over g of the max-norm of g*g - I."""
-        eye = np.eye(self.dim)
-        dev = 0.0
-        for start in range(0, self.order, 4096):
-            block = self.elements[start:start + 4096]
-            grams = np.einsum("nji,njk->nik", block.conj(), block)
-            dev = max(dev, float(np.abs(grams - eye).max()))
-        return dev
+        return _unitarity_deviation(self.elements)
+
+
+def _unitarity_deviation(mats: np.ndarray) -> float:
+    """max over the (n, d, d) stack of the max-norm of M*M - I."""
+    eye = np.eye(mats.shape[1])
+    dev = 0.0
+    for start in range(0, len(mats), 4096):
+        block = mats[start:start + 4096]
+        grams = np.einsum("nji,njk->nik", block.conj(), block)
+        dev = max(dev, float(np.abs(grams - eye).max()))
+    return dev
+
+
+def _enumerated(group: FiniteMatrixGroup, elements: np.ndarray) -> FiniteMatrixGroup:
+    """The group with its `elements` already filled in."""
+    group.__dict__["elements"] = elements  # the slot cached_property fills
+    return group
 
 
 def _su2(a: float, b: float, c: float, d: float) -> np.ndarray:
@@ -380,28 +407,37 @@ def close_group(
     max_order: int = DEFAULT_MAX_ORDER,
     seed_basis: np.ndarray | None = None,
 ) -> FiniteMatrixGroup:
-    """Breadth-first closure of the generated group, deduplicated by quantized key."""
+    """Breadth-first closure of the generated group, deduplicated by quantized key.
+
+    When the family has a closed-form order, a closure that passes it or ends
+    short of it is a dedup-key failure and raises ConsistencyError.
+    """
     if not generators:
         raise InputError("no generators")
     d = generators[0].shape[0]
     dtype = float if field == "R" else complex
     gens = [np.asarray(g, dtype=dtype) for g in generators]
     digits = tol.dedup_digits
+    expected = group_order(spec)
     elements: list[np.ndarray] = [np.eye(d, dtype=dtype)]
-    seen: dict[bytes, int] = {quantized_key(elements[0], digits): 0}
+    seen: dict[bytes, int] = {quantized_keys(elements[0][None], digits)[0]: 0}
     frontier = elements[:]
     while frontier:
         block = np.stack(frontier)
         next_frontier: list[np.ndarray] = []
         for g in gens:
             products = block @ g
-            for P in products:
-                key = quantized_key(P, digits)
+            for P, key in zip(products, quantized_keys(products, digits)):
                 idx = seen.get(key)
                 if idx is None:
                     if len(elements) >= max_order:
                         raise SizeLimitError(
                             f"closure of {spec} exceeds max_order={max_order}"
+                        )
+                    if len(elements) == expected:
+                        raise ConsistencyError(
+                            f"closure of {spec} passes its order {expected}: copies of "
+                            f"one element split into distinct dedup keys at {digits} digits"
                         )
                     seen[key] = len(elements)
                     elements.append(P)
@@ -411,29 +447,43 @@ def close_group(
                         f"distinct elements of {spec} collide at {digits} digits"
                     )
         frontier = next_frontier
-    return FiniteMatrixGroup(spec, field, np.stack(elements), seed_basis)
+    if expected is not None and len(elements) < expected:
+        raise ConsistencyError(
+            f"closure of {spec} ends at {len(elements)} of its {expected} elements: "
+            f"distinct elements share a dedup key at {digits} digits"
+        )
+    group = FiniteMatrixGroup(spec, field, tuple(gens), seed_basis, tol, max_order)
+    return _enumerated(group, np.stack(elements))
 
 
 def unitarize(group: FiniteMatrixGroup, tol: Tolerance = DEFAULT_TOL) -> FiniteMatrixGroup:
     """Conjugate the representation so every element is unitary.
 
-    Averages H = (1/|G|) sum_g g*g, factors H = L L*, and maps g to L* g L*^-1.
-    Returns the input unchanged when it is already unitary within tolerance.
+    Averages H = (1/|G|) sum_g g*g, factors H = L L*, and maps every element
+    and generator g to L* g L*^-1. Returns the input unchanged when it is
+    already unitary within tolerance.
     """
     if group.unitarity_deviation() <= tol.rel_eq:
         return group
     E = group.elements
-    H = np.einsum("nji,njk->ik", E.conj(), E) / group.order
+    H = np.einsum("nji,njk->ik", E.conj(), E) / len(E)
     try:
         L = np.linalg.cholesky(H)
         A = L.conj().T
         Ainv = np.linalg.inv(A)
     except np.linalg.LinAlgError as exc:
         raise DegeneracyError("averaged Hermitian form is singular") from exc
-    conjugated = np.einsum("ij,njk,kl->nil", A, E, Ainv)
-    if group.field == "R":
-        conjugated = conjugated.real if np.iscomplexobj(conjugated) else conjugated
-    out = FiniteMatrixGroup(group.spec, group.field, conjugated, group.seed_basis)
+
+    def conjugate(mats: np.ndarray) -> np.ndarray:
+        out = np.einsum("ij,njk,kl->nil", A, mats, Ainv)
+        return out.real if group.field == "R" and np.iscomplexobj(out) else out
+
+    out = _enumerated(
+        FiniteMatrixGroup(group.spec, group.field,
+                          tuple(conjugate(np.stack(group.generators))),
+                          group.seed_basis, group.tol, group.max_order),
+        conjugate(E),
+    )
     if out.unitarity_deviation() > tol.rel_eq:
         raise DegeneracyError("unitarization failed to reach tolerance")
     return out
@@ -444,7 +494,12 @@ def build_group(
     tol: Tolerance = DEFAULT_TOL,
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> FiniteMatrixGroup:
-    """Parse (if needed), generate, close, and unitarize. Cached per family spec."""
+    """Parse (if needed) and generate. Cached per family spec.
+
+    Unitary generators are kept as they are and the group is closed only when
+    its elements are read. Otherwise (only explicit files can fail the test)
+    the group is closed and unitarized at once.
+    """
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     if spec.kind == "explicit":
@@ -458,12 +513,16 @@ def _build_cached(spec: GroupSpec, tol: Tolerance, max_order: int) -> FiniteMatr
 
 
 def _assemble(spec: GroupSpec, tol: Tolerance, max_order: int) -> FiniteMatrixGroup:
+    order = group_order(spec)
+    if order is not None and order > max_order:
+        raise SizeLimitError(f"closure of {spec} exceeds max_order={max_order}")
     gens, ftag = build_generators(spec)
     seed_basis = None
     if spec.kind == "imprimitive" and spec.params[0] == 1:
         seed_basis = _helmert_basis(spec.params[2])
-    group = close_group(gens, ftag, spec, tol, max_order, seed_basis)
-    return unitarize(group, tol)
+    if _unitarity_deviation(np.stack(gens)) <= tol.rel_eq:
+        return FiniteMatrixGroup(spec, ftag, tuple(gens), seed_basis, tol, max_order)
+    return unitarize(close_group(gens, ftag, spec, tol, max_order, seed_basis), tol)
 
 
 @dataclass(frozen=True)

@@ -61,10 +61,11 @@ def compensated_sum(terms: Iterable[float]) -> float:
     return total
 
 
-def quantized_key(a: np.ndarray, digits: int) -> bytes:
-    """Dedup key of an array: its entries rounded to `digits` decimals."""
+def quantized_keys(items: np.ndarray, digits: int) -> list[bytes]:
+    """Dedup key of each item along the first axis: its entries rounded to
+    `digits` decimals."""
     # adding 0.0 maps -0.0 to +0.0 so signed zeros share a key
-    return (np.round(a, digits) + 0.0).tobytes()
+    return [item.tobytes() for item in np.round(items, digits) + 0.0]
 
 
 def approx_eq(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -14,9 +14,9 @@ from math import fsum, sqrt
 
 import numpy as np
 
-from .errors import ConsistencyError, InputError, MismatchError
-from .groups import FiniteMatrixGroup
-from .numerics import DEFAULT_TOL, Rational, Tolerance, quantized_key
+from .errors import ConsistencyError, InputError, MismatchError, SizeLimitError
+from .groups import FiniteMatrixGroup, group_order
+from .numerics import DEFAULT_TOL, Rational, Tolerance, quantized_keys
 
 
 @dataclass(frozen=True)
@@ -93,32 +93,56 @@ def orbit_lines(
 ) -> LineSet:
     """The projective orbit of a seed under the group, uniformly weighted.
 
-    The group permutes the orbit's lines transitively, so every line must be
-    hit the same number of times; a spread in multiplicities is an error.
+    Walks canonical lines breadth-first under the group's generators, so the
+    group's elements are never enumerated. Every generator must permute the
+    lines found, and their number must divide the group order when that has a
+    closed form; a dedup key that splits one line into several or merges two
+    is an error.
     """
     x = group.embed_seed(np.asarray(seed))
     nx = np.linalg.norm(x)
     if nx == 0.0:
         raise InputError("zero seed vector")
-    x = x / nx
-    images = np.einsum("nij,j->ni", group.elements, x)
-    canon = _canonicalize_rows(images, tol)
-    reps: list[np.ndarray] = []
-    counts: list[int] = []
-    index: dict[bytes, int] = {}
-    for row in canon:
-        key = quantized_key(row, tol.dedup_digits)
-        i = index.get(key)
-        if i is None:
-            index[key] = len(reps)
-            reps.append(row)
-            counts.append(1)
-        else:
-            counts[i] += 1
+    digits = tol.dedup_digits
+    order = group_order(group.spec)
+    limit = order if order is not None else group.max_order
+    gens = np.stack(group.generators)
+    frontier = _canonicalize_rows((x / nx)[None], tol)
+    reps = [frontier[0]]
+    index = {quantized_keys(frontier, digits)[0]: 0}
+    # per frontier block, maps[k][j]: index of the line generator k sends line j to
+    maps: list[np.ndarray] = []
+    while len(frontier):
+        images = frontier @ gens.transpose(0, 2, 1)  # (generators, frontier, d)
+        canon = _canonicalize_rows(images.reshape(-1, x.size), tol)
+        first_new = len(reps)
+        targets = []
+        for row, key in zip(canon, quantized_keys(canon, digits)):
+            i = index.get(key)
+            if i is None:
+                if len(reps) == limit:
+                    split = f"copies of one line split into distinct dedup keys at {digits} digits"
+                    if order is None:
+                        raise SizeLimitError(
+                            f"orbit of {group.spec} passes max_order={limit} lines: the "
+                            f"group is larger than that, or {split}"
+                        )
+                    raise ConsistencyError(f"orbit of {group.spec} passes {limit} lines: {split}")
+                i = index[key] = len(reps)
+                reps.append(row)
+            targets.append(i)
+        maps.append(np.reshape(targets, (len(gens), -1)))
+        frontier = np.array(reps[first_new:])
     n = len(reps)
-    if len(set(counts)) != 1 or counts[0] * n != group.order:
+    if any(np.unique(row).size != n for row in np.concatenate(maps, axis=1)):
         raise ConsistencyError(
-            f"orbit of {group.spec} is not line-transitive: multiplicities {sorted(set(counts))}"
+            f"the generators of {group.spec} do not permute the {n} orbit lines found: "
+            f"dedup keys at {digits} digits split or merge lines"
+        )
+    if order is not None and order % n:
+        raise ConsistencyError(
+            f"orbit of {group.spec} has {n} lines, which does not divide the group "
+            f"order {order}: dedup keys at {digits} digits split or merge lines"
         )
     w = Fraction(1, n)
     out = LineSet(
@@ -155,9 +179,8 @@ def union_lines(
     weights: list = []
     for ls, b in ((X, bx), (Y, by)):
         ws = ls.exact_weights if exact else ls.weights
-        for row, w in zip(ls.lines, ws):
+        for row, w, key in zip(ls.lines, ws, quantized_keys(ls.lines, tol.dedup_digits)):
             scaled = b * w if exact else float(b) * w
-            key = quantized_key(row, tol.dedup_digits)
             i = merged.get(key)
             if i is None:
                 merged[key] = len(lines)

@@ -337,7 +337,12 @@ def verify_certificate(source, tol: Tolerance = DEFAULT_TOL) -> VerifyResult:
     wsum = sum(weights, Fraction(0))
     if wsum != 1:
         reasons.append(f"weights sum to {wsum}, not 1")
-    stored = sorted((int(t), float(r)) for t, r in cert["residuals"].items())
+    try:
+        stored = sorted((int(t), float(r)) for t, r in cert["residuals"].items())
+    except (ValueError, TypeError) as exc:
+        raise CertificateError(f"malformed residuals: {exc}") from exc
+    if any(t < 1 for t, _ in stored):
+        raise CertificateError("residual orders must be positive integers")
     w = np.array([float(x) for x in weights])
     pots = moments(lines, w, lines, w, [t for t, _ in stored])
     residuals = {}

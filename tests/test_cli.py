@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,25 @@ def test_group_complex_summary(capsys):
 
 def test_group_rejects_degenerate_family(capsys):
     assert main(["group", "G(3,3,1)"]) == 3
+
+
+def test_group_closure_key_split_exit(capsys):
+    # at 13 digits copies of one A(5) element round to distinct keys; the
+    # closure used to report order 763 for this group of order 720
+    assert main(["group", "A(5)", "--dedup-digits", "13"]) == 3
+    err = capsys.readouterr().err
+    assert "passes its order 720" in err
+    assert "split into distinct dedup keys at 13 digits" in err
+
+
+def test_orbit_key_split_exit(capsys):
+    # the walk stops once it passes |H4| = 14400 lines instead of running on
+    start = time.monotonic()
+    assert main(["orbit", "H4", "--seed", "@2", "--dedup-digits", "15"]) == 3
+    assert time.monotonic() - start < 10.0
+    err = capsys.readouterr().err
+    assert "split" in err
+    assert "dedup keys at 15 digits" in err
 
 
 def test_orbit_cross(capsys):
@@ -141,6 +161,19 @@ def test_verify_design_certificate_at_higher_order(capsys, tmp_path):
     assert code == 0
     assert verdict["passed"]
     assert "5" in verdict["residuals"]
+
+
+@pytest.mark.parametrize("key", ["0", "-1", "x"])
+def test_verify_bad_residual_order_exit(capsys, tmp_path, key):
+    path = tmp_path / "cert.json"
+    assert main(["union", "B(2)", "--x", "@1", "--y", "@2", "--t", "2",
+                 "--emit", str(path)]) == 0
+    cert = json.loads(path.read_text())
+    cert["residuals"][key] = 0.0
+    path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 3
+    assert "residual" in capsys.readouterr().err
 
 
 def test_verify_structural_error_exit(capsys, tmp_path):

@@ -11,6 +11,7 @@ from orbitdesigns import (
     InputError,
     SizeLimitError,
     build_group,
+    canonical_line,
     catalog,
     catalog_entry,
     close_group,
@@ -37,6 +38,7 @@ from orbitdesigns.groups import build_generators
 def test_imprimitive_orders(spec, order):
     # |G(m,p,n)| = m^n n! / p
     assert build_group(spec).order == order
+    assert len(build_group(spec).elements) == order
 
 
 @pytest.mark.parametrize(
@@ -58,12 +60,14 @@ def test_imprimitive_orders(spec, order):
 )
 def test_named_family_orders(spec, order):
     assert build_group(spec).order == order
+    assert len(build_group(spec).elements) == order
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_symmetric_hyperplane_orders(d):
     g = build_group(f"A({d})")
     assert g.order == math.factorial(d + 1)
+    assert len(g.elements) == g.order
     assert g.dim == d
 
 
@@ -152,6 +156,24 @@ def test_unitarize_conjugated_copy():
     assert fixed.order == 6
 
 
+def test_explicit_non_unitary_generators_are_conjugated(tmp_path):
+    # skewed dihedral(3) generators: the group is closed and unitarized when it
+    # is built, and its generators are conjugated with its elements
+    gens, _ = build_generators(parse_group_spec("dihedral(3)"))
+    M = np.array([[1.0, 0.3], [-0.2, 1.1]])
+    skew = [np.linalg.inv(M) @ g @ M for g in gens]
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps({"field": "R", "generators": [g.tolist() for g in skew]}))
+    g = build_group(f"explicit:{path}")
+    assert g.order == 6
+    assert g.unitarity_deviation() <= 1e-9
+    for gen in g.generators:
+        assert np.abs(gen.T @ gen - np.eye(2)).max() <= 1e-9
+    seed = np.array([1.0, 0.0])
+    images = {tuple(np.round(canonical_line(e @ seed), 8)) for e in g.elements}
+    assert orbit_lines(g, seed).n_lines == len(images)
+
+
 def test_unitarize_leaves_unitary_groups_alone():
     g = build_group("heis(3)")
     assert unitarize(g) is g
@@ -202,6 +224,13 @@ def test_explicit_generator_file(f4_path):
         for seed in [(1.0, 0, 0, 0), (1.0, -1, 0, 0), (2.0, 1, 1, 0), (3.0, 1, 1, 1)]
     )
     assert sizes == [12, 12, 48, 48]
+
+
+def test_explicit_orbit_walk_stops_at_max_order(f4_path):
+    # no closed-form order: a generic F4 orbit (576 lines) passes max_order=100
+    g = build_group(f"explicit:{f4_path}", max_order=100)
+    with pytest.raises(SizeLimitError):
+        orbit_lines(g, np.array([4.0, 3.0, 2.0, 1.0]))
 
 
 @pytest.mark.parametrize(

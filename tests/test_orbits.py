@@ -12,13 +12,18 @@ from orbitdesigns import (
     ConsistencyError,
     InputError,
     MismatchError,
+    Tolerance,
     build_group,
     canonical_line,
+    catalog,
+    catalog_entry,
     format_vector,
+    group_order,
     orbit_lines,
     parse_vector,
     union_lines,
 )
+from orbitdesigns import groups
 
 
 def test_canonical_line_sign():
@@ -68,6 +73,53 @@ def test_orbit_sizes_match_stabilizer_index():
     assert generic.n_lines == 60
 
 
+def _closure_images(group, seed):
+    """Canonical images of the seed under every enumerated group element."""
+    x = group.embed_seed(np.asarray(seed))
+    return np.array([canonical_line(v) for v in group.elements @ x])
+
+
+def test_orbit_walk_matches_closure_images():
+    for entry in catalog():
+        g = build_group(entry.spec)
+        for seed in entry.seeds:
+            X = orbit_lines(g, seed)
+            images = _closure_images(g, seed)
+            nearest = []
+            for start in range(0, len(images), 512):
+                block = images[start:start + 512]
+                dist = np.abs(block[:, None, :] - X.lines[None]).max(axis=2)
+                assert dist.min(axis=1).max() <= 1e-12, str(entry.spec)
+                nearest += dist.argmin(axis=1).tolist()
+            assert set(nearest) == set(range(X.n_lines)), str(entry.spec)
+            assert group_order(entry.spec) % X.n_lines == 0, str(entry.spec)
+
+
+def test_h4_orbits_never_close_the_group(monkeypatch):
+    calls = []
+    close = groups.close_group
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])  # the spec
+        return close(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "close_group", counted)
+    groups._build_cached.cache_clear()  # a cached H4 may already hold its elements
+    g = build_group("H4")
+    sizes = [orbit_lines(g, seed).n_lines for seed in catalog_entry("H4").seeds]
+    assert sizes == [60, 300, 360, 600]
+    assert g.order == 14400
+    assert calls == []
+
+
+def test_orbit_walk_rejects_merged_keys():
+    # at 1 digit distinct lines of this A(4) orbit share keys, so the lines the
+    # walk keeps are not permuted by the generators
+    tol = Tolerance(dedup_digits=1)
+    with pytest.raises(ConsistencyError, match="do not permute"):
+        orbit_lines(build_group("A(4)", tol), catalog_entry("A(4)").seeds[0], tol)
+
+
 def test_orbit_weights_are_uniform_rationals():
     X = orbit_lines(build_group("dihedral(5)"), np.array([1.0, 0.3]))
     assert X.exact_weights == (Fraction(1, X.n_lines),) * X.n_lines
@@ -82,8 +134,6 @@ def test_orbit_rejects_zero_seed():
 @pytest.mark.parametrize("label", ["A(3)", "B(3)", "binT", "H3", "heis(3)"])
 def test_orbit_lineset_invariants(label):
     g = build_group(label)
-    from orbitdesigns import catalog_entry
-
     for seed in catalog_entry(label).seeds:
         X = orbit_lines(g, np.asarray(seed))
         norms = np.linalg.norm(X.lines, axis=1)
