@@ -4,6 +4,12 @@ The potential of a weighted line set is sum_{x,y} w_x w_y |<x,y>|^(2t); a set
 is a (t,t)-design exactly when the potential meets the field's Welch constant
 c_t. Potentials are accumulated blockwise with exact compensated summation and
 never materialize the full Gram matrix.
+
+For a unitary group G, |<gx,gy>| = |<x,y>|, so against a G-invariant set every
+line of one G-orbit has the same Gram row sum. A union of orbits of one group
+(LineSet.group and orbit_starts) therefore sums one Gram row per orbit, the
+orbit's first line carrying its total weight; any other set sums every row.
+verify_certificate keeps the full sum, independent of orbit structure.
 """
 from __future__ import annotations
 
@@ -14,7 +20,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import MismatchError
+from .errors import ConsistencyError, MismatchError
 from .numerics import DEFAULT_TOL, Rational, Tolerance, compensated_sum, quantized_keys
 from .orbits import LineSet
 
@@ -62,16 +68,33 @@ def moments(A: np.ndarray, wa: np.ndarray, B: np.ndarray, wb: np.ndarray,
     return [compensated_sum(chain.from_iterable(terms(t))) for t in orders]
 
 
+def _rows(X: LineSet, Y: LineSet) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and row weights whose moments against Y's lines equal X's.
+
+    When X and Y are orbit unions of one group, each orbit block of X gives its
+    first line with the block's total weight; otherwise every line of X is a
+    row with its own weight.
+    """
+    if X.group is None or Y.group is not X.group:
+        return X.lines, X.weights
+    for S in (Y, X):  # X last: its starts and sizes make the rows
+        starts = list(S.orbit_starts)
+        sizes = np.diff(S.orbit_starts + (S.n_lines,))
+        if (np.repeat(S.weights[starts], sizes) != S.weights).any():
+            raise ConsistencyError(f"weights vary within an orbit of {S.group.spec}")
+    return X.lines[starts], X.weights[starts] * sizes
+
+
 def potential(X: LineSet, t: int) -> float:
     """Design potential of X at order t."""
-    return moments(X.lines, X.weights, X.lines, X.weights, [t])[0]
+    return moments(*_rows(X, X), X.lines, X.weights, [t])[0]
 
 
 def cross_potential(X: LineSet, Y: LineSet, t: int) -> float:
     """Mixed potential sum_{x in X, y in Y} w_x w_y |<x,y>|^(2t)."""
     if X.dim != Y.dim or X.field != Y.field:
         raise MismatchError("cross potential needs matching dimension and field")
-    return moments(X.lines, X.weights, Y.lines, Y.weights, [t])[0]
+    return moments(*_rows(X, Y), Y.lines, Y.weights, [t])[0]
 
 
 @dataclass(frozen=True)
@@ -98,7 +121,7 @@ def strength(X: LineSet, t_max: int = 12, tol: Tolerance = DEFAULT_TOL) -> Desig
     if t_max < 1:
         raise ValueError("t_max >= 1 required")
     ts = tuple(range(1, t_max + 1))
-    pots = tuple(moments(X.lines, X.weights, X.lines, X.weights, ts))
+    pots = tuple(moments(*_rows(X, X), X.lines, X.weights, ts))
     targets = tuple(welch_constant(X.field, X.dim, t) for t in ts)
     residuals = tuple((p - float(c)) / float(c) for p, c in zip(pots, targets))
     s = 0

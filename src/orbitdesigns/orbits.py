@@ -29,6 +29,9 @@ class LineSet:
     exact_weights  optional Fractions matching weights exactly
     group_label    provenance: spec string of the generating group, if any
     seed_literal   provenance: the seed vector literal, if any
+    group          the group when the set is a union of its orbits, else None
+    orbit_starts   with group: the first row of each orbit block, the rows of
+                   one block being one orbit with one weight; else None
     """
 
     field: str
@@ -37,6 +40,8 @@ class LineSet:
     exact_weights: tuple | None = None
     group_label: str | None = None
     seed_literal: str | None = None
+    group: FiniteMatrixGroup | None = None
+    orbit_starts: tuple | None = None
 
     @property
     def dim(self) -> int:
@@ -152,6 +157,8 @@ def orbit_lines(
         exact_weights=(w,) * n,
         group_label=group.spec.label,
         seed_literal=seed_literal if seed_literal is not None else format_vector(np.asarray(seed)),
+        group=group,
+        orbit_starts=(0,),
     )
     out.validate(tol)
     return out
@@ -166,7 +173,8 @@ def union_lines(
     """Weighted union: X's weights scaled by beta_X, Y's by beta_Y = 1 - beta_X.
 
     Lines shared by X and Y are merged with summed weight; lines whose merged
-    weight is exactly zero are dropped.
+    weight is exactly zero are dropped. When X and Y are orbit unions of one
+    group, so is the result.
     """
     if X.dim != Y.dim or X.field != Y.field:
         raise MismatchError("union operands must share dimension and field")
@@ -177,17 +185,21 @@ def union_lines(
     merged: dict[bytes, int] = {}
     lines: list[np.ndarray] = []
     weights: list = []
+    where: list[list[int]] = []  # per operand, the union row of each of its lines
     for ls, b in ((X, bx), (Y, by)):
         ws = ls.exact_weights if exact else ls.weights
+        rows = []
         for row, w, key in zip(ls.lines, ws, quantized_keys(ls.lines, tol.dedup_digits)):
             scaled = b * w if exact else float(b) * w
             i = merged.get(key)
             if i is None:
-                merged[key] = len(lines)
+                i = merged[key] = len(lines)
                 lines.append(row)
                 weights.append(scaled)
             else:
                 weights[i] += scaled
+            rows.append(i)
+        where.append(rows)
     if exact:
         keep = [i for i, w in enumerate(weights) if w != 0]
     else:
@@ -196,15 +208,47 @@ def union_lines(
         raise ConsistencyError("union has no lines with nonzero weight")
     kept_lines = np.stack([lines[i] for i in keep])
     kept_w = [weights[i] for i in keep]
+    group = X.group if X.group is not None and X.group is Y.group else None
     out = LineSet(
         field=X.field,
         lines=kept_lines,
         weights=np.array([float(w) for w in kept_w]),
         exact_weights=tuple(kept_w) if exact else None,
         group_label=X.group_label if X.group_label == Y.group_label else None,
+        group=group,
+        orbit_starts=_union_blocks(X, Y, where, keep, tol) if group is not None else None,
     )
     out.validate(tol)
     return out
+
+
+def _union_blocks(X: LineSet, Y: LineSet, where: list[list[int]], keep: list[int],
+                  tol: Tolerance) -> tuple:
+    """orbit_starts of the union of two orbit unions of one group.
+
+    Two orbits of a group are equal or disjoint, so each block of X and Y
+    either adds lines of its own or lands whole on one earlier block; anything
+    else means the dedup keys joined distinct lines. Blocks dropped for zero
+    weight go whole, since weights are constant on a block.
+    """
+    owner: dict[int, int] = {}  # union row -> first union row of its block
+    sizes: dict[int, int] = {}  # first union row of a block -> its size
+    for ls, rows in zip((X, Y), where):
+        bounds = ls.orbit_starts + (ls.n_lines,)
+        for lo, hi in zip(bounds, bounds[1:]):
+            block = rows[lo:hi]
+            hit = {owner.get(i) for i in block}
+            whole = len(set(block)) == hi - lo and len(hit) == 1
+            if whole and hit == {None}:
+                sizes[block[0]] = hi - lo
+                owner.update((i, block[0]) for i in block)
+            elif not whole or sizes[hit.pop()] != hi - lo:
+                raise ConsistencyError(
+                    f"orbits of {X.group.spec} merge only in part in a union: dedup "
+                    f"keys at {tol.dedup_digits} digits joined distinct lines"
+                )
+    position = {row: n for n, row in enumerate(keep)}
+    return tuple(sorted(position[s] for s in sizes if s in position))
 
 
 _COMPLEX_ENTRY = re.compile(

@@ -161,7 +161,7 @@ def solve_union(X: LineSet, Y: LineSet, t: int, tol: Tolerance = DEFAULT_TOL,
 
     Root preference: convex interior root, then boundary {0, 1}, then signed;
     ties go to the root nearer 1/2. The preferred snapped root's union is
-    assembled and its strength certified up to t_max.
+    assembled and its strength certified up to max(t, t_max).
     """
     q = pair_quadratic(X, Y, t, tol)
     raw_roots, doubles, degenerate, disc = _solve_roots(q, tol)
@@ -180,7 +180,7 @@ def solve_union(X: LineSet, Y: LineSet, t: int, tol: Tolerance = DEFAULT_TOL,
     best = roots[preferred] if preferred is not None else None
     if best is not None and best.beta is not None:
         union = union_lines(X, Y, best.beta, tol)
-        verified = strength(union, t_max, tol)
+        verified = strength(union, max(t, t_max), tol)
     return UnionSolution(
         t=t, n_x=X.n_lines, n_y=Y.n_lines, quad=q, discriminant=disc,
         degenerate=degenerate, roots=roots, preferred=preferred,

@@ -221,6 +221,21 @@ def test_reproduce_json(capsys):
     assert len(payload["rows"]) == 7
 
 
+def test_union_tmax_below_t(capsys):
+    # the verified report covers orders up to max(t, tmax), so the
+    # certificate still stores residuals for 1..t
+    code, payload = run_json(capsys, "union", "H4", "--x", "@1", "--y", "@2",
+                             "--t", "6", "--tmax", "3")
+    assert code == 0
+    assert list(payload["certificate"]["residuals"]) == [str(t) for t in range(1, 7)]
+
+
+def test_reproduce_all_tmax_below_row_orders(capsys):
+    code, out = run(capsys, "reproduce", "all", "--tmax", "4")
+    assert code == 0
+    assert "31/31 rows reproduced" in out
+
+
 def test_reproduce_rejects_unknown_table(capsys):
     assert main(["reproduce", "Z"]) == 3
 

@@ -1,6 +1,7 @@
 """Design potentials, Welch constants, strength reports, antipodal doubling."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -10,19 +11,25 @@ import pytest
 
 import exact_oracle as oracle
 from orbitdesigns import (
+    ConsistencyError,
     MismatchError,
     antipodal_design_check,
     build_group,
+    catalog,
     catalog_entry,
     cross_potential,
     double_to_antipodal,
     orbit_lines,
     potential,
+    solve_union,
     strength,
     union_lines,
     welch_constant,
 )
+from orbitdesigns import designs, groups
+from orbitdesigns.cli import _load_expectations, _resolve_seed
 from orbitdesigns.designs import moments
+from orbitdesigns.orbits import LineSet
 
 EPS = np.finfo(float).eps
 
@@ -158,6 +165,98 @@ def test_moments_match_exact_oracle():
             for t, value in enumerate(got, start=1):
                 exact = float(oracle.cross_potential(exact_orbits[i], exact_orbits[j], t))
                 assert abs(value - exact) <= 4 * t * EPS * exact, (label, i, j, t)
+                # the same moment from one Gram row per orbit
+                rows = potential(X, t) if i == j else cross_potential(X, Y, t)
+                assert abs(rows - exact) <= 4 * t * EPS * exact, (label, i, j, t)
+
+
+def _full_sum(X, ts):
+    """X's potentials from every Gram row, and the scale of their rounding error."""
+    w = np.abs(X.weights)
+    return (moments(X.lines, X.weights, X.lines, X.weights, ts),
+            moments(X.lines, w, X.lines, w, ts))
+
+
+# Each route is within 4t ulp of the exact potential (see the oracle test), so
+# the two are within 8t ulp of each other: binT @1 differs by 4.8t ulp, the
+# orbit row being the nearer to the exact value.
+def test_orbit_rows_match_full_sum():
+    ts = range(1, 13)
+    for entry in catalog():
+        g = build_group(entry.spec)
+        for k, seed in enumerate(entry.seeds, start=1):
+            X = orbit_lines(g, seed)
+            rep = strength(X, 12)
+            full, _ = _full_sum(X, ts)
+            for t, f, p in zip(ts, full, rep.potentials):
+                assert p == potential(X, t)
+                assert abs(p - f) <= 8 * t * EPS * f, (entry.spec.label, k, t)
+
+
+def test_union_rows_match_full_sum():
+    ts = range(1, 13)
+    for row in _load_expectations():
+        if not row["seedY"] or not row["betaX"]:
+            continue
+        g = build_group(row["group"])
+        X, Y = (orbit_lines(g, _resolve_seed(row["group"], row[k])[0])
+                for k in ("seedX", "seedY"))
+        U = solve_union(X, Y, int(row["t"])).union
+        assert U.group is g and len(U.orbit_starts) in (1, 2)
+        bare = dataclasses.replace(U, group=None, orbit_starts=None)
+        _, scale = _full_sum(U, ts)
+        pairs = zip(ts, strength(U, 12).potentials, strength(bare, 12).potentials, scale)
+        for t, p, f, s in pairs:
+            assert abs(p - f) <= 8 * t * EPS * s, (row["group"], row["betaX"], t)
+
+
+@pytest.fixture
+def row_counts(monkeypatch):
+    """Rows of the first argument of every moments call."""
+    counts = []
+    kernel = designs.moments
+
+    def counted(A, *args):
+        counts.append(A.shape[0])
+        return kernel(A, *args)
+
+    monkeypatch.setattr(designs, "moments", counted)
+    return counts
+
+
+def test_solve_union_sums_one_row_per_orbit(row_counts):
+    X, Y = _orbit("H4", 1), _orbit("H4", 4)
+    sol = solve_union(X, Y, 6)
+    assert sol.union.n_lines == 660 and sol.verified.strength >= 6
+    assert row_counts and max(row_counts) <= 2
+
+
+def test_sets_without_a_shared_group_sum_every_row(row_counts):
+    X = _orbit("H3", 2)
+    potential(LineSet(field=X.field, lines=X.lines, weights=X.weights), 4)
+    groups._build_cached.cache_clear()  # a second, distinct H3 group object
+    Y = _orbit("H3", 1)
+    assert Y.group is not X.group
+    cross_potential(X, Y, 4)
+    assert row_counts == [X.n_lines, X.n_lines]
+
+
+def test_union_of_an_orbit_with_itself_is_one_block():
+    X = _orbit("H4", 1)
+    U = union_lines(X, X, (Fraction(1, 3), Fraction(2, 3)))
+    assert U.group is X.group and U.orbit_starts == (0,)
+    assert potential(U, 6) == potential(X, 6)
+
+
+def test_unequal_weights_within_an_orbit_raise():
+    X = _orbit("H3", 1)
+    w = X.weights.copy()
+    w[:2] += [1e-3, -1e-3]
+    bad = dataclasses.replace(X, weights=w)
+    with pytest.raises(ConsistencyError, match="weights vary within an orbit"):
+        potential(bad, 2)
+    with pytest.raises(ConsistencyError, match="weights vary within an orbit"):
+        cross_potential(X, bad, 2)
 
 
 def test_welch_lower_bound_on_positive_sets():

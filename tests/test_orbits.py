@@ -1,6 +1,7 @@
 """Projective lines: canonicalization, orbits, unions, vector literals."""
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -151,6 +152,7 @@ def test_union_identity_weighting():
                     (Fraction(1), Fraction(0)))
     assert U.n_lines == X.n_lines
     assert U.exact_weights == X.exact_weights
+    assert U.group is X.group and U.orbit_starts == (0,)
 
 
 def test_union_merges_identical_sets():
@@ -158,6 +160,7 @@ def test_union_merges_identical_sets():
     U = union_lines(X, X, (Fraction(1, 2), Fraction(1, 2)))
     assert U.n_lines == X.n_lines
     assert U.exact_weights == X.exact_weights
+    assert U.orbit_starts == (0,)
 
 
 def test_union_four_line_cross():
@@ -167,6 +170,20 @@ def test_union_four_line_cross():
     U = union_lines(X, Y, (Fraction(1, 2), Fraction(1, 2)))
     assert U.n_lines == 4
     assert U.exact_weights == (Fraction(1, 4),) * 4
+    assert U.group is g and U.orbit_starts == (0, 2)
+
+
+def test_union_rejects_a_partial_orbit_merge():
+    # one line of Y's orbit block coincides with a line of X, the other not:
+    # two orbits of one group are never related so, only a key merge does it
+    g = build_group("G(2,1,2)")
+    X = orbit_lines(g, np.array([1.0, 0.0]))
+    Y = orbit_lines(g, np.array([1.0, 1.0]))
+    half = dataclasses.replace(Y, lines=np.stack([X.lines[0], Y.lines[1]]))
+    with pytest.raises(ConsistencyError, match="merge only in part"):
+        union_lines(X, half, (Fraction(1, 2), Fraction(1, 2)))
+    plain = dataclasses.replace(half, group=None, orbit_starts=None)
+    assert union_lines(X, plain, (Fraction(1, 2), Fraction(1, 2))).orbit_starts is None
 
 
 def test_union_signed_weighting():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,6 +292,27 @@ def test_certificate_requires_a_root():
     assert sol.empty
     with pytest.raises(NoSolutionError):
         emit_certificate(sol, X, Y)
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+def test_orbit_row_residuals_match_full_gram_sum(pair):
+    # the certificate's residuals come from one Gram row per orbit, verify's
+    # from every row of the stored lines
+    X, Y = (_orbit("H4", k) for k in pair)
+    cert = emit_certificate(solve_union(X, Y, 6), X, Y)
+    result = verify_certificate(cert)
+    assert result.passed, result.reasons
+    assert len(result.residuals) >= 6
+    for stored, recomputed in result.residuals.values():
+        assert abs(stored - recomputed) <= 1e-12
+
+
+def test_stored_benchmark_certificates_verify():
+    paths = sorted((Path(__file__).parents[1] / "perfbench" / "certificates").glob("*.json"))
+    assert len(paths) == 4
+    for path in paths:
+        result = verify_certificate(str(path))
+        assert result.passed, (path.name, result.reasons)
 
 
 def _fresh_cert():
