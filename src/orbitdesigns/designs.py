@@ -21,7 +21,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConsistencyError, MismatchError
-from .numerics import DEFAULT_TOL, Rational, Tolerance, compensated_sum, quantized_keys
+from .numerics import DEFAULT_TOL, Rational, Tolerance, _intern, compensated_sum
 from .orbits import LineSet
 
 _BLOCK_TERMS = 1 << 18  # soft cap on terms materialized per block
@@ -124,12 +124,19 @@ def strength(X: LineSet, t_max: int = 12, tol: Tolerance = DEFAULT_TOL) -> Desig
     pots = tuple(moments(*_rows(X, X), X.lines, X.weights, ts))
     targets = tuple(welch_constant(X.field, X.dim, t) for t in ts)
     residuals = tuple((p - float(c)) / float(c) for p, c in zip(pots, targets))
+    return DesignReport(ts, pots, targets, residuals, certified_strength(residuals, tol),
+                        X.signed)
+
+
+def certified_strength(residuals, tol: Tolerance) -> int:
+    """The largest t with |residual| <= rel_eq at every order 1..t, residuals
+    being (potential - c_t)/c_t for t = 1, 2, ..."""
     s = 0
-    for t, r in zip(ts, residuals):
+    for t, r in enumerate(residuals, start=1):
         if abs(r) > tol.rel_eq:
             break
         s = t
-    return DesignReport(ts, pots, targets, residuals, s, X.signed)
+    return s
 
 
 @dataclass(frozen=True)
@@ -169,14 +176,15 @@ def antipodal_design_check(aset: AntipodalSet, t: int, tol: Tolerance = DEFAULT_
     <= 2t+1.
     """
     V, w = aset.vectors, aset.weights
-    digits = tol.dedup_digits
-    index = {key: i for i, key in enumerate(quantized_keys(V, digits))}
-    paired = True
-    for i, key in enumerate(quantized_keys(-V, digits)):
-        j = index.get(key)
-        if j is None or abs(w[i] - w[j]) > tol.rel_eq:
-            paired = False
-            break
+    index: dict[bytes, int] = {}
+    own = _intern(V, index, tol.dedup_digits)
+    n = len(index)
+    partner = _intern(-V, index, tol.dedup_digits)
+    paired = bool((partner < n).all())
+    if paired:
+        # the partner of row i is the last row of V with the key of -V[i]
+        _, last = np.unique(own[::-1], return_index=True)
+        paired = not (np.abs(w - w[len(V) - 1 - last[partner]]) > tol.rel_eq).any()
     even = moments(V, w, V, w, [t])[0]
 
     def odd_terms():

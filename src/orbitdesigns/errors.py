@@ -15,7 +15,9 @@ class NumericRangeError(OrbitDesignsError):
 
 
 class SizeLimitError(OrbitDesignsError):
-    """Group closure exceeded the configured maximum order."""
+    """A group or orbit passes the configured maximum order: in build_group's
+    check of a family's closed-form order, in a group closure, or in the orbit
+    walk of a group without a closed-form order (explicit generator files)."""
 
 
 class KeyCollisionError(OrbitDesignsError):
@@ -27,7 +29,9 @@ class DegeneracyError(OrbitDesignsError):
 
 
 class ConsistencyError(OrbitDesignsError):
-    """Internal invariant violated (e.g. non-uniform line multiplicities in an orbit)."""
+    """Internal invariant violated: dedup keys split or merge group elements or
+    orbit lines, weights vary within an orbit block, or orbits merge only in
+    part in a union."""
 
 
 class MismatchError(OrbitDesignsError):

@@ -23,7 +23,7 @@ from .errors import (
     KeyCollisionError,
     SizeLimitError,
 )
-from .numerics import DEFAULT_TOL, Tolerance, quantized_keys
+from .numerics import DEFAULT_TOL, Tolerance, _walk
 
 DEFAULT_MAX_ORDER = 200_000
 
@@ -410,7 +410,8 @@ def close_group(
     """Breadth-first closure of the generated group, deduplicated by quantized key.
 
     When the family has a closed-form order, a closure that passes it or ends
-    short of it is a dedup-key failure and raises ConsistencyError.
+    short of it is a dedup-key failure and raises ConsistencyError. A product
+    whose key matches a different element raises KeyCollisionError.
     """
     if not generators:
         raise InputError("no generators")
@@ -419,41 +420,27 @@ def close_group(
     gens = [np.asarray(g, dtype=dtype) for g in generators]
     digits = tol.dedup_digits
     expected = group_order(spec)
-    elements: list[np.ndarray] = [np.eye(d, dtype=dtype)]
-    seen: dict[bytes, int] = {quantized_keys(elements[0][None], digits)[0]: 0}
-    frontier = elements[:]
-    while frontier:
-        block = np.stack(frontier)
-        next_frontier: list[np.ndarray] = []
-        for g in gens:
-            products = block @ g
-            for P, key in zip(products, quantized_keys(products, digits)):
-                idx = seen.get(key)
-                if idx is None:
-                    if len(elements) >= max_order:
-                        raise SizeLimitError(
-                            f"closure of {spec} exceeds max_order={max_order}"
-                        )
-                    if len(elements) == expected:
-                        raise ConsistencyError(
-                            f"closure of {spec} passes its order {expected}: copies of "
-                            f"one element split into distinct dedup keys at {digits} digits"
-                        )
-                    seen[key] = len(elements)
-                    elements.append(P)
-                    next_frontier.append(P)
-                elif float(np.abs(P - elements[idx]).max()) > 1e-6:
-                    raise KeyCollisionError(
-                        f"distinct elements of {spec} collide at {digits} digits"
-                    )
-        frontier = next_frontier
+    limit = max_order if expected is None else min(expected, max_order)
+    elements, maps = _walk(np.eye(d, dtype=dtype)[None],
+                           lambda block: np.concatenate([block @ g for g in gens]),
+                           limit, digits)
+    if maps is None:
+        if limit == max_order:
+            raise SizeLimitError(f"closure of {spec} exceeds max_order={max_order}")
+        raise ConsistencyError(
+            f"closure of {spec} passes its order {expected}: copies of "
+            f"one element split into distinct dedup keys at {digits} digits"
+        )
+    for g, targets in zip(gens, maps):
+        if float(np.abs(elements @ g - elements[targets]).max()) > 1e-6:
+            raise KeyCollisionError(f"distinct elements of {spec} collide at {digits} digits")
     if expected is not None and len(elements) < expected:
         raise ConsistencyError(
             f"closure of {spec} ends at {len(elements)} of its {expected} elements: "
             f"distinct elements share a dedup key at {digits} digits"
         )
     group = FiniteMatrixGroup(spec, field, tuple(gens), seed_basis, tol, max_order)
-    return _enumerated(group, np.stack(elements))
+    return _enumerated(group, elements)
 
 
 def unitarize(group: FiniteMatrixGroup, tol: Tolerance = DEFAULT_TOL) -> FiniteMatrixGroup:

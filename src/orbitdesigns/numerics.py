@@ -68,9 +68,38 @@ def quantized_keys(items: np.ndarray, digits: int) -> list[bytes]:
     return [item.tobytes() for item in np.round(items, digits) + 0.0]
 
 
-def approx_eq(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff |a-b| <= rel_eq * max(1, |a|, |b|)."""
-    return abs(a - b) <= tol.rel_eq * max(1.0, abs(a), abs(b))
+def _intern(rows: np.ndarray, index: dict[bytes, int], digits: int) -> np.ndarray:
+    """Each row's position in `index`, a table from dedup key to position; a
+    row whose key is new takes the next position."""
+    return np.array([index.setdefault(key, len(index)) for key in quantized_keys(rows, digits)],
+                    dtype=np.intp)
+
+
+def _walk(start: np.ndarray, step, limit: int,
+          digits: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Breadth-first walk from the rows of `start` (distinct keys), deduplicated
+    by dedup key.
+
+    step(block) returns the images of a block of rows under every generator,
+    stacked generator-major. Returns (rows, maps): the rows in the order found
+    and maps[k, j], the position of the image of row j under generator k. A
+    walk that finds more than `limit` rows stops there with maps None.
+    """
+    index: dict[bytes, int] = {}
+    _intern(start, index, digits)
+    found, targets, frontier = [start], [], start
+    while True:
+        images = step(frontier)
+        n = len(index)
+        at = _intern(images, index, digits)
+        targets.append(at.reshape(-1, len(frontier)))
+        if len(index) == n:
+            return np.concatenate(found), np.concatenate(targets, axis=1)
+        keys, first = np.unique(at, return_index=True)
+        frontier = images[first[keys >= n]]
+        found.append(frontier)
+        if len(index) > limit:
+            return np.concatenate(found), None
 
 
 def snap_to_rational(x: float, tol: Tolerance = DEFAULT_TOL) -> Rational | None:

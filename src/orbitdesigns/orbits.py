@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConsistencyError, InputError, MismatchError, SizeLimitError
 from .groups import FiniteMatrixGroup, group_order
-from .numerics import DEFAULT_TOL, Rational, Tolerance, quantized_keys
+from .numerics import DEFAULT_TOL, Rational, Tolerance, _intern, _walk
 
 
 @dataclass(frozen=True)
@@ -111,35 +111,20 @@ def orbit_lines(
     digits = tol.dedup_digits
     order = group_order(group.spec)
     limit = order if order is not None else group.max_order
-    gens = np.stack(group.generators)
-    frontier = _canonicalize_rows((x / nx)[None], tol)
-    reps = [frontier[0]]
-    index = {quantized_keys(frontier, digits)[0]: 0}
-    # per frontier block, maps[k][j]: index of the line generator k sends line j to
-    maps: list[np.ndarray] = []
-    while len(frontier):
-        images = frontier @ gens.transpose(0, 2, 1)  # (generators, frontier, d)
-        canon = _canonicalize_rows(images.reshape(-1, x.size), tol)
-        first_new = len(reps)
-        targets = []
-        for row, key in zip(canon, quantized_keys(canon, digits)):
-            i = index.get(key)
-            if i is None:
-                if len(reps) == limit:
-                    split = f"copies of one line split into distinct dedup keys at {digits} digits"
-                    if order is None:
-                        raise SizeLimitError(
-                            f"orbit of {group.spec} passes max_order={limit} lines: the "
-                            f"group is larger than that, or {split}"
-                        )
-                    raise ConsistencyError(f"orbit of {group.spec} passes {limit} lines: {split}")
-                i = index[key] = len(reps)
-                reps.append(row)
-            targets.append(i)
-        maps.append(np.reshape(targets, (len(gens), -1)))
-        frontier = np.array(reps[first_new:])
+    gens_t = np.stack(group.generators).transpose(0, 2, 1)
+    reps, maps = _walk(_canonicalize_rows((x / nx)[None], tol),
+                       lambda block: _canonicalize_rows((block @ gens_t).reshape(-1, x.size), tol),
+                       limit, digits)
+    if maps is None:
+        split = f"copies of one line split into distinct dedup keys at {digits} digits"
+        if order is None:
+            raise SizeLimitError(
+                f"orbit of {group.spec} passes max_order={limit} lines: the "
+                f"group is larger than that, or {split}"
+            )
+        raise ConsistencyError(f"orbit of {group.spec} passes {limit} lines: {split}")
     n = len(reps)
-    if any(np.unique(row).size != n for row in np.concatenate(maps, axis=1)):
+    if any(np.unique(row).size != n for row in maps):
         raise ConsistencyError(
             f"the generators of {group.spec} do not permute the {n} orbit lines found: "
             f"dedup keys at {digits} digits split or merge lines"
@@ -152,7 +137,7 @@ def orbit_lines(
     w = Fraction(1, n)
     out = LineSet(
         field=group.field,
-        lines=np.stack(reps),
+        lines=reps,
         weights=np.full(n, 1.0 / n),
         exact_weights=(w,) * n,
         group_label=group.spec.label,
@@ -182,36 +167,30 @@ def union_lines(
     if bx + by != 1:
         raise InputError("union weighting must satisfy beta_X + beta_Y = 1")
     exact = X.exact_weights is not None and Y.exact_weights is not None
-    merged: dict[bytes, int] = {}
-    lines: list[np.ndarray] = []
-    weights: list = []
-    where: list[list[int]] = []  # per operand, the union row of each of its lines
-    for ls, b in ((X, bx), (Y, by)):
-        ws = ls.exact_weights if exact else ls.weights
-        rows = []
-        for row, w, key in zip(ls.lines, ws, quantized_keys(ls.lines, tol.dedup_digits)):
-            scaled = b * w if exact else float(b) * w
-            i = merged.get(key)
-            if i is None:
-                i = merged[key] = len(lines)
-                lines.append(row)
-                weights.append(scaled)
-            else:
-                weights[i] += scaled
-            rows.append(i)
-        where.append(rows)
+    index: dict[bytes, int] = {}
+    # per operand, the union row of each of its lines
+    where = [_intern(ls.lines, index, tol.dedup_digits).tolist() for ls in (X, Y)]
+    rows = where[0] + where[1]
+    _, first = np.unique(rows, return_index=True)
+    lines = np.concatenate([X.lines, Y.lines])[first]
+    if exact:
+        scaled = [bx * w for w in X.exact_weights] + [by * w for w in Y.exact_weights]
+    else:
+        scaled = np.concatenate([float(bx) * X.weights, float(by) * Y.weights]).tolist()
+    weights: list = [None] * len(index)
+    for i, w in zip(rows, scaled):
+        weights[i] = w if weights[i] is None else weights[i] + w
     if exact:
         keep = [i for i, w in enumerate(weights) if w != 0]
     else:
         keep = [i for i, w in enumerate(weights) if abs(w) > 1e-15]
     if not keep:
         raise ConsistencyError("union has no lines with nonzero weight")
-    kept_lines = np.stack([lines[i] for i in keep])
     kept_w = [weights[i] for i in keep]
     group = X.group if X.group is not None and X.group is Y.group else None
     out = LineSet(
         field=X.field,
-        lines=kept_lines,
+        lines=lines[keep],
         weights=np.array([float(w) for w in kept_w]),
         exact_weights=tuple(kept_w) if exact else None,
         group_label=X.group_label if X.group_label == Y.group_label else None,

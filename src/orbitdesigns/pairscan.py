@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import moments, welch_constant
+from .designs import certified_strength, moments, welch_constant
 from .errors import ConsistencyError, InputError
 from .groups import FiniteMatrixGroup
 from .numerics import DEFAULT_TOL, Tolerance
@@ -152,18 +152,6 @@ def _draw_unit(rng: np.random.Generator, dim: int, field: str) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _orbit_strength(moments: list[float], targets: list[float],
-                    tol: Tolerance) -> int:
-    # p_G(x,x,t) equals the orbit's frame potential, so the strength of the
-    # sampled orbit reads off the diagonal moments directly
-    s = 0
-    for t, (p, c) in enumerate(zip(moments, targets), start=1):
-        if abs(p - c) / c > tol.rel_eq:
-            break
-        s = t
-    return s
-
-
 def scan(group: FiniteMatrixGroup, t_max: int = 10, samples: int = 20,
          seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> PairScanReport:
     """Randomized scan of the pair identity over t = 1..t_max.
@@ -200,12 +188,14 @@ def scan(group: FiniteMatrixGroup, t_max: int = 10, samples: int = 20,
             verdict, residual = _classify(p_xx[i], p_yy[i], p_xy[i], targets[i])
             verdicts.append(verdict)
             residuals.append(residual)
+        # p_G(x,x,t) equals the orbit's frame potential, so the strength of
+        # each sampled orbit reads off the diagonal moments directly
         records.append(PairSample(
             x=x, y=y, redraws=attempt,
             p_xx=tuple(p_xx), p_yy=tuple(p_yy), p_xy=tuple(p_xy),
             verdicts=tuple(verdicts), residuals=tuple(residuals),
-            strength_x=_orbit_strength(p_xx, targets, tol),
-            strength_y=_orbit_strength(p_yy, targets, tol),
+            strength_x=certified_strength([(p - c) / c for p, c in zip(p_xx, targets)], tol),
+            strength_y=certified_strength([(p - c) / c for p, c in zip(p_yy, targets)], tol),
         ))
 
     aggregate = []

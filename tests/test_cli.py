@@ -54,6 +54,12 @@ def test_group_closure_key_split_exit(capsys):
     assert "split into distinct dedup keys at 13 digits" in err
 
 
+def test_group_closure_key_collision_exit(capsys):
+    # at 1 digit neighbouring rotations of rot(100) round to one key
+    assert main(["group", "rot(100)", "--dedup-digits", "1"]) == 3
+    assert capsys.readouterr().err == "error: distinct elements of rot(100) collide at 1 digits\n"
+
+
 def test_orbit_key_split_exit(capsys):
     # the walk stops once it passes |H4| = 14400 lines instead of running on
     start = time.monotonic()

@@ -9,7 +9,9 @@ import pytest
 
 from orbitdesigns import (
     InputError,
+    KeyCollisionError,
     SizeLimitError,
+    Tolerance,
     build_group,
     canonical_line,
     catalog,
@@ -182,6 +184,13 @@ def test_unitarize_leaves_unitary_groups_alone():
 def test_size_limit():
     with pytest.raises(SizeLimitError):
         build_group("H4", max_order=100)
+
+
+def test_closure_key_collision():
+    spec = parse_group_spec("rot(100)")
+    gens, field = build_generators(spec)
+    with pytest.raises(KeyCollisionError, match="collide at 1 digits"):
+        close_group(gens, field, spec, Tolerance(dedup_digits=1))
 
 
 def test_catalog_covers_expected_families():

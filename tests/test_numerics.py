@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,12 +13,15 @@ from orbitdesigns import (
     DEFAULT_TOL,
     NumericRangeError,
     Tolerance,
-    approx_eq,
+    build_group,
+    catalog_entry,
     compensated_sum,
     format_rational,
     parse_rational,
     snap_to_rational,
 )
+from orbitdesigns.numerics import _walk
+from orbitdesigns.orbits import _canonicalize_rows
 
 
 def test_tolerance_defaults():
@@ -89,19 +93,6 @@ def test_snap_recovers_small_rationals(p, q):
     assert snap_to_rational(p / q) == Fraction(p, q)
 
 
-def test_approx_eq_examples():
-    assert approx_eq(1.0, 1.0)
-    assert approx_eq(1.0, 1.0 + 1e-12)
-    assert not approx_eq(1 / 3, 0.25)
-
-
-def test_approx_eq_uses_relative_floor():
-    # |a-b| <= rel_eq * max(1, |a|, |b|): absolute near zero, relative when large
-    assert approx_eq(0.0, 5e-10)
-    assert approx_eq(1e6, 1e6 + 1e-4)
-    assert not approx_eq(1e6, 1e6 + 1e-2)
-
-
 def test_format_rational():
     assert format_rational(Fraction(3, 4)) == "3/4"
     assert format_rational(Fraction(-5, 14)) == "-5/14"
@@ -121,3 +112,44 @@ def test_rational_round_trip(p, q):
 def test_parse_rational_accepts_decimals():
     assert parse_rational("0.25") == Fraction(1, 4)
     assert parse_rational(" -3/5 ") == Fraction(-3, 5)
+
+
+def test_walk_returns_rows_in_discovery_order():
+    # x -> 2x and x -> x + 3 on Z/11, against a plain breadth-first search
+    # that takes each level generator by generator
+    maps = (lambda x: 2 * x % 11, lambda x: (x + 3) % 11)
+    order, frontier = [1], [1]
+    while frontier:
+        level = [f(x) for f in maps for x in frontier]
+        frontier = [y for n, y in enumerate(level) if y not in order and y not in level[:n]]
+        order += frontier
+    rows, targets = _walk(np.array([[1.0]]),
+                          lambda block: np.concatenate([f(block) for f in maps]), 11, 8)
+    assert rows[:, 0].tolist() == order
+    for f, row in zip(maps, targets):
+        assert rows[row, 0].tolist() == [f(x) for x in order]
+
+
+@pytest.mark.parametrize("label", ["binT", "H3", "heis(3)"])
+def test_walk_maps_are_the_generator_permutations(label):
+    g = build_group(label)
+    gens = list(g.generators)
+    rows, maps = _walk(g.elements[:1], lambda block: np.concatenate([block @ h for h in gens]),
+                       g.order, 8)
+    assert rows.shape == g.elements.shape
+    assert maps.shape == (len(gens), g.order)
+    for h, perm in zip(gens, maps):
+        assert sorted(perm.tolist()) == list(range(g.order))
+        assert np.abs(rows @ h - rows[perm]).max() < 1e-12
+
+
+def test_walk_stops_past_limit_without_maps():
+    entry = catalog_entry("H4")  # seed @4 has a 600-line orbit
+    g = build_group("H4")
+    gens_t = np.stack(g.generators).transpose(0, 2, 1)
+    rows, maps = _walk(_canonicalize_rows(entry.seeds[3][None], DEFAULT_TOL),
+                       lambda block: _canonicalize_rows((block @ gens_t).reshape(-1, 4),
+                                                        DEFAULT_TOL),
+                       100, 8)
+    assert maps is None
+    assert 100 < len(rows) < 600
