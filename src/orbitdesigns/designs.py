@@ -2,8 +2,8 @@
 
 The potential of a weighted line set is sum_{x,y} w_x w_y |<x,y>|^(2t); a set
 is a (t,t)-design exactly when the potential meets the field's Welch constant
-c_t. Potentials are accumulated blockwise with exact compensated summation and
-never materialize the full Gram matrix.
+c_t. Potentials are accumulated blockwise with exact summation and never
+materialize the full Gram matrix.
 
 For a unitary group G, |<gx,gy>| = |<x,y>|, so against a G-invariant set every
 line of one G-orbit has the same Gram row sum. A union of orbits of one group
@@ -16,15 +16,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
 from .errors import ConsistencyError, MismatchError
-from .numerics import DEFAULT_TOL, Rational, Tolerance, _intern, compensated_sum
+from .numerics import DEFAULT_TOL, Rational, Tolerance, _intern, compensated_sums
 from .orbits import LineSet
 
-_BLOCK_TERMS = 1 << 18  # soft cap on terms materialized per block
+# The bits of a Gram entry depend on the rows in its matrix product, so the
+# product keeps fixed blocks; the terms are cut finer to stay in cache.
+_GRAM_TERMS = 1 << 18  # Gram entries per matrix product
+_BLOCK_TERMS = 1 << 15  # soft cap on terms per block handed to the accumulator
 
 
 def welch_constant(field: str, d: int, t: int) -> Rational:
@@ -47,25 +49,44 @@ def moments(A: np.ndarray, wa: np.ndarray, B: np.ndarray, wb: np.ndarray,
             orders) -> list[float]:
     """[sum_{a,b} wa wb |<a,b>|^(2t) for t in orders], each correctly rounded.
 
-    orders is a sequence of positive ints. Row blocks of A are streamed so at
-    most one block of terms is held at a time; u^t is formed left to right
+    orders is a sequence of positive ints. One pass over the row blocks of A
+    serves every order: each block's terms for all orders go to one exact
+    accumulator (numerics.compensated_sums), and u^t is formed left to right
     (u, u*u, (u*u)*u, ...) for every t.
     """
+    orders = list(orders)
     if any(t < 1 for t in orders):
         raise ValueError("t >= 1 required")
-    rows = max(1, _BLOCK_TERMS // max(1, B.shape[0]))
+    if not orders:
+        return []
+    return compensated_sums(_terms(A, wa, B, wb, orders), len(orders))
+
+
+def _terms(A: np.ndarray, wa: np.ndarray, B: np.ndarray, wb: np.ndarray,
+           orders: list[int], odd: bool = False):
+    """Blocks of terms, one row per order: wa wb |<a,b>|^(2t), times <a,b>
+    when odd (real lines), for a run of rows a of A against every b of B."""
+    n = max(1, B.shape[0])
     Bc = B.conj().T
-
-    def terms(t: int):
-        for start in range(0, A.shape[0], rows):
-            M = A[start:start + rows] @ Bc
+    by_order = sorted(range(len(orders)), key=orders.__getitem__)
+    gram_rows = max(1, _GRAM_TERMS // n)
+    rows = max(1, _BLOCK_TERMS // (len(orders) * n))
+    for start in range(0, A.shape[0], gram_rows):
+        gram = A[start:start + gram_rows] @ Bc
+        for sub in range(0, len(gram), rows):
+            M = gram[sub:sub + rows]
             u = (M * M.conj()).real if np.iscomplexobj(M) else M * M
-            power = u
-            for _ in range(t - 1):
-                power = power * u
-            yield ((wa[start:start + rows, None] * wb[None, :]) * power).ravel().tolist()
-
-    return [compensated_sum(chain.from_iterable(terms(t))) for t in orders]
+            ww = wa[start + sub:start + sub + len(M), None] * wb[None, :]
+            block = np.empty((len(orders),) + M.shape)
+            power, t = u.copy(), 1
+            for i in by_order:
+                while t < orders[i]:
+                    power *= u
+                    t += 1
+                np.multiply(ww, power, out=block[i])
+                if odd:
+                    block[i] *= M
+            yield block.reshape(len(orders), -1)
 
 
 def _rows(X: LineSet, Y: LineSet) -> tuple[np.ndarray, np.ndarray]:
@@ -187,18 +208,8 @@ def antipodal_design_check(aset: AntipodalSet, t: int, tol: Tolerance = DEFAULT_
         paired = not (np.abs(w - w[len(V) - 1 - last[partner]]) > tol.rel_eq).any()
     even = moments(V, w, V, w, [t])[0]
 
-    def odd_terms():
-        # <x,y>^(2t) <x,y> flips sign exactly with <x,y>, so +-x pairs cancel
-        rows = max(1, _BLOCK_TERMS // max(1, V.shape[0]))
-        for start in range(0, V.shape[0], rows):
-            M = V[start:start + rows] @ V.T
-            u = M * M
-            power = u
-            for _ in range(t - 1):
-                power = power * u
-            yield ((w[start:start + rows, None] * w[None, :]) * power * M).ravel().tolist()
-
-    odd = compensated_sum(chain.from_iterable(odd_terms()))
+    # <x,y>^(2t) <x,y> flips sign exactly with <x,y>, so +-x pairs cancel
+    odd = compensated_sums(_terms(V, w, V, w, [t], odd=True), 1)[0]
     target = float(welch_constant("R", V.shape[1], t))
     even_residual = (even - target) / target
     passes = paired and abs(even_residual) <= tol.rel_eq and abs(odd) <= tol.rel_eq

@@ -425,7 +425,7 @@ def close_group(
                            lambda block: np.concatenate([block @ g for g in gens]),
                            limit, digits)
     if maps is None:
-        if limit == max_order:
+        if expected is None or expected > max_order:
             raise SizeLimitError(f"closure of {spec} exceeds max_order={max_order}")
         raise ConsistencyError(
             f"closure of {spec} passes its order {expected}: copies of "

@@ -1,10 +1,12 @@
-"""Scalar plumbing shared by every module: tolerance policy, compensated
+"""Scalar plumbing shared by every module: tolerance policy, exact
 summation, quantized dedup keys, and reconstruction of exact rationals from
 floating point values.
 
 All heavy arithmetic in this package is binary64; exact `Fraction` values
 appear only at the reporting boundary, where a floating root or weight is
-snapped to a rational and then re-verified.
+snapped to a rational and then re-verified. Sums are the exception: every
+sum is correctly rounded, by exact bucket accumulation over numpy arrays
+(compensated_sums).
 """
 from __future__ import annotations
 
@@ -45,20 +47,84 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def compensated_sum(terms: Iterable[float]) -> float:
-    """Sum a stream of floats with exact (Shewchuk) compensated accumulation.
+# A finite double is x = f * 2^e with 1/2 <= |f| < 1 (frexp; 0 for zero), so
+# x = M * 2^(8g) for its bucket g = e >> 3, where M = f * 2^(e & 7) is an
+# integer multiple of 2^-53 below 2^7.
+_BUCKETS = 264  # g + 135 runs over 0..263 for every double (nan and inf have e = 0)
+_SHIFTS = 8 * np.arange(-135, 129, dtype=np.int32)  # bucket g counts in units of 2^(8g)
+_SPLIT = 1.5 * 2.0 ** 29  # M + _SPLIT - _SPLIT rounds M to a multiple of 2^-23
+_PENDING_MAX = 1 << 22  # columns summed into the buckets before they are flushed
 
-    Deterministic for a fixed input order; in fact math.fsum returns the
-    correctly rounded sum, so any order gives the same result unless the
-    stream overflows.
+
+def compensated_sums(blocks: Iterable[np.ndarray], k: int) -> list[float]:
+    """The correctly rounded sum of each row over a stream of (k, n) blocks.
+
+    Each term M * 2^(8g) is split exactly into T, M rounded to a multiple of
+    2^-23, and M - T, an integer multiple of 2^-53 of at most 2^-24; each part
+    is summed per (row, bucket g) with one np.bincount per block. While at
+    most 2^22 columns are pending, these sums stay below 2^53 units of 2^-23
+    and of 2^-53, so every bucket sum is exact; the buckets are flushed at
+    _PENDING_MAX columns. Scaled back by 2^(8g), each bucket sum is an exact
+    double (the terms are multiples of 2^-1074), so math.fsum of a row's
+    nonzero buckets is its correctly rounded sum, whatever the order of the
+    terms.
+
+    Raises NumericRangeError when a term is nan or infinite or a bucket or
+    row sum leaves the floating range.
     """
+    at_row = np.arange(135, 135 + k * _BUCKETS, _BUCKETS)[:, None]
+    pending = np.zeros((2, k * _BUCKETS))  # per part, (row, bucket) flattened
+    values = [[] for _ in range(k)]  # flushed bucket sums, scaled back, per row
+    columns = 0
+    with np.errstate(invalid="ignore", over="ignore"):  # nan and inf are caught below
+        for block in blocks:
+            for start in range(0, block.shape[1], _PENDING_MAX):
+                part = block[:, start:start + _PENDING_MAX]
+                if columns + part.shape[1] > _PENDING_MAX:
+                    _flush(pending, values)
+                    pending[:] = 0.0
+                    columns = 0
+                columns += part.shape[1]
+                m, e = np.frexp(part)
+                np.ldexp(m, e & 7, out=m)
+                e >>= 3
+                at = (e + at_row).ravel()
+                top = m + _SPLIT
+                top -= _SPLIT
+                m -= top
+                pending[0] += np.bincount(at, top.ravel(), pending.shape[1])
+                pending[1] += np.bincount(at, m.ravel(), pending.shape[1])
+        _flush(pending, values)
     try:
-        total = math.fsum(terms)
-    except OverflowError as exc:
-        raise NumericRangeError("sum overflowed the floating range") from exc
-    if not math.isfinite(total):
-        raise NumericRangeError("sum is not finite")
-    return total
+        totals = [math.fsum(row) for row in values]
+        if all(math.isfinite(total) for total in totals):
+            return totals
+    except (OverflowError, ValueError):  # an overflow, or buckets of inf and -inf
+        pass
+    raise NumericRangeError("sum met a non-finite term or left the floating range")
+
+
+def _flush(pending: np.ndarray, values: list[list[float]]) -> None:
+    """Append each row's nonzero bucket sums, scaled back to exact doubles, to
+    its values."""
+    k = len(values)
+    scaled = np.ldexp(pending.reshape(2, k, _BUCKETS), _SHIFTS).transpose(1, 0, 2)
+    kept = scaled != 0.0
+    flat = scaled[kept].tolist()
+    start = 0
+    for row, n in zip(values, kept.sum(axis=(1, 2)).tolist()):
+        row += flat[start:start + n]
+        start += n
+
+
+def compensated_sum(terms) -> float:
+    """The correctly rounded sum of a 1-D array or sequence of floats.
+
+    The terms are summed exactly per binary exponent bucket with numpy
+    (compensated_sums), and math.fsum of the few exact bucket sums rounds
+    once, so any order of the terms gives the same result.
+    """
+    return compensated_sums([np.asarray(terms, dtype=float).reshape(1, -1)], 1)[0]
 
 
 def quantized_keys(items: np.ndarray, digits: int) -> list[bytes]:

@@ -10,13 +10,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum, sqrt
+from math import sqrt
 
 import numpy as np
 
 from .errors import ConsistencyError, InputError, MismatchError, SizeLimitError
 from .groups import FiniteMatrixGroup, group_order
-from .numerics import DEFAULT_TOL, Rational, Tolerance, _intern, _walk
+from .numerics import DEFAULT_TOL, Rational, Tolerance, _intern, _walk, compensated_sum
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class LineSet:
         np.fill_diagonal(gram, 0.0)
         if gram.size and 1.0 - gram.max() <= tol.rel_eq:
             raise ConsistencyError("two lines coincide projectively")
-        if abs(fsum(self.weights.tolist()) - 1.0) > tol.rel_eq:
+        if abs(compensated_sum(self.weights) - 1.0) > tol.rel_eq:
             raise ConsistencyError("weights must sum to 1")
 
 

@@ -54,6 +54,15 @@ def test_group_closure_key_split_exit(capsys):
     assert "split into distinct dedup keys at 13 digits" in err
 
 
+def test_group_closure_key_split_at_max_order_exit(capsys):
+    # max_order equal to |H4| must not turn the key split into a size limit
+    assert main(["group", "H4", "--dedup-digits", "15", "--max-order", "14400"]) == 3
+    err = capsys.readouterr().err
+    assert "passes its order 14400" in err
+    assert "split into distinct dedup keys at 15 digits" in err
+    assert main(["group", "H4", "--max-order", "100"]) == 4
+
+
 def test_group_closure_key_collision_exit(capsys):
     # at 1 digit neighbouring rotations of rot(100) round to one key
     assert main(["group", "rot(100)", "--dedup-digits", "1"]) == 3

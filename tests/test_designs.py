@@ -170,6 +170,39 @@ def test_moments_match_exact_oracle():
                 assert abs(rows - exact) <= 4 * t * EPS * exact, (label, i, j, t)
 
 
+def _exact_sum_rounded_once(terms):
+    """The exact sum of float terms, as a Fraction, rounded once to a float."""
+    return float(sum(map(Fraction, terms), Fraction(0)))
+
+
+def test_moments_equal_the_exact_sum_of_their_terms():
+    # moments forms each term in binary64 (one Gram product for these sizes,
+    # u^t left to right); the sum itself must be the correctly rounded one
+    ts = list(range(1, 13))
+    for entry in catalog():
+        g = build_group(entry.spec)
+        X, Y = (orbit_lines(g, seed) for seed in (entry.seeds[0], entry.seeds[-1]))
+        if X.n_lines * Y.n_lines > 2000:
+            continue
+        M = X.lines @ Y.lines.conj().T
+        u = (M * M.conj()).real
+        ww = X.weights[:, None] * Y.weights[None, :]
+        power, exact = u, []
+        for t in ts:
+            power = power * u if t > 1 else u
+            exact.append(_exact_sum_rounded_once((ww * power).ravel().tolist()))
+        got = moments(X.lines, X.weights, Y.lines, Y.weights, ts)
+        assert [x.hex() for x in got] == [x.hex() for x in exact], entry.spec.label
+
+
+def test_moments_keep_the_order_asked():
+    X = _orbit("H3", 2)
+    by_order = dict(zip([1, 3], moments(X.lines, X.weights, X.lines, X.weights, [1, 3])))
+    got = moments(X.lines, X.weights, X.lines, X.weights, [3, 1, 3])
+    assert got == [by_order[3], by_order[1], by_order[3]]
+    assert moments(X.lines, X.weights, X.lines, X.weights, []) == []
+
+
 def _full_sum(X, ts):
     """X's potentials from every Gram row, and the scale of their rounding error."""
     w = np.abs(X.weights)
@@ -320,6 +353,15 @@ def test_doubled_cross_is_spherical_seven_design():
     assert check["spherical_order"] == 7
     assert abs(check["even_residual"]) <= 1e-9
     assert abs(check["odd_moment"]) <= 1e-9
+
+
+def test_odd_moment_of_the_doubled_h4_design_is_zero():
+    # +-x terms cancel exactly, so the correctly rounded odd moment is 0
+    X, Y = _orbit("H4", 1), _orbit("H4", 2)
+    U = union_lines(X, Y, (Fraction(5, 21), Fraction(16, 21)))
+    check = antipodal_design_check(double_to_antipodal(U), 9)
+    assert check["passes"]
+    assert check["odd_moment"] == 0.0
 
 
 def test_antipodal_check_flags_unpaired_sets():

@@ -20,7 +20,8 @@ from orbitdesigns import (
     parse_rational,
     snap_to_rational,
 )
-from orbitdesigns.numerics import _walk
+from orbitdesigns import numerics
+from orbitdesigns.numerics import _walk, compensated_sums
 from orbitdesigns.orbits import _canonicalize_rows
 
 
@@ -64,6 +65,68 @@ def test_compensated_sum_order_invariance():
 def test_compensated_sum_overflow_reported():
     with pytest.raises(NumericRangeError):
         compensated_sum([1e308, 1e308])
+
+
+@pytest.mark.parametrize("bad", [[1e308, 1e308], [float("nan")], [float("inf"), 1.0],
+                                 [float("-inf"), float("inf")], [2.0, float("nan"), -2.0]])
+def test_compensated_sum_rejects_non_finite(bad):
+    with pytest.raises(NumericRangeError):
+        compensated_sum(bad)
+    with pytest.raises(NumericRangeError):
+        compensated_sums([np.array([[1.0] * len(bad), bad])], 2)
+
+
+def test_compensated_sum_cancels_across_the_range():
+    # a row whose buckets overflow apart but not together still sums
+    assert compensated_sum([1.5e308, 1.5e308, -1e308, -1e308]) == 1e308
+    # three terms of one bucket whose sum needs 60 bits
+    assert compensated_sum([64.0, 0.5 + 2.0**-53, -64.5]) == 2.0**-53
+    assert compensated_sum([2.0**-1074] * 3 + [2.0**-1022, -(2.0**-1022)]) == 3 * 2.0**-1074
+
+
+# x = m * 2^e with |m| < 2^53: e = -1074 gives the subnormals, and every
+# magnitude below 2^1000 is reachable
+_doubles = st.builds(math.ldexp, st.integers(-(2**53) + 1, 2**53 - 1), st.integers(-1074, 1000 - 53))
+
+
+def _split_columns(rows, cuts):
+    """The (k, n) array of rows cut into column blocks at the given cuts."""
+    bounds = sorted({c % (rows.shape[1] + 1) for c in cuts} | {0, rows.shape[1]})
+    return [rows[:, a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+@given(
+    k=st.integers(1, 4),
+    terms=st.lists(_doubles, max_size=60),
+    cancel=st.lists(st.integers(0, 59), max_size=20),
+    crowd=st.tuples(st.integers(-1074, 1000 - 53),
+                    st.lists(st.integers(-(2**53) + 1, 2**53 - 1), max_size=40)),
+    order=st.randoms(use_true_random=False),
+    cuts=st.lists(st.integers(0, 10**6), max_size=5),
+)
+@settings(max_examples=300, deadline=None)
+def test_compensated_sums_match_fsum_bit_for_bit(k, terms, cancel, crowd, order, cuts):
+    terms += [-terms[i] for i in cancel if i < len(terms)]  # +-x cancellation pairs
+    terms += [math.ldexp(m, crowd[0]) for m in crowd[1]]  # many terms in one bucket
+    terms += [0.0] * (-len(terms) % k)
+    order.shuffle(terms)
+    rows = np.array(terms, dtype=float).reshape(k, -1)
+    got = compensated_sums(_split_columns(rows, cuts), k)
+    assert [x.hex() for x in got] == [math.fsum(row).hex() for row in rows.tolist()]
+
+
+def test_compensated_sums_flush_pending_columns(monkeypatch):
+    # flushing every 3 columns splits each row's buckets into many partial sums
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((3, 200)) * np.exp2(rng.integers(-1074, 900, (3, 200)))
+    rows[:, 100:] = -rows[:, :100] * (1 + 2.0**-52)
+    expected = [math.fsum(row) for row in rows.tolist()]
+    flushes = []
+    flush = numerics._flush
+    monkeypatch.setattr(numerics, "_PENDING_MAX", 3)
+    monkeypatch.setattr(numerics, "_flush", lambda *a: flushes.append(1) or flush(*a))
+    assert compensated_sums(np.array_split(rows, 7, axis=1), 3) == expected
+    assert len(flushes) >= 200 // 3
 
 
 def test_snap_examples():

@@ -22,6 +22,7 @@ from orbitdesigns import (
     verify_certificate,
     welch_constant,
 )
+from orbitdesigns import numerics
 from orbitdesigns.unions import PairQuadratic, _solve_roots
 
 
@@ -313,6 +314,24 @@ def test_stored_benchmark_certificates_verify():
     for path in paths:
         result = verify_certificate(str(path))
         assert result.passed, (path.name, result.reasons)
+
+
+def test_verify_hands_fsum_bucket_sums_not_terms(monkeypatch):
+    # 660 lines make 435,600 terms per order; math.fsum must see only the
+    # nonzero bucket sums of each order
+    path = Path(__file__).parents[1] / "perfbench" / "certificates" / "h4_t6_x1_y4.json"
+    seen = []
+    fsum = numerics.math.fsum
+
+    def counted(values):
+        values = list(values)
+        seen.append(len(values))
+        return fsum(values)
+
+    monkeypatch.setattr(numerics.math, "fsum", counted)
+    result = verify_certificate(str(path))
+    assert result.passed, result.reasons
+    assert len(seen) == len(result.residuals) and sum(seen) < 50_000
 
 
 def _fresh_cert():
