@@ -1,10 +1,15 @@
 """Finite unitary matrix groups: family generators, closure, unitarization, catalog.
 
-Supported families: imprimitive monomial groups G(m,p,n), the symmetric family
-A(d) = G(1,1,d+1) realized on the sum-zero hyperplane, real dihedral/rotation
-groups on the plane, binary dihedral/tetrahedral/octahedral/icosahedral
-subgroups of SU(2), the icosahedral reflection groups H3/H4, discrete
-Heisenberg groups, and explicit generator files.
+Each family is one row of the table _FAMILIES, keyed by the head of its spec,
+that holds its arity, its parameter check, its closed-form order and its
+generators with their field tag. The families are the imprimitive monomial
+groups G(m,p,n), real dihedral/rotation groups on the plane, binary
+dihedral/tetrahedral/octahedral/icosahedral subgroups of SU(2), the
+icosahedral reflection groups H3/H4 and discrete Heisenberg groups. A(d), B(d)
+and D(d) are aliases that check their own parameter and name G(1,1,d+1),
+G(2,1,d) and G(2,2,d); G(1,1,n) is realized on the sum-zero hyperplane.
+Explicit generator files (explicit:<path>) have their own loader and no
+closed-form order.
 """
 from __future__ import annotations
 
@@ -13,6 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -47,7 +53,8 @@ H4_SIMPLE_ROOTS = np.array([
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Symbolic group identifier: family kind, numeric parameters, display label."""
+    """Symbolic group identifier: family head (G for the aliases A, B and D),
+    numeric parameters, display label."""
 
     kind: str
     params: tuple = ()
@@ -127,14 +134,15 @@ class FiniteMatrixGroup:
 
 
 def _unitarity_deviation(mats: np.ndarray) -> float:
-    """max over the (n, d, d) stack of the max-norm of M*M - I."""
+    """max over the (n, d, d) stack of the max-norm of M*M - I; nan when any
+    entry of M*M is nan."""
     eye = np.eye(mats.shape[1])
     dev = 0.0
     for start in range(0, len(mats), 4096):
         block = mats[start:start + 4096]
         grams = np.einsum("nji,njk->nik", block.conj(), block)
-        dev = max(dev, float(np.abs(grams - eye).max()))
-    return dev
+        dev = np.maximum(dev, np.abs(grams - eye).max())
+    return float(dev)
 
 
 def _enumerated(group: FiniteMatrixGroup, elements: np.ndarray) -> FiniteMatrixGroup:
@@ -163,8 +171,9 @@ def _helmert_basis(n: int) -> np.ndarray:
     return B
 
 
-def _monomial_generators(m: int, p: int, n: int) -> list[np.ndarray]:
-    """Transpositions plus diagonal/twisted-transposition generators of G(m,p,n)."""
+def _imprimitive(m: int, p: int, n: int) -> tuple[list[np.ndarray], str]:
+    """Transpositions plus diagonal/twisted-transposition generators of G(m,p,n);
+    for m = 1, the transpositions projected onto the sum-zero hyperplane."""
     dtype = float if m <= 2 else complex
     omega = -1.0 if m == 2 else np.exp(2j * np.pi / m)
     gens = []
@@ -183,60 +192,110 @@ def _monomial_generators(m: int, p: int, n: int) -> list[np.ndarray]:
         T[0, 1] = np.conj(omega)
         T[1, 0] = omega
         gens.append(T)
-    return gens
+    if m == 1:
+        B = _helmert_basis(n)
+        return [B.T @ T @ B for T in gens], "R"
+    return gens, "R" if m <= 2 else "C"
+
+
+def _check_imprimitive(m: int, p: int, n: int) -> str | None:
+    if m < 1 or p < 1 or n < 1:
+        return "G(m,p,n) parameters must be positive"
+    if m % p:
+        return f"G({m},{p},{n}): p must divide m"
+    if n < 2:
+        return f"G({m},{p},{n}): n >= 2 required (degenerate family)"
+    if (m, p, n) == (2, 2, 2):
+        return "G(2,2,2) is reducible and not supported"
+    return None
+
+
+def _binary_dihedral(k: int) -> tuple[list[np.ndarray], str]:
+    omega = np.exp(2j * np.pi / k)
+    return [np.diag([omega, omega.conjugate()]),
+            np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)], "C"
+
+
+def _reflections(roots: np.ndarray) -> tuple[list[np.ndarray], str]:
+    """The real reflections in the given unit roots."""
+    d = roots.shape[1]
+    return [np.eye(d) - 2.0 * np.outer(r, r) for r in roots], "R"
+
+
+def _heisenberg(d: int) -> tuple[list[np.ndarray], str]:
+    if d == 2:
+        return [np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])], "R"
+    omega = np.exp(2j * np.pi / d)
+    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    clock = np.diag(omega ** np.arange(d))
+    return [shift, clock], "C"
+
+
+def _at_least(low: int, message: str) -> Callable[[int], str | None]:
+    """Check of a one-parameter family: message when the parameter is below low."""
+    return lambda k: message if k < low else None
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One row of the family table, keyed by spec head.
+
+    arity       number of integer parameters the spec takes
+    order       closed-form group order, from the parameters
+    generators  (generator matrices, field tag), from the parameters
+    check       error message for invalid parameters, else None
+    as_g        for the aliases A, B and D: the G(m,p,n) parameters they name
+                (these rows have no order or generators of their own)
+    """
+
+    arity: int
+    order: Callable[..., int] | None = None
+    generators: Callable[..., tuple[list[np.ndarray], str]] | None = None
+    check: Callable[..., str | None] = lambda *params: None
+    as_g: Callable[..., tuple[int, int, int]] | None = None
+
+
+_FAMILIES = {
+    "G": _Family(3, lambda m, p, n: m ** n * math.factorial(n) // p, _imprimitive,
+                 _check_imprimitive),
+    "A": _Family(1, check=_at_least(1, "A(d) needs d >= 1"), as_g=lambda d: (1, 1, d + 1)),
+    "B": _Family(1, check=_at_least(2, "B(d) needs d >= 2"), as_g=lambda d: (2, 1, d)),
+    "D": _Family(1, check=_at_least(3, "D(d) needs d >= 3 (D(2) is reducible)"),
+                 as_g=lambda d: (2, 2, d)),
+    "dihedral": _Family(1, lambda m: 2 * m,
+                        lambda m: ([_rotation(2 * math.pi / m), np.diag([1.0, -1.0])], "R"),
+                        _at_least(3, "dihedral(m) needs m >= 3 for irreducibility")),
+    "rot": _Family(1, lambda m: m, lambda m: ([_rotation(2 * math.pi / m)], "R"),
+                   _at_least(3, "rot(m) needs m >= 3 for irreducibility")),
+    "binD": _Family(1, lambda k: 2 * k, _binary_dihedral,
+                    lambda k: "binD(k) needs even k >= 4" if k < 4 or k % 2 else None),
+    "binT": _Family(0, lambda: 24,
+                    lambda: ([_su2(0, 1, 0, 0), _su2(0.5, 0.5, 0.5, 0.5)], "C")),
+    "binO": _Family(0, lambda: 48,
+                    lambda: ([_su2(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0, 0),
+                              _su2(0.5, 0.5, 0.5, 0.5)], "C")),
+    "binI": _Family(0, lambda: 120,
+                    lambda: ([_su2(0.5, 0.5, 0.5, 0.5),
+                              _su2(PHI / 2, 1 / (2 * PHI), 0.5, 0)], "C")),
+    "H3": _Family(0, lambda: 120, lambda: _reflections(H3_SIMPLE_ROOTS)),
+    "H4": _Family(0, lambda: 14400, lambda: _reflections(H4_SIMPLE_ROOTS)),
+    "heis": _Family(1, lambda d: d ** 3, _heisenberg, _at_least(2, "heis(d) needs d >= 2")),
+}
 
 
 def build_generators(spec: GroupSpec) -> tuple[list[np.ndarray], str]:
     """Generator matrices and field tag for a validated spec."""
-    kind, params = spec.kind, spec.params
-    if kind == "imprimitive":
-        m, p, n = params
-        if m == 1:
-            # hyperplane model of the symmetric group: project adjacent
-            # transpositions onto the sum-zero complement
-            B = _helmert_basis(n)
-            gens = []
-            for i in range(n - 1):
-                P = np.eye(n)
-                P[[i, i + 1]] = P[[i + 1, i]]
-                gens.append(B.T @ P @ B)
-            return gens, "R"
-        return _monomial_generators(m, p, n), "R" if m <= 2 else "C"
-    if kind == "dihedral":
-        (m,) = params
-        return [_rotation(2 * math.pi / m), np.diag([1.0, -1.0])], "R"
-    if kind == "rotation":
-        (m,) = params
-        return [_rotation(2 * math.pi / m)], "R"
-    if kind == "binary_dihedral":
-        (k,) = params
-        omega = np.exp(2j * np.pi / k)
-        return [np.diag([omega, omega.conjugate()]),
-                np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)], "C"
-    if kind == "binary_tetrahedral":
-        return [_su2(0, 1, 0, 0), _su2(0.5, 0.5, 0.5, 0.5)], "C"
-    if kind == "binary_octahedral":
-        r = 1.0 / math.sqrt(2.0)
-        return [_su2(r, r, 0, 0), _su2(0.5, 0.5, 0.5, 0.5)], "C"
-    if kind == "binary_icosahedral":
-        return [_su2(0.5, 0.5, 0.5, 0.5),
-                _su2(PHI / 2, 1 / (2 * PHI), 0.5, 0)], "C"
-    if kind in ("coxeter_h3", "coxeter_h4"):
-        roots = H3_SIMPLE_ROOTS if kind == "coxeter_h3" else H4_SIMPLE_ROOTS
-        d = roots.shape[1]
-        return [np.eye(d) - 2.0 * np.outer(r, r) for r in roots], "R"
-    if kind == "heisenberg":
-        (d,) = params
-        if d == 2:
-            return [np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])], "R"
-        omega = np.exp(2j * np.pi / d)
-        shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
-        clock = np.diag(omega ** np.arange(d))
-        return [shift, clock], "C"
-    if kind == "explicit":
-        (path,) = params
-        return _load_explicit(path)
-    raise InputError(f"unknown group kind: {kind}")
+    if spec.kind == "explicit":
+        return _load_explicit(spec.params[0])
+    return _FAMILIES[spec.kind].generators(*spec.params)
+
+
+def _entry(e) -> complex:
+    """A generator-file entry: a real number or a [re, im] pair."""
+    if isinstance(e, (int, float)):
+        return complex(e)
+    re_, im_ = e
+    return complex(re_, im_)
 
 
 def _load_explicit(path: str) -> tuple[list[np.ndarray], str]:
@@ -252,24 +311,16 @@ def _load_explicit(path: str) -> tuple[list[np.ndarray], str]:
     ftag = data["field"]
     if ftag not in ("R", "C"):
         raise InputError("field must be 'R' or 'C'")
-    gens = []
-    for mat in data["generators"]:
-        rows = []
-        for row in mat:
-            entries = []
-            for e in row:
-                if isinstance(e, (int, float)):
-                    entries.append(complex(e))
-                else:
-                    re_, im_ = e
-                    entries.append(complex(re_, im_))
-            rows.append(entries)
-        M = np.array(rows)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise InputError("generators must be square matrices")
-        gens.append(M)
+    try:
+        gens = [np.array([[_entry(e) for e in row] for row in mat]) for mat in data["generators"]]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"malformed generator entry: {exc}") from exc
     if not gens:
         raise InputError("generator list is empty")
+    if any(M.ndim != 2 or M.shape[0] != M.shape[1] for M in gens):
+        raise InputError("generators must be square matrices")
+    if not all(np.isfinite(M).all() for M in gens):
+        raise InputError("generator entries must be finite numbers")
     d = gens[0].shape[0]
     if any(g.shape[0] != d for g in gens):
         raise InputError("generators must share one dimension")
@@ -282,7 +333,7 @@ def _load_explicit(path: str) -> tuple[list[np.ndarray], str]:
     return gens, ftag
 
 
-_SPEC_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)\s*(?:\(\s*([-\d\s,]+)\s*\))?$")
+_SPEC_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)\s*(?:\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\))?$")
 
 
 def parse_group_spec(text: str) -> GroupSpec:
@@ -299,104 +350,25 @@ def parse_group_spec(text: str) -> GroupSpec:
         raise InputError(f"cannot parse group spec {text!r}")
     head, argstr = m.group(1), m.group(2)
     args = tuple(int(a) for a in argstr.split(",")) if argstr else ()
-
-    def want(n_args: int) -> None:
-        if len(args) != n_args:
-            raise InputError(f"{head} takes {n_args} parameter(s), got {len(args)}")
-
-    if head == "G":
-        want(3)
-        return _imprimitive_spec(*args)
-    if head == "A":
-        want(1)
-        (d,) = args
-        if d < 1:
-            raise InputError("A(d) needs d >= 1")
-        return _imprimitive_spec(1, 1, d + 1, label=f"A({d})")
-    if head == "B":
-        want(1)
-        (d,) = args
-        if d < 2:
-            raise InputError("B(d) needs d >= 2")
-        return _imprimitive_spec(2, 1, d, label=f"B({d})")
-    if head == "D":
-        want(1)
-        (d,) = args
-        if d < 3:
-            raise InputError("D(d) needs d >= 3 (D(2) is reducible)")
-        return _imprimitive_spec(2, 2, d, label=f"D({d})")
-    if head == "dihedral":
-        want(1)
-        (mm,) = args
-        if mm < 3:
-            raise InputError("dihedral(m) needs m >= 3 for irreducibility")
-        return GroupSpec("dihedral", (mm,), f"dihedral({mm})")
-    if head == "rot":
-        want(1)
-        (mm,) = args
-        if mm < 3:
-            raise InputError("rot(m) needs m >= 3 for irreducibility")
-        return GroupSpec("rotation", (mm,), f"rot({mm})")
-    if head == "binD":
-        want(1)
-        (k,) = args
-        if k < 4 or k % 2:
-            raise InputError("binD(k) needs even k >= 4")
-        return GroupSpec("binary_dihedral", (k,), f"binD({k})")
-    if head in ("binT", "binO", "binI"):
-        want(0)
-        kind = {"binT": "binary_tetrahedral", "binO": "binary_octahedral",
-                "binI": "binary_icosahedral"}[head]
-        return GroupSpec(kind, (), head)
-    if head in ("H3", "H4"):
-        want(0)
-        return GroupSpec("coxeter_h3" if head == "H3" else "coxeter_h4", (), head)
-    if head == "heis":
-        want(1)
-        (d,) = args
-        if d < 2:
-            raise InputError("heis(d) needs d >= 2")
-        return GroupSpec("heisenberg", (d,), f"heis({d})")
-    raise InputError(f"unknown group family {head!r}")
-
-
-def _imprimitive_spec(m: int, p: int, n: int, label: str | None = None) -> GroupSpec:
-    if m < 1 or p < 1 or n < 1:
-        raise InputError("G(m,p,n) parameters must be positive")
-    if m % p:
-        raise InputError(f"G({m},{p},{n}): p must divide m")
-    if n < 2:
-        raise InputError(f"G({m},{p},{n}): n >= 2 required (degenerate family)")
-    if (m, p, n) == (2, 2, 2):
-        raise InputError("G(2,2,2) is reducible and not supported")
-    return GroupSpec("imprimitive", (m, p, n), label or f"G({m},{p},{n})")
+    family = _FAMILIES.get(head)
+    if family is None:
+        raise InputError(f"unknown group family {head!r}")
+    if len(args) != family.arity:
+        raise InputError(f"{head} takes {family.arity} parameter(s), got {len(args)}")
+    problem = family.check(*args)
+    if problem:
+        raise InputError(problem)
+    label = f"{head}({','.join(map(str, args))})" if args else head
+    if family.as_g:
+        return GroupSpec("G", family.as_g(*args), label)
+    return GroupSpec(head, args, label)
 
 
 def group_order(spec: GroupSpec) -> int | None:
     """Abstract order when the family has a closed form, else None."""
-    kind, params = spec.kind, spec.params
-    if kind == "imprimitive":
-        m, p, n = params
-        return m ** n * math.factorial(n) // p
-    if kind == "dihedral":
-        return 2 * params[0]
-    if kind == "rotation":
-        return params[0]
-    if kind == "binary_dihedral":
-        return 2 * params[0]
-    if kind == "binary_tetrahedral":
-        return 24
-    if kind == "binary_octahedral":
-        return 48
-    if kind == "binary_icosahedral":
-        return 120
-    if kind == "coxeter_h3":
-        return 120
-    if kind == "coxeter_h4":
-        return 14400
-    if kind == "heisenberg":
-        return params[0] ** 3
-    return None
+    if spec.kind == "explicit":
+        return None
+    return _FAMILIES[spec.kind].order(*spec.params)
 
 
 def close_group(
@@ -411,7 +383,9 @@ def close_group(
 
     When the family has a closed-form order, a closure that passes it or ends
     short of it is a dedup-key failure and raises ConsistencyError. A product
-    whose key matches a different element raises KeyCollisionError.
+    whose key matches a different element raises KeyCollisionError; a product
+    that is not finite (generators of no finite group, or overflowing ones)
+    raises InputError.
     """
     if not generators:
         raise InputError("no generators")
@@ -421,19 +395,23 @@ def close_group(
     digits = tol.dedup_digits
     expected = group_order(spec)
     limit = max_order if expected is None else min(expected, max_order)
-    elements, maps = _walk(np.eye(d, dtype=dtype)[None],
-                           lambda block: np.concatenate([block @ g for g in gens]),
-                           limit, digits)
-    if maps is None:
-        if expected is None or expected > max_order:
-            raise SizeLimitError(f"closure of {spec} exceeds max_order={max_order}")
-        raise ConsistencyError(
-            f"closure of {spec} passes its order {expected}: copies of "
-            f"one element split into distinct dedup keys at {digits} digits"
-        )
-    for g, targets in zip(gens, maps):
-        if float(np.abs(elements @ g - elements[targets]).max()) > 1e-6:
-            raise KeyCollisionError(f"distinct elements of {spec} collide at {digits} digits")
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite products are caught below
+        elements, maps = _walk(np.eye(d, dtype=dtype)[None],
+                               lambda block: np.concatenate([block @ g for g in gens]),
+                               limit, digits)
+        if maps is None:
+            if expected is None or expected > max_order:
+                raise SizeLimitError(f"closure of {spec} exceeds max_order={max_order}")
+            raise ConsistencyError(
+                f"closure of {spec} passes its order {expected}: copies of "
+                f"one element split into distinct dedup keys at {digits} digits"
+            )
+        for g, targets in zip(gens, maps):
+            gap = float(np.abs(elements @ g - elements[targets]).max())
+            if not math.isfinite(gap):
+                raise InputError(f"products of the generators of {spec} leave the floating range")
+            if gap > 1e-6:
+                raise KeyCollisionError(f"distinct elements of {spec} collide at {digits} digits")
     if expected is not None and len(elements) < expected:
         raise ConsistencyError(
             f"closure of {spec} ends at {len(elements)} of its {expected} elements: "
@@ -471,7 +449,7 @@ def unitarize(group: FiniteMatrixGroup, tol: Tolerance = DEFAULT_TOL) -> FiniteM
                           group.seed_basis, group.tol, group.max_order),
         conjugate(E),
     )
-    if out.unitarity_deviation() > tol.rel_eq:
+    if not out.unitarity_deviation() <= tol.rel_eq:
         raise DegeneracyError("unitarization failed to reach tolerance")
     return out
 
@@ -505,7 +483,7 @@ def _assemble(spec: GroupSpec, tol: Tolerance, max_order: int) -> FiniteMatrixGr
         raise SizeLimitError(f"closure of {spec} exceeds max_order={max_order}")
     gens, ftag = build_generators(spec)
     seed_basis = None
-    if spec.kind == "imprimitive" and spec.params[0] == 1:
+    if spec.kind == "G" and spec.params[0] == 1:
         seed_basis = _helmert_basis(spec.params[2])
     if _unitarity_deviation(np.stack(gens)) <= tol.rel_eq:
         return FiniteMatrixGroup(spec, ftag, tuple(gens), seed_basis, tol, max_order)

@@ -243,6 +243,8 @@ def _scalar(tok: str) -> float:
         return float(Fraction(tok))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad numeric literal {tok!r}") from exc
+    except OverflowError as exc:
+        raise InputError(f"numeric literal {tok!r} is out of the floating range") from exc
 
 
 def _coefficient(tok: str) -> float:

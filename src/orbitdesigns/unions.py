@@ -320,10 +320,13 @@ def verify_certificate(source, tol: Tolerance = DEFAULT_TOL) -> VerifyResult:
         raise CertificateError(f"unsupported schema {cert['schema']}")
     if cert["field"] not in ("R", "C"):
         raise CertificateError("field must be 'R' or 'C'")
+    if cert["dim"] < 1:
+        raise CertificateError("dim must be positive")
     try:
         lines = _parse_lines(cert["lines"], cert["field"])
         weights = [parse_rational(w) for w in cert["weights"]]
-    except (ValueError, TypeError, IndexError) as exc:
+        w = np.array([float(x) for x in weights])
+    except (ValueError, TypeError, IndexError, ZeroDivisionError, OverflowError) as exc:
         raise CertificateError(f"malformed lines or weights: {exc}") from exc
     if lines.ndim != 2 or lines.shape[1] != cert["dim"]:
         raise CertificateError("line entries do not match the stated dimension")
@@ -343,7 +346,6 @@ def verify_certificate(source, tol: Tolerance = DEFAULT_TOL) -> VerifyResult:
         raise CertificateError(f"malformed residuals: {exc}") from exc
     if any(t < 1 for t, _ in stored):
         raise CertificateError("residual orders must be positive integers")
-    w = np.array([float(x) for x in weights])
     pots = moments(lines, w, lines, w, [t for t, _ in stored])
     residuals = {}
     for (t, r), p in zip(stored, pots):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from orbitdesigns import (
     parse_group_spec,
     unitarize,
 )
-from orbitdesigns.groups import build_generators
+from orbitdesigns.groups import _unitarity_deviation, build_generators
 
 
 @pytest.mark.parametrize(
@@ -90,27 +91,40 @@ def test_dim_and_field(spec, dim, field):
     assert g.field == field
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "G(2,2,2)",  # reducible
-        "G(3,2,3)",  # p must divide m
-        "G(3,3,1)",  # n >= 2
-        "D(2)",
-        "dihedral(2)",
-        "rot(2)",
-        "binD(5)",
-        "binD(2)",
-        "heis(1)",
-        "A(0)",
-        "Q8",
-        "B(",
-        "",
-        "binT(3)",
-    ],
-)
+# each rejected spec with the message that names its fault
+_SPEC_REJECTIONS = {
+    "G(2,2,2)": "G(2,2,2) is reducible and not supported",
+    "G(3,2,3)": "G(3,2,3): p must divide m",
+    "G(3,3,1)": "G(3,3,1): n >= 2 required (degenerate family)",
+    "G(-1,1,2)": "G(m,p,n) parameters must be positive",
+    "G(2,1)": "G takes 3 parameter(s), got 2",
+    "A(0)": "A(d) needs d >= 1",
+    "B(1)": "B(d) needs d >= 2",
+    "D(2)": "D(d) needs d >= 3 (D(2) is reducible)",
+    "dihedral(2)": "dihedral(m) needs m >= 3 for irreducibility",
+    "dihedral(2,3)": "dihedral takes 1 parameter(s), got 2",
+    "rot(2)": "rot(m) needs m >= 3 for irreducibility",
+    "binD(5)": "binD(k) needs even k >= 4",
+    "binD(2)": "binD(k) needs even k >= 4",
+    "heis(1)": "heis(d) needs d >= 2",
+    "binT(3)": "binT takes 0 parameter(s), got 1",
+    "binO(1)": "binO takes 0 parameter(s), got 1",
+    "binI(1)": "binI takes 0 parameter(s), got 1",
+    "H3(3)": "H3 takes 0 parameter(s), got 1",
+    "H4(4)": "H4 takes 0 parameter(s), got 1",
+    "Q8": "unknown group family 'Q8'",
+    "B(": "cannot parse group spec 'B('",
+    "": "cannot parse group spec ''",
+    "explicit:": "explicit spec needs a file path",
+    "binD(4,)": "cannot parse group spec 'binD(4,)'",
+    "G(1--2,1,2)": "cannot parse group spec 'G(1--2,1,2)'",
+    "rot(5 5)": "cannot parse group spec 'rot(5 5)'",
+}
+
+
+@pytest.mark.parametrize("bad", list(_SPEC_REJECTIONS))
 def test_spec_grammar_rejections(bad):
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=re.escape(_SPEC_REJECTIONS[bad])):
         build_group(bad)
 
 
@@ -174,6 +188,12 @@ def test_explicit_non_unitary_generators_are_conjugated(tmp_path):
     seed = np.array([1.0, 0.0])
     images = {tuple(np.round(canonical_line(e @ seed), 8)) for e in g.elements}
     assert orbit_lines(g, seed).n_lines == len(images)
+
+
+def test_unitarity_deviation_propagates_nan():
+    # a nan deviation must not pass as unitary (max(0.0, nan) is 0.0)
+    mats = np.stack([np.eye(2), np.full((2, 2), np.nan)])
+    assert math.isnan(_unitarity_deviation(mats))
 
 
 def test_unitarize_leaves_unitary_groups_alone():
@@ -242,22 +262,31 @@ def test_explicit_orbit_walk_stops_at_max_order(f4_path):
         orbit_lines(g, np.array([4.0, 3.0, 2.0, 1.0]))
 
 
-@pytest.mark.parametrize(
-    "payload",
-    [
-        "not json",
-        json.dumps({"generators": [[[1, 0], [0, 1]]]}),  # missing field
-        json.dumps({"field": "Q", "generators": [[[1, 0], [0, 1]]]}),
-        json.dumps({"field": "R", "generators": []}),
-        json.dumps({"field": "R", "generators": [[[1, 0, 0], [0, 1, 0]]]}),
-        json.dumps({"field": "R", "generators": [[[0, 0], [0, 0]]]}),  # singular
-        json.dumps({"field": "R", "generators": [[[[0, 1], 0], [0, [0, 1]]]]}),
-    ],
-)
+# each rejected generator file with the message that names its fault
+_EXPLICIT_REJECTIONS = {
+    "not json": "generator file is not valid JSON",
+    json.dumps({"generators": [[[1, 0], [0, 1]]]}): "needs 'field' and 'generators' keys",
+    json.dumps({"field": "Q", "generators": [[[1, 0], [0, 1]]]}): "field must be 'R' or 'C'",
+    json.dumps({"field": "R", "generators": []}): "generator list is empty",
+    json.dumps({"field": "R", "generators": [[[1, 0, 0], [0, 1, 0]]]}): "must be square",
+    json.dumps({"field": "R", "generators": [[[0, 0], [0, 0]]]}): "must be invertible",
+    json.dumps({"field": "R", "generators": [[[[0, 1], 0], [0, [0, 1]]]]}):
+        "field 'R' but generators have imaginary parts",
+    # json reads 1e400 as inf and NaN as nan
+    '{"field": "R", "generators": [[[1e400, 0], [0, 1]]]}': "entries must be finite",
+    '{"field": "R", "generators": [[[NaN, 0], [0, 1]]]}': "entries must be finite",
+    # finite, but its powers overflow
+    json.dumps({"field": "R", "generators": [[[1e200, 0], [0, 1]]]}): "leave the floating range",
+    json.dumps({"field": "R", "generators": [[[["a", 0], 0], [0, 1]]]}): "malformed generator entry",
+    json.dumps({"field": "R", "generators": [[[1, 0], [0]]]}): "malformed generator entry",
+}
+
+
+@pytest.mark.parametrize("payload", list(_EXPLICIT_REJECTIONS))
 def test_explicit_loader_rejects_malformed_input(tmp_path, payload):
     path = tmp_path / "gens.json"
     path.write_text(payload)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=re.escape(_EXPLICIT_REJECTIONS[payload])):
         build_group(f"explicit:{path}")
 
 

@@ -238,7 +238,7 @@ def test_parse_vector_golden_field():
     assert np.allclose(got, [1 + np.sqrt(5.0), 2.0, -np.sqrt(5.0)])
 
 
-@pytest.mark.parametrize("bad", ["", "1,,2", "1+qi", "abc", "1/0"])
+@pytest.mark.parametrize("bad", ["", "1,,2", "1+qi", "abc", "1/0", "1e400,1"])
 def test_parse_vector_rejects_garbage(bad):
     with pytest.raises(InputError):
         parse_vector(bad)

@@ -373,6 +373,9 @@ def test_verify_flags_doctored_residuals():
         lambda c: c.update(field="Q"),
         lambda c: c["weights"].pop(),
         lambda c: c.update(lines=[[0.1], [0.2]]),
+        lambda c: c["weights"].__setitem__(0, "1/0"),
+        lambda c: c["weights"].__setitem__(0, "1e400"),
+        lambda c: c.update(dim=0, lines=[[] for _ in c["lines"]]),
     ],
 )
 def test_verify_rejects_structural_damage(mutate):
