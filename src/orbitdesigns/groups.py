@@ -324,8 +324,12 @@ def _load_explicit(path: str) -> tuple[list[np.ndarray], str]:
     d = gens[0].shape[0]
     if any(g.shape[0] != d for g in gens):
         raise InputError("generators must share one dimension")
-    if any(abs(np.linalg.det(g)) < 1e-12 for g in gens):
-        raise InputError("generators must be invertible")
+    # every element of a finite group has |det| = 1, and conjugation keeps it
+    for i, g in enumerate(gens, start=1):
+        det = abs(np.linalg.det(g))
+        if not abs(det - 1.0) <= 1e-6:
+            raise InputError(f"generators must be invertible with |det| = 1, as in "
+                             f"a finite group: generator {i} has |det| = {det:.6g}")
     if ftag == "R":
         if max(float(np.abs(g.imag).max()) for g in gens) > 1e-12:
             raise InputError("field 'R' but generators have imaginary parts")

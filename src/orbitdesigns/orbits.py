@@ -158,8 +158,8 @@ def union_lines(
     """Weighted union: X's weights scaled by beta_X, Y's by beta_Y = 1 - beta_X.
 
     Lines shared by X and Y are merged with summed weight; lines whose merged
-    weight is exactly zero are dropped. When X and Y are orbit unions of one
-    group, so is the result.
+    weight is exactly zero are dropped. When X and Y are single orbits of one
+    group, the result is an orbit union of that group.
     """
     if X.dim != Y.dim or X.field != Y.field:
         raise MismatchError("union operands must share dimension and field")
@@ -187,7 +187,8 @@ def union_lines(
     if not keep:
         raise ConsistencyError("union has no lines with nonzero weight")
     kept_w = [weights[i] for i in keep]
-    group = X.group if X.group is not None and X.group is Y.group else None
+    single = X.group is Y.group and X.orbit_starts == Y.orbit_starts == (0,)
+    group = X.group if single else None
     out = LineSet(
         field=X.field,
         lines=lines[keep],
@@ -203,31 +204,21 @@ def union_lines(
 
 def _union_blocks(X: LineSet, Y: LineSet, where: list[list[int]], keep: list[int],
                   tol: Tolerance) -> tuple:
-    """orbit_starts of the union of two orbit unions of one group.
+    """orbit_starts of the union of two orbits of one group.
 
-    Two orbits of a group are equal or disjoint, so each block of X and Y
-    either adds lines of its own or lands whole on one earlier block; anything
-    else means the dedup keys joined distinct lines. Blocks dropped for zero
-    weight go whole, since weights are constant on a block.
+    Two orbits of a group are equal or disjoint, so Y's union rows are X's or
+    none of them, and each operand's lines take distinct rows; anything else
+    means the dedup keys joined distinct lines. An orbit dropped for zero
+    weight goes whole, since weights are constant on an orbit.
     """
-    owner: dict[int, int] = {}  # union row -> first union row of its block
-    sizes: dict[int, int] = {}  # first union row of a block -> its size
-    for ls, rows in zip((X, Y), where):
-        bounds = ls.orbit_starts + (ls.n_lines,)
-        for lo, hi in zip(bounds, bounds[1:]):
-            block = rows[lo:hi]
-            hit = {owner.get(i) for i in block}
-            whole = len(set(block)) == hi - lo and len(hit) == 1
-            if whole and hit == {None}:
-                sizes[block[0]] = hi - lo
-                owner.update((i, block[0]) for i in block)
-            elif not whole or sizes[hit.pop()] != hi - lo:
-                raise ConsistencyError(
-                    f"orbits of {X.group.spec} merge only in part in a union: dedup "
-                    f"keys at {tol.dedup_digits} digits joined distinct lines"
-                )
+    rx, ry = set(where[0]), set(where[1])
+    if len(rx) != X.n_lines or len(ry) != Y.n_lines or (rx & ry and rx != ry):
+        raise ConsistencyError(
+            f"orbits of {X.group.spec} merge only in part in a union: dedup "
+            f"keys at {tol.dedup_digits} digits joined distinct lines"
+        )
     position = {row: n for n, row in enumerate(keep)}
-    return tuple(sorted(position[s] for s in sizes if s in position))
+    return tuple(sorted(position[s] for s in {min(rx), min(ry)} if s in position))
 
 
 _COMPLEX_ENTRY = re.compile(

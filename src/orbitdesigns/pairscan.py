@@ -5,10 +5,15 @@ For a finite unitary group G acting on the ambient space define
     p_G(x, y, t) = (1/|G|) sum_g |<x, g y>|^(2t),
     f_G(x, y, t) = p_G(x,x,t) p_G(y,y,t) - p_G(x,y,t)^2.
 
-The union of the two orbits admits a double-root weighting at strength t
-exactly when
+For unit x and y these are the potentials b_xx, b_yy, b_xy of the two
+orbits, so the union weighting solves A alpha^2 + B alpha + C = 0 with
+A = p_xx + p_yy - 2 p_xy (see unions). Its discriminant is
+B^2 - 4AC = -4 (f_G - c_t A), so the union admits a double-root weighting at
+strength t exactly when
 
-    f_G = c_t (|y|^(4t) p_xx + |x|^(4t) p_yy - 2 |x|^(2t) |y|^(2t) p_xy).
+    f_G = c_t (p_xx + p_yy - 2 p_xy),
+
+the identity that unions.pair_identity tests.
 
 scan() samples random unit pairs, classifies the identity at each t, and
 reports t_generic (strength of a sampled orbit) and t_pairs (the contiguous
@@ -25,10 +30,10 @@ from .designs import certified_strength, moments, welch_constant
 from .errors import ConsistencyError, InputError
 from .groups import FiniteMatrixGroup
 from .numerics import DEFAULT_TOL, Tolerance
+from .unions import pair_identity
 
 HOLDS_TOL = 1e-7  # identity residual at or below this is a hold
 FAILS_TOL = 1e-3  # at or above this is a fail; between is indeterminate
-DEGENERATE_TOL = 1e-10  # both sides this small (vs term scale) means f == 0
 REDRAW_F_TOL = 1e-12  # |f| below this at every t marks a non-generic pair
 MAX_REDRAWS = 8
 
@@ -45,68 +50,20 @@ def _p_triple(group: FiniteMatrixGroup, x: np.ndarray, y: np.ndarray, orders):
     return _p_G(group, x, x, orders), _p_G(group, y, y, orders), _p_G(group, x, y, orders)
 
 
-def _as_vector(group: FiniteMatrixGroup, v) -> np.ndarray:
-    out = np.asarray(v, dtype=complex if group.field == "C" else float)
-    if out.shape != (group.dim,):
-        raise InputError(f"vector must have length {group.dim}")
-    if np.linalg.norm(out) == 0.0:
-        raise InputError("vector must be nonzero")
-    return out
+def _classify(p_xx: float, p_yy: float, p_xy: float, c_t: float) -> tuple[str, float | None]:
+    """Verdict for the pair identity at one t, with its relative residual.
 
-
-def p_G(group: FiniteMatrixGroup, x, y, t: int) -> float:
-    """Averaged pair potential (1/|G|) sum_g |<x, g y>|^(2t)."""
-    if t < 1:
-        raise InputError("t must be a positive integer")
-    return _p_G(group, _as_vector(group, x), _as_vector(group, y), [t])[0]
-
-
-def f_G(group: FiniteMatrixGroup, x, y, t: int) -> float:
-    """p_G(x,x,t) p_G(y,y,t) - p_G(x,y,t)^2."""
-    (p_xx,), (p_yy,), (p_xy,) = _p_triple(group, _as_vector(group, x),
-                                          _as_vector(group, y), [t])
-    return p_xx * p_yy - p_xy * p_xy
-
-
-def _classify(p_xx: float, p_yy: float, p_xy: float, c_t: float,
-              nx2t: float = 1.0, ny2t: float = 1.0) -> tuple[str, float | None]:
-    """Verdict for the pair identity at one t, with the norm correction.
-
-    Returns (verdict, relative residual); residual is None when both sides
-    vanish against the scale of their constituent terms (degenerate case:
-    both orbits are already designs, or the orbits coincide).
+    The residual is None for a degenerate pair (both sides vanish: both orbits
+    are already designs, or the orbits coincide).
     """
-    lhs = p_xx * p_yy - p_xy * p_xy
-    rhs = c_t * (ny2t * ny2t * p_xx + nx2t * nx2t * p_yy - 2.0 * nx2t * ny2t * p_xy)
-    scale = p_xx * p_yy + c_t * (ny2t * ny2t * p_xx + nx2t * nx2t * p_yy
-                                 + 2.0 * nx2t * ny2t * abs(p_xy))
-    if max(abs(lhs), abs(rhs)) <= DEGENERATE_TOL * scale:
+    residual = pair_identity(p_xx, p_yy, p_xy, c_t)
+    if residual is None:
         return "degenerate", None
-    residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
     if residual <= HOLDS_TOL:
         return "holds", residual
     if residual >= FAILS_TOL:
         return "fails", residual
     return "indeterminate", residual
-
-
-def pairs_identity_holds(group: FiniteMatrixGroup, x, y, t: int,
-                         tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the norm-corrected pair identity holds at strength t.
-
-    Degenerate pairs (both sides zero) satisfy the identity trivially. The
-    threshold is tol.rel_eq, tighter than the scan's verdict bands.
-    """
-    x = _as_vector(group, x)
-    y = _as_vector(group, y)
-    (p_xx,), (p_yy,), (p_xy,) = _p_triple(group, x, y, [t])
-    c_t = float(welch_constant(group.field, group.dim, t))
-    nx2t = float(np.linalg.norm(x)) ** (2 * t)
-    ny2t = float(np.linalg.norm(y)) ** (2 * t)
-    verdict, residual = _classify(p_xx, p_yy, p_xy, c_t, nx2t, ny2t)
-    if verdict == "degenerate":
-        return True
-    return residual <= tol.rel_eq
 
 
 @dataclass(frozen=True)
@@ -179,21 +136,15 @@ def scan(group: FiniteMatrixGroup, t_max: int = 10, samples: int = 20,
             x = _draw_unit(rng, group.dim, group.field)
             y = _draw_unit(rng, group.dim, group.field)
             p_xx, p_yy, p_xy = _p_triple(group, x, y, range(1, t_max + 1))
-            f_vals = [a * b - c * c for a, b, c in zip(p_xx, p_yy, p_xy)]
-            if any(abs(f) > REDRAW_F_TOL for f in f_vals):
+            if any(abs(a * b - c * c) > REDRAW_F_TOL for a, b, c in zip(p_xx, p_yy, p_xy)):
                 break
-        verdicts = []
-        residuals = []
-        for i in range(t_max):
-            verdict, residual = _classify(p_xx[i], p_yy[i], p_xy[i], targets[i])
-            verdicts.append(verdict)
-            residuals.append(residual)
+        verdicts, residuals = zip(*map(_classify, p_xx, p_yy, p_xy, targets))
         # p_G(x,x,t) equals the orbit's frame potential, so the strength of
         # each sampled orbit reads off the diagonal moments directly
         records.append(PairSample(
             x=x, y=y, redraws=attempt,
             p_xx=tuple(p_xx), p_yy=tuple(p_yy), p_xy=tuple(p_xy),
-            verdicts=tuple(verdicts), residuals=tuple(residuals),
+            verdicts=verdicts, residuals=residuals,
             strength_x=certified_strength([(p - c) / c for p, c in zip(p_xx, targets)], tol),
             strength_y=certified_strength([(p - c) / c for p, c in zip(p_yy, targets)], tol),
         ))
@@ -203,16 +154,8 @@ def scan(group: FiniteMatrixGroup, t_max: int = 10, samples: int = 20,
     max_residuals = []
     for i in range(t_max):
         per_sample = [r.verdicts[i] for r in records]
-        kinds = set(per_sample)
-        unanimous.append(len(kinds) == 1)
-        if kinds == {"holds"}:
-            aggregate.append("holds")
-        elif kinds == {"degenerate"}:
-            aggregate.append("degenerate")
-        elif kinds == {"fails"}:
-            aggregate.append("fails")
-        else:
-            aggregate.append("indeterminate")
+        unanimous.append(len(set(per_sample)) == 1)
+        aggregate.append(per_sample[0] if unanimous[-1] else "indeterminate")
         seen = [r.residuals[i] for r in records if r.residuals[i] is not None]
         max_residuals.append(max(seen) if seen else None)
 

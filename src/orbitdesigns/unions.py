@@ -31,6 +31,7 @@ from .numerics import (
 from .orbits import LineSet, union_lines
 
 DOUBLE_ROOT_TOL = 1e-8  # identity tolerance for the discriminant-zero check
+DEGENERATE_TOL = 1e-10  # both sides this small (vs term scale) means the identity is vacuous
 ROOT_COLLAPSE_TOL = 1e-6  # two roots closer than this (relative) are one double root
 
 
@@ -188,12 +189,26 @@ def solve_union(X: LineSet, Y: LineSet, t: int, tol: Tolerance = DEFAULT_TOL,
     )
 
 
+def pair_identity(b_xx: float, b_yy: float, b_xy: float, c_t: float) -> float | None:
+    """Relative residual of the double-root identity b_xx b_yy - b_xy^2 = c_t A.
+
+    The identity says the discriminant B^2 - 4AC of the union quadratic
+    vanishes. Returns None when both sides vanish against the scale of their
+    terms (degenerate: both line sets are already designs, or they coincide).
+    """
+    lhs = b_xx * b_yy - b_xy * b_xy
+    rhs = c_t * (b_xx + b_yy - 2.0 * b_xy)
+    scale = b_xx * b_yy + c_t * (b_xx + b_yy + 2.0 * abs(b_xy))
+    if max(abs(lhs), abs(rhs)) <= DEGENERATE_TOL * scale:
+        return None
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+
+
 @dataclass(frozen=True)
 class DoubleRootCheck:
     """Outcome of the discriminant-zero structure check.
 
-    The quadratic has a double root exactly when
-    b_xx b_yy - b_xy^2 = c_t (b_xx + b_yy - 2 b_xy); then
+    The quadratic has a double root exactly when pair_identity holds; then
     beta_X = (b_yy - b_xy)/(b_xx + b_yy - 2 b_xy) in closed form. For a pair
     of designs both sides vanish and the check is vacuous (degenerate).
     """
@@ -208,21 +223,18 @@ class DoubleRootCheck:
         return self.holds
 
 
-def check_double_root(sol: UnionSolution, tol: Tolerance = DEFAULT_TOL,
-                      identity_tol: float = DOUBLE_ROOT_TOL) -> DoubleRootCheck:
-    """Test the empirical double-root identity on a solved union."""
+def check_double_root(sol: UnionSolution) -> DoubleRootCheck:
+    """Test the double-root identity on a solved union."""
     q = sol.quad
-    lhs = q.b_xx * q.b_yy - q.b_xy * q.b_xy
-    rhs = float(q.c_t) * q.a
-    if abs(q.a) <= tol.rel_eq * q.scale:
+    residual = pair_identity(q.b_xx, q.b_yy, q.b_xy, float(q.c_t))
+    if residual is None:
         return DoubleRootCheck(True, True, 0.0, None, None)
-    residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
     beta_x = (q.b_yy - q.b_xy) / q.a
     beta_y = (q.b_xx - q.b_xy) / q.a
     agreement = None
     if sol.preferred_root is not None:
         agreement = abs(beta_x - sol.preferred_root.alpha)
-    return DoubleRootCheck(residual <= identity_tol, False, residual,
+    return DoubleRootCheck(residual <= DOUBLE_ROOT_TOL, False, residual,
                            (beta_x, beta_y), agreement)
 
 
@@ -330,6 +342,8 @@ def verify_certificate(source, tol: Tolerance = DEFAULT_TOL) -> VerifyResult:
         raise CertificateError(f"malformed lines or weights: {exc}") from exc
     if lines.ndim != 2 or lines.shape[1] != cert["dim"]:
         raise CertificateError("line entries do not match the stated dimension")
+    if not np.isfinite(lines).all():
+        raise CertificateError("line entries must be finite numbers")
     if len(weights) != lines.shape[0]:
         raise CertificateError("one weight per line required")
 
@@ -346,6 +360,8 @@ def verify_certificate(source, tol: Tolerance = DEFAULT_TOL) -> VerifyResult:
         raise CertificateError(f"malformed residuals: {exc}") from exc
     if any(t < 1 for t, _ in stored):
         raise CertificateError("residual orders must be positive integers")
+    if not all(math.isfinite(r) for _, r in stored):
+        raise CertificateError("stored residuals must be finite numbers")
     pots = moments(lines, w, lines, w, [t for t, _ in stored])
     residuals = {}
     for (t, r), p in zip(stored, pots):

@@ -275,8 +275,13 @@ _EXPLICIT_REJECTIONS = {
     # json reads 1e400 as inf and NaN as nan
     '{"field": "R", "generators": [[[1e400, 0], [0, 1]]]}': "entries must be finite",
     '{"field": "R", "generators": [[[NaN, 0], [0, 1]]]}': "entries must be finite",
-    # finite, but its powers overflow
-    json.dumps({"field": "R", "generators": [[[1e200, 0], [0, 1]]]}): "leave the floating range",
+    # finite, but no element of a finite group has |det| != 1
+    json.dumps({"field": "R", "generators": [[[1e200, 0], [0, 1]]]}): "generator 1 has |det| = 1e+200",
+    json.dumps({"field": "R", "generators": [[[2, 0], [0, 1]]]}): "generator 1 has |det| = 2",
+    json.dumps({"field": "R", "generators": [[[1, 0], [0, 1]], [[1.001, 0], [0, 1]]]}):
+        "generator 2 has |det| = 1.001",
+    # |det| = 1, but its powers overflow
+    json.dumps({"field": "R", "generators": [[[1e200, 0], [0, 1e-200]]]}): "leave the floating range",
     json.dumps({"field": "R", "generators": [[[["a", 0], 0], [0, 1]]]}): "malformed generator entry",
     json.dumps({"field": "R", "generators": [[[1, 0], [0]]]}): "malformed generator entry",
 }

@@ -173,6 +173,18 @@ def test_union_four_line_cross():
     assert U.group is g and U.orbit_starts == (0, 2)
 
 
+def test_union_of_a_two_orbit_union_drops_the_group():
+    # only unions of two single orbits keep the orbit structure; a wider
+    # union is a plain line set summed in full
+    g = build_group("G(2,1,2)")
+    X = orbit_lines(g, np.array([1.0, 0.0]))
+    Y = orbit_lines(g, np.array([1.0, 1.0]))
+    U = union_lines(X, Y, (Fraction(1, 2), Fraction(1, 2)))
+    W = union_lines(U, X, (Fraction(1, 2), Fraction(1, 2)))
+    assert W.group is None and W.orbit_starts is None
+    assert W.exact_weights == (Fraction(3, 8),) * 2 + (Fraction(1, 8),) * 2
+
+
 def test_union_rejects_a_partial_orbit_merge():
     # one line of Y's orbit block coincides with a line of X, the other not:
     # two orbits of one group are never related so, only a key merge does it
@@ -182,6 +194,10 @@ def test_union_rejects_a_partial_orbit_merge():
     half = dataclasses.replace(Y, lines=np.stack([X.lines[0], Y.lines[1]]))
     with pytest.raises(ConsistencyError, match="merge only in part"):
         union_lines(X, half, (Fraction(1, 2), Fraction(1, 2)))
+    # two lines of one orbit on one union row
+    twice = dataclasses.replace(Y, lines=np.stack([Y.lines[0], Y.lines[0]]))
+    with pytest.raises(ConsistencyError, match="merge only in part"):
+        union_lines(X, twice, (Fraction(1, 2), Fraction(1, 2)))
     plain = dataclasses.replace(half, group=None, orbit_starts=None)
     assert union_lines(X, plain, (Fraction(1, 2), Fraction(1, 2))).orbit_starts is None
 

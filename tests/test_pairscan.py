@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 
 from orbitdesigns import (
+    DEFAULT_TOL,
     build_group,
-    f_G,
+    check_double_root,
     orbit_lines,
-    p_G,
-    pairs_identity_holds,
     potential,
     scan,
+    solve_union,
     welch_constant,
 )
+from orbitdesigns.cli import _load_expectations, _resolve_seed
+from orbitdesigns.pairscan import _classify, _p_G, _p_triple
 
 
 def _unit(rng, dim, field):
@@ -23,6 +25,21 @@ def _unit(rng, dim, field):
     if field == "C":
         v = v + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def p_G(group, x, y, t):
+    return _p_G(group, x, y, [t])[0]
+
+
+def f_G(group, x, y, t):
+    """p_G(x,x,t) p_G(y,y,t) - p_G(x,y,t)^2, the identity's left side."""
+    (p_xx,), (p_yy,), (p_xy,) = _p_triple(group, x, y, [t])
+    return p_xx * p_yy - p_xy * p_xy
+
+
+def _verdict(group, x, y, t):
+    (p_xx,), (p_yy,), (p_xy,) = _p_triple(group, x, y, [t])
+    return _classify(p_xx, p_yy, p_xy, float(welch_constant(group.field, group.dim, t)))
 
 
 @pytest.fixture(scope="module")
@@ -98,11 +115,33 @@ def test_f_is_nonnegative_product_form():
 def test_identity_verdicts_on_random_pairs():
     rng = np.random.default_rng(0)
     gI = build_group("binI")
-    assert pairs_identity_holds(gI, _unit(rng, 2, "C"), _unit(rng, 2, "C"), 7)
+    verdict, residual = _verdict(gI, _unit(rng, 2, "C"), _unit(rng, 2, "C"), 7)
+    assert verdict == "holds" and residual <= DEFAULT_TOL.rel_eq
     g224 = build_group("G(2,2,4)")
-    assert not pairs_identity_holds(g224, _unit(rng, 4, "R"), _unit(rng, 4, "R"), 2)
+    assert _verdict(g224, _unit(rng, 4, "R"), _unit(rng, 4, "R"), 2)[0] == "indeterminate"
     gh = build_group("heis(4)")
-    assert not pairs_identity_holds(gh, _unit(rng, 4, "C"), _unit(rng, 4, "C"), 2)
+    assert _verdict(gh, _unit(rng, 4, "C"), _unit(rng, 4, "C"), 2)[0] == "fails"
+
+
+def _union_cases():
+    for row in _load_expectations():
+        if row["seedY"]:
+            yield row["group"], row["seedX"], row["seedY"], int(row["t"])
+    yield "dihedral(3)", "@1", "@2", 2  # a pair of designs: degenerate
+
+
+def test_double_root_check_agrees_with_scan_verdict():
+    # check_double_root and the scan classify the same identity on the same
+    # potentials, so their holds and degenerate flags agree
+    for label, sx, sy, t in _union_cases():
+        g = build_group(label)
+        X, Y = (orbit_lines(g, _resolve_seed(label, s)[0]) for s in (sx, sy))
+        sol = solve_union(X, Y, t, t_max=t)
+        q = sol.quad
+        verdict, _ = _classify(q.b_xx, q.b_yy, q.b_xy, float(q.c_t))
+        chk = check_double_root(sol)
+        expect = (verdict in ("holds", "degenerate"), verdict == "degenerate")
+        assert (chk.holds, chk.degenerate) == expect, (label, sx, sy, t, verdict)
 
 
 def test_scan_binary_octahedral():

@@ -376,6 +376,10 @@ def test_verify_flags_doctored_residuals():
         lambda c: c["weights"].__setitem__(0, "1/0"),
         lambda c: c["weights"].__setitem__(0, "1e400"),
         lambda c: c.update(dim=0, lines=[[] for _ in c["lines"]]),
+        lambda c: c["lines"][0].__setitem__(0, float("nan")),
+        lambda c: c["lines"][0].__setitem__(0, float("inf")),
+        lambda c: c["residuals"].__setitem__("1", float("nan")),
+        lambda c: c["residuals"].__setitem__("1", float("inf")),
     ],
 )
 def test_verify_rejects_structural_damage(mutate):
