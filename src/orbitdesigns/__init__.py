@@ -6,11 +6,8 @@ design strength against the Welch bounds, and scan random orbit pairs for
 the double-root identity.
 """
 from .designs import (
-    AntipodalSet,
     DesignReport,
-    antipodal_design_check,
     cross_potential,
-    double_to_antipodal,
     potential,
     strength,
     welch_constant,
@@ -66,7 +63,6 @@ from .unions import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntipodalSet",
     "CatalogEntry",
     "CertificateError",
     "ConsistencyError",
@@ -92,7 +88,6 @@ __all__ = [
     "Tolerance",
     "UnionSolution",
     "VerifyResult",
-    "antipodal_design_check",
     "build_group",
     "canonical_line",
     "catalog",
@@ -101,7 +96,6 @@ __all__ = [
     "close_group",
     "compensated_sum",
     "cross_potential",
-    "double_to_antipodal",
     "emit_certificate",
     "format_rational",
     "format_vector",

@@ -272,6 +272,9 @@ def cmd_union(args, cfg: CliConfig) -> int:
         payload["certificate"] = cert
         if args.emit:
             out.append(f"certificate written: {args.emit}")
+    elif args.emit:  # roots exist here, so the preferred root did not snap
+        print(f"no certificate written: root {sol.preferred} did not snap to a rational",
+              file=sys.stderr)
     _emit(payload, cfg.fmt, out)
     return 0
 

@@ -10,6 +10,10 @@ line of one G-orbit has the same Gram row sum. A union of orbits of one group
 (LineSet.group and orbit_starts) therefore sums one Gram row per orbit, the
 orbit's first line carrying its total weight; any other set sums every row.
 verify_certificate keeps the full sum, independent of orbit structure.
+
+A real (t,t)-design doubled to +-x, each with half its line's weight, is a
+spherical (2t+1)-design: its order-2t moment is the design's potential, and
+its odd moments cancel in antipodal pairs.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConsistencyError, MismatchError
-from .numerics import DEFAULT_TOL, Rational, Tolerance, _intern, compensated_sums
+from .numerics import DEFAULT_TOL, Rational, Tolerance, compensated_sums
 from .orbits import LineSet
 
 # The bits of a Gram entry depend on the rows in its matrix product, so the
@@ -62,10 +66,9 @@ def moments(A: np.ndarray, wa: np.ndarray, B: np.ndarray, wb: np.ndarray,
     return compensated_sums(_terms(A, wa, B, wb, orders), len(orders))
 
 
-def _terms(A: np.ndarray, wa: np.ndarray, B: np.ndarray, wb: np.ndarray,
-           orders: list[int], odd: bool = False):
-    """Blocks of terms, one row per order: wa wb |<a,b>|^(2t), times <a,b>
-    when odd (real lines), for a run of rows a of A against every b of B."""
+def _terms(A: np.ndarray, wa: np.ndarray, B: np.ndarray, wb: np.ndarray, orders: list[int]):
+    """Blocks of terms, one row per order: wa wb |<a,b>|^(2t), for a run of
+    rows a of A against every b of B."""
     n = max(1, B.shape[0])
     Bc = B.conj().T
     by_order = sorted(range(len(orders)), key=orders.__getitem__)
@@ -84,8 +87,6 @@ def _terms(A: np.ndarray, wa: np.ndarray, B: np.ndarray, wb: np.ndarray,
                     power *= u
                     t += 1
                 np.multiply(ww, power, out=block[i])
-                if odd:
-                    block[i] *= M
             yield block.reshape(len(orders), -1)
 
 
@@ -158,65 +159,3 @@ def certified_strength(residuals, tol: Tolerance) -> int:
             break
         s = t
     return s
-
-
-@dataclass(frozen=True)
-class AntipodalSet:
-    """A line set doubled to +-x vector pairs, each carrying half the weight.
-
-    A real line set of strength t doubles to a spherical (2t+1)-design;
-    spherical_order records 2*source_strength + 1 when the strength is known.
-    """
-
-    vectors: np.ndarray
-    weights: np.ndarray
-    source_strength: int | None = None
-
-    @property
-    def spherical_order(self) -> int | None:
-        if self.source_strength is None:
-            return None
-        return 2 * self.source_strength + 1
-
-
-def double_to_antipodal(X: LineSet, report: DesignReport | None = None) -> AntipodalSet:
-    """Emit {x, -x} per line with half its weight each (real fields only)."""
-    if X.field != "R":
-        raise MismatchError("antipodal doubling is defined for real line sets")
-    vectors = np.vstack([X.lines, -X.lines])
-    weights = np.concatenate([X.weights, X.weights]) / 2.0
-    return AntipodalSet(vectors, weights, report.strength if report else None)
-
-
-def antipodal_design_check(aset: AntipodalSet, t: int, tol: Tolerance = DEFAULT_TOL) -> dict:
-    """Verify the doubled set is a spherical (2t+1)-design.
-
-    Checks antipodal pairing with equal weights, the even-moment equality
-    sum w_i w_j <x_i,x_j>^(2t) = c_t, and that the odd moment of order 2t+1
-    vanishes; together these certify integration of all polynomials of degree
-    <= 2t+1.
-    """
-    V, w = aset.vectors, aset.weights
-    index: dict[bytes, int] = {}
-    own = _intern(V, index, tol.dedup_digits)
-    n = len(index)
-    partner = _intern(-V, index, tol.dedup_digits)
-    paired = bool((partner < n).all())
-    if paired:
-        # the partner of row i is the last row of V with the key of -V[i]
-        _, last = np.unique(own[::-1], return_index=True)
-        paired = not (np.abs(w - w[len(V) - 1 - last[partner]]) > tol.rel_eq).any()
-    even = moments(V, w, V, w, [t])[0]
-
-    # <x,y>^(2t) <x,y> flips sign exactly with <x,y>, so +-x pairs cancel
-    odd = compensated_sums(_terms(V, w, V, w, [t], odd=True), 1)[0]
-    target = float(welch_constant("R", V.shape[1], t))
-    even_residual = (even - target) / target
-    passes = paired and abs(even_residual) <= tol.rel_eq and abs(odd) <= tol.rel_eq
-    return {
-        "paired": paired,
-        "even_residual": even_residual,
-        "odd_moment": odd,
-        "spherical_order": 2 * t + 1,
-        "passes": passes,
-    }

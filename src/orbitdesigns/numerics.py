@@ -168,16 +168,23 @@ def _walk(start: np.ndarray, step, limit: int,
             return np.concatenate(found), None
 
 
+# Some p/q is within 1/q^2 of any real x, so with q up to 10^6 nearly any x
+# meets rel_eq; a rounded rational x scores q^2 |x - p/q| ~ |pq| 2^-53.
+# Rational roots of catalog pairs score <= 7e-6, irrational ones >= 4e-3.
+SNAP_QUALITY_MAX = 1e-4
+
+
 def snap_to_rational(x: float, tol: Tolerance = DEFAULT_TOL) -> Rational | None:
     """Best rational p/q with q <= snap_denom_max, or None if none is close.
 
     Uses the continued-fraction convergent and accepts it only when
-    |x - p/q| <= rel_eq * max(1, |x|).
+    |x - p/q| <= rel_eq * max(1, |x|) and q^2 |x - p/q| <= SNAP_QUALITY_MAX.
     """
     if not math.isfinite(x):
         return None
     cand = Fraction(x).limit_denominator(tol.snap_denom_max)
-    if abs(x - cand) <= tol.rel_eq * max(1.0, abs(x)):
+    err = abs(x - cand)
+    if err <= tol.rel_eq * max(1.0, abs(x)) and cand.denominator ** 2 * err <= SNAP_QUALITY_MAX:
         return cand
     return None
 

@@ -149,6 +149,23 @@ def test_union_icosahedral_row_and_emit(capsys, tmp_path):
     assert verdict["passed"]
 
 
+def test_union_irrational_root_writes_no_certificate(capsys, tmp_path):
+    path = tmp_path / "d5.json"
+    argv = ["union", "dihedral(5)", "--x", "1,0", "--y", "0.8,0.6", "--t", "5",
+            "--emit", str(path)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert "(no snap)" in captured.out
+    assert "certificate written" not in captured.out
+    assert captured.err == "no certificate written: root 0 did not snap to a rational\n"
+    assert not path.exists()
+
+    code, payload = run_json(capsys, *argv)
+    assert code == 0
+    assert payload["roots"][0]["beta"] is None
+    assert "certificate" not in payload and "verified_strength" not in payload
+
+
 def test_verify_tampered_certificate(capsys, tmp_path):
     path = tmp_path / "cert.json"
     code, _ = run_json(

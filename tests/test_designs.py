@@ -1,4 +1,4 @@
-"""Design potentials, Welch constants, strength reports, antipodal doubling."""
+"""Design potentials, Welch constants, moment sums and strength reports."""
 from __future__ import annotations
 
 import dataclasses
@@ -13,12 +13,10 @@ import exact_oracle as oracle
 from orbitdesigns import (
     ConsistencyError,
     MismatchError,
-    antipodal_design_check,
     build_group,
     catalog,
     catalog_entry,
     cross_potential,
-    double_to_antipodal,
     orbit_lines,
     potential,
     solve_union,
@@ -89,6 +87,7 @@ def test_potential_four_line_union_at_t3():
     c3 = welch_constant("R", 2, 3)
     assert c3 == Fraction(5, 16)
     assert abs(potential(U, 3) - float(c3)) <= 1e-15
+    assert strength(U, t_max=4).strength == 3
     assert g.order == 8
 
 
@@ -322,53 +321,3 @@ def test_signed_union_reports_signed_strength():
     rep = strength(U, t_max=4)
     assert rep.signed
     assert rep.strength >= 2
-
-
-def test_double_to_antipodal_single_line():
-    from orbitdesigns.orbits import LineSet
-
-    X = LineSet(field="R", lines=np.array([[1.0, 0.0]]), weights=np.array([1.0]))
-    aset = double_to_antipodal(X)
-    assert aset.vectors.shape == (2, 2)
-    assert np.allclose(aset.vectors[0], -aset.vectors[1])
-    assert np.allclose(aset.weights, [0.5, 0.5])
-
-
-def test_double_to_antipodal_rejects_complex():
-    with pytest.raises(MismatchError):
-        double_to_antipodal(_orbit("binT", 1))
-
-
-def test_doubled_cross_is_spherical_seven_design():
-    U = union_lines(_orbit("B(2)", 1), _orbit("B(2)", 2),
-                    (Fraction(1, 2), Fraction(1, 2)))
-    rep = strength(U, t_max=4)
-    assert rep.strength == 3
-    aset = double_to_antipodal(U, rep)
-    assert aset.vectors.shape[0] == 8
-    assert aset.spherical_order == 7
-    check = antipodal_design_check(aset, 3)
-    assert check["passes"]
-    assert check["paired"]
-    assert check["spherical_order"] == 7
-    assert abs(check["even_residual"]) <= 1e-9
-    assert abs(check["odd_moment"]) <= 1e-9
-
-
-def test_odd_moment_of_the_doubled_h4_design_is_zero():
-    # +-x terms cancel exactly, so the correctly rounded odd moment is 0
-    X, Y = _orbit("H4", 1), _orbit("H4", 2)
-    U = union_lines(X, Y, (Fraction(5, 21), Fraction(16, 21)))
-    check = antipodal_design_check(double_to_antipodal(U), 9)
-    assert check["passes"]
-    assert check["odd_moment"] == 0.0
-
-
-def test_antipodal_check_flags_unpaired_sets():
-    U = union_lines(_orbit("B(2)", 1), _orbit("B(2)", 2),
-                    (Fraction(1, 2), Fraction(1, 2)))
-    aset = double_to_antipodal(U)
-    broken = type(aset)(vectors=aset.vectors[:-1], weights=aset.weights[:-1])
-    check = antipodal_design_check(broken, 3)
-    assert not check["paired"]
-    assert not check["passes"]

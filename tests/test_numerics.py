@@ -139,6 +139,10 @@ def test_snap_rejects_far_values():
     assert snap_to_rational(float("nan")) is None
     # pi has no convergent with denominator <= 3 within 1e-9
     assert snap_to_rational(math.pi, Tolerance(snap_denom_max=3)) is None
+    # each has a convergent p/q within rel_eq, but q^2 |x - p/q| is far above
+    # SNAP_QUALITY_MAX (pi 1.13, sqrt(2) 0.35, phi 0.45)
+    for x in (math.pi, math.sqrt(2), (1 + math.sqrt(5)) / 2):
+        assert snap_to_rational(x) is None
 
 
 def test_snap_respects_denominator_cap():

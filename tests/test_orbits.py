@@ -239,6 +239,14 @@ def test_validate_catches_bad_weights():
         broken.validate()
 
 
+def test_validate_catches_repeated_lines():
+    X = orbit_lines(build_group("B(2)"), np.array([1.0, 0.0]))
+    lines = np.vstack([X.lines, -X.lines[:1]])  # -x spans the line of x
+    repeated = type(X)(field=X.field, lines=lines, weights=np.full(3, 1 / 3))
+    with pytest.raises(ConsistencyError, match="coincide projectively"):
+        repeated.validate()
+
+
 def test_parse_vector_real_and_fractional():
     assert np.allclose(parse_vector("1, -2, 1/2"), [1.0, -2.0, 0.5])
     assert not np.iscomplexobj(parse_vector("3,0"))
