@@ -2,8 +2,8 @@
 
 Build a finite unitary group, orbit seed vectors into weighted line sets,
 solve the two-orbit weighting quadratic for exact rational weights, certify
-design strength against the Welch bounds, and scan random orbit pairs for
-the double-root identity.
+design strength against the Welch bounds, and read off the group's invariant
+harmonics where two generic orbits pair into a design (the double-root identity).
 """
 from .designs import (
     DesignReport,

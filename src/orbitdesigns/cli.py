@@ -101,7 +101,8 @@ def _build_parser() -> _Parser:
     _add_common(p, 12)
     p.set_defaults(func=cmd_union)
 
-    p = sub.add_parser("scan", help="randomized two-orbit identity scan")
+    p = sub.add_parser("scan", help="two-orbit identity scan: exact verdicts from "
+                                    "invariant counts, cross-checked on random pairs")
     p.add_argument("spec")
     p.add_argument("--samples", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0, help="PRNG seed")
@@ -292,6 +293,7 @@ def cmd_scan(args, cfg: CliConfig) -> int:
         "max_residuals": list(rep.max_residuals),
         "t_generic": rep.t_generic,
         "t_pairs": list(rep.t_pairs) if rep.t_pairs else None,
+        "harmonic_invariants": list(rep.harmonic_invariants),
     }
     pairs = f"{rep.t_pairs[0]}-{rep.t_pairs[1]}" if rep.t_pairs else "{}"
     out = [

@@ -146,16 +146,6 @@ def strength(X: LineSet, t_max: int = 12, tol: Tolerance = DEFAULT_TOL) -> Desig
     pots = tuple(moments(*_rows(X, X), X.lines, X.weights, ts))
     targets = tuple(welch_constant(X.field, X.dim, t) for t in ts)
     residuals = tuple((p - float(c)) / float(c) for p, c in zip(pots, targets))
-    return DesignReport(ts, pots, targets, residuals, certified_strength(residuals, tol),
+    missed = [t for t, r in zip(ts, residuals) if abs(r) > tol.rel_eq]
+    return DesignReport(ts, pots, targets, residuals, min(missed, default=t_max + 1) - 1,
                         X.signed)
-
-
-def certified_strength(residuals, tol: Tolerance) -> int:
-    """The largest t with |residual| <= rel_eq at every order 1..t, residuals
-    being (potential - c_t)/c_t for t = 1, 2, ..."""
-    s = 0
-    for t, r in enumerate(residuals, start=1):
-        if abs(r) > tol.rel_eq:
-            break
-        s = t
-    return s

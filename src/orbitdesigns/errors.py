@@ -30,8 +30,8 @@ class DegeneracyError(OrbitDesignsError):
 
 class ConsistencyError(OrbitDesignsError):
     """Internal invariant violated: dedup keys split or merge group elements or
-    orbit lines, weights vary within an orbit block, or orbits merge only in
-    part in a union."""
+    orbit lines, weights vary within an orbit block, orbits merge only in part
+    in a union, or a scan's sample or Molien mean contradicts its counts."""
 
 
 class MismatchError(OrbitDesignsError):

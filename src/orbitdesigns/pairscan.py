@@ -15,18 +15,21 @@ strength t exactly when
 
 the identity that unions.pair_identity tests.
 
-scan() samples random unit pairs, classifies the identity at each t, and
-reports t_generic (strength of a sampled orbit) and t_pairs (the contiguous
-run of unanimous holds above it).
+By Sobolev's theorem an orbit Gx is a (t,t)-design exactly when the S_t
+G-invariant harmonics phi_i of bidegree (k,k), k <= t, vanish at x. The union
+potential minus c_t is then a positive sum of squares
+(alpha phi_i(x) + (1 - alpha) phi_i(y))^2, so the identity is vacuous for every
+pair when S_t = 0, holds for every pair when S_t = 1 and fails for a generic
+pair when S_t >= 2. Molien's formula gives S_t exactly; scan() reads its
+verdicts off it, and its random pairs only fill in residuals and cross-check.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import certified_strength, moments, welch_constant
+from .designs import moments, welch_constant
 from .errors import ConsistencyError, InputError
 from .groups import FiniteMatrixGroup
 from .numerics import DEFAULT_TOL, Tolerance
@@ -34,8 +37,7 @@ from .unions import pair_identity
 
 HOLDS_TOL = 1e-7  # identity residual at or below this is a hold
 FAILS_TOL = 1e-3  # at or above this is a fail; between is indeterminate
-REDRAW_F_TOL = 1e-12  # |f| below this at every t marks a non-generic pair
-MAX_REDRAWS = 8
+MOLIEN_TOL = 1e-6  # a Molien mean this far from an integer is an error
 
 
 def _p_G(group: FiniteMatrixGroup, x: np.ndarray, y: np.ndarray, orders) -> list[float]:
@@ -50,13 +52,11 @@ def _p_triple(group: FiniteMatrixGroup, x: np.ndarray, y: np.ndarray, orders):
     return _p_G(group, x, x, orders), _p_G(group, y, y, orders), _p_G(group, x, y, orders)
 
 
-def _classify(p_xx: float, p_yy: float, p_xy: float, c_t: float) -> tuple[str, float | None]:
-    """Verdict for the pair identity at one t, with its relative residual.
-
-    The residual is None for a degenerate pair (both sides vanish: both orbits
-    are already designs, or the orbits coincide).
-    """
-    residual = pair_identity(p_xx, p_yy, p_xy, c_t)
+def _classify(p_xx: float, p_yy: float, p_xy: float, c_t: float,
+              tol: Tolerance = DEFAULT_TOL) -> tuple[str, float | None]:
+    """Verdict for the pair identity at one t, with its relative residual
+    (None for a degenerate pair: both orbits are designs)."""
+    residual = pair_identity(p_xx, p_yy, p_xy, c_t, tol)
     if residual is None:
         return "degenerate", None
     if residual <= HOLDS_TOL:
@@ -66,32 +66,54 @@ def _classify(p_xx: float, p_yy: float, p_xy: float, c_t: float) -> tuple[str, f
     return "indeterminate", residual
 
 
+def _harmonic_invariants(group: FiniteMatrixGroup, t_max: int) -> list[int]:
+    """[H_1, ..., H_t_max], H_k the number of G-invariant harmonics of bidegree (k,k).
+
+    By Molien's formula the G-invariant forms of bidegree (k,k) number the mean
+    over G of |h_k(lambda(g))|^2 over C, or of h_2k(lambda(g)) over R, with h_k
+    the complete homogeneous symmetric polynomial of g's eigenvalues. Those
+    forms are the harmonics of bidegree (j,j), j <= k, times powers of |x|^2,
+    so H_k is the difference of consecutive means.
+    """
+    lam = np.linalg.eigvals(group.elements)
+    real = group.field == "R"
+    h = np.zeros((2 * t_max + 1 if real else t_max + 1, len(lam)), complex)
+    h[0] = 1.0
+    for col in lam.T:  # multiply by 1/(1 - lambda s), one eigenvalue at a time
+        for k in range(1, len(h)):
+            h[k] += col * h[k - 1]
+    means = h[::2].real.mean(axis=1) if real else (np.abs(h) ** 2).mean(axis=1)
+    counts = np.rint(means)
+    gap = float(np.abs(means - counts).max())
+    if gap > MOLIEN_TOL:
+        raise ConsistencyError(f"Molien means of {group.spec} miss an integer by {gap:.3e}")
+    return np.diff(counts).astype(int).tolist()
+
+
 @dataclass(frozen=True)
 class PairSample:
     """One sampled pair with its per-t moments and verdicts."""
 
     x: np.ndarray
     y: np.ndarray
-    redraws: int
     p_xx: tuple
     p_yy: tuple
     p_xy: tuple
     verdicts: tuple
     residuals: tuple
-    strength_x: int
-    strength_y: int
 
 
 @dataclass(frozen=True)
 class PairScanReport:
-    """Aggregate scan outcome over all samples."""
+    """Scan outcome: exact verdicts and the samples that cross-check them."""
 
     group_label: str
     t_max: int
     samples: int
     seed: int
-    verdicts: tuple  # per t: holds only if unanimous, else downgraded
-    unanimous: tuple
+    harmonic_invariants: tuple  # H_t for t = 1..t_max
+    verdicts: tuple  # per t, from S_t = H_1 + ... + H_t
+    unanimous: tuple  # per t, every sample gave the same verdict
     max_residuals: tuple  # per t, max over non-degenerate samples (None if none)
     t_generic: int
     t_pairs: tuple | None  # (lo, hi) inclusive, None for the empty range
@@ -111,72 +133,49 @@ def _draw_unit(rng: np.random.Generator, dim: int, field: str) -> np.ndarray:
 
 def scan(group: FiniteMatrixGroup, t_max: int = 10, samples: int = 20,
          seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> PairScanReport:
-    """Randomized scan of the pair identity over t = 1..t_max.
+    """Scan of the pair identity over t = 1..t_max.
+
+    With S_t invariant harmonics of bidegree up to (t,t), the verdict at t is
+    "degenerate" where S_t = 0, "holds" where S_t = 1, "fails" where S_t >= 2.
+    t_generic, the strength of a generic orbit, is the last t with S_t = 0
+    (t_max if none); t_pairs is the run of holds above it.
 
     Unit pairs are drawn from numpy's seeded Generator, x then y per sample
-    (complex vectors from independent real and imaginary normals). A pair
-    with |f_G| <= 1e-12 at every t is non-generic and redrawn, at most
-    MAX_REDRAWS times; rejected draws still advance the stream, so results
-    are reproducible given (seed, samples).
-
-    The per-t verdict is "holds" only when every sample holds; all-degenerate
-    and all-fails aggregate likewise, anything mixed is "indeterminate".
-    t_pairs is the contiguous run of holds starting at t_generic + 1.
+    (complex vectors from independent real and imaginary normals), and
+    classified at every t. A sample that fails where S_t <= 1, or is not
+    degenerate where S_t = 0, contradicts the counts and raises
+    ConsistencyError; one that holds where S_t >= 2 is a special pair.
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
     if t_max < 1:
         raise InputError("t_max must be >= 1")
+    counts = _harmonic_invariants(group, t_max)
+    totals = np.cumsum(counts).tolist()
     rng = np.random.default_rng(seed)
-    targets = [float(welch_constant(group.field, group.dim, t))
-               for t in range(1, t_max + 1)]
+    targets = [float(welch_constant(group.field, group.dim, t)) for t in range(1, t_max + 1)]
     records = []
-    for _ in range(samples):
-        for attempt in range(MAX_REDRAWS + 1):
-            x = _draw_unit(rng, group.dim, group.field)
-            y = _draw_unit(rng, group.dim, group.field)
-            p_xx, p_yy, p_xy = _p_triple(group, x, y, range(1, t_max + 1))
-            if any(abs(a * b - c * c) > REDRAW_F_TOL for a, b, c in zip(p_xx, p_yy, p_xy)):
-                break
-        verdicts, residuals = zip(*map(_classify, p_xx, p_yy, p_xy, targets))
-        # p_G(x,x,t) equals the orbit's frame potential, so the strength of
-        # each sampled orbit reads off the diagonal moments directly
-        records.append(PairSample(
-            x=x, y=y, redraws=attempt,
-            p_xx=tuple(p_xx), p_yy=tuple(p_yy), p_xy=tuple(p_xy),
-            verdicts=verdicts, residuals=residuals,
-            strength_x=certified_strength([(p - c) / c for p, c in zip(p_xx, targets)], tol),
-            strength_y=certified_strength([(p - c) / c for p, c in zip(p_yy, targets)], tol),
-        ))
-
-    aggregate = []
-    unanimous = []
-    max_residuals = []
-    for i in range(t_max):
-        per_sample = [r.verdicts[i] for r in records]
-        unanimous.append(len(set(per_sample)) == 1)
-        aggregate.append(per_sample[0] if unanimous[-1] else "indeterminate")
-        seen = [r.residuals[i] for r in records if r.residuals[i] is not None]
-        max_residuals.append(max(seen) if seen else None)
-
-    # degenerate f at t is only consistent when both sampled orbits are
-    # themselves (t,t)-designs; anything else is a numerical contradiction
-    for r in records:
-        for i, v in enumerate(r.verdicts):
-            if v == "degenerate" and min(r.strength_x, r.strength_y) < i + 1:
+    for j in range(samples):
+        x = _draw_unit(rng, group.dim, group.field)
+        y = _draw_unit(rng, group.dim, group.field)
+        p_xx, p_yy, p_xy = _p_triple(group, x, y, range(1, t_max + 1))
+        verdicts, residuals = zip(*(_classify(*p, tol) for p in zip(p_xx, p_yy, p_xy, targets)))
+        for t, (v, s) in enumerate(zip(verdicts, totals), start=1):
+            if (v == "fails" and s <= 1) or (v != "degenerate" and s == 0):
                 raise ConsistencyError(
-                    f"f vanished at t={i + 1} but a sampled orbit has "
-                    f"strength {min(r.strength_x, r.strength_y)}")
-
-    t_generic = Counter(r.strength_x for r in records).most_common(1)[0][0]
-    lo = t_generic + 1
-    hi = lo - 1
-    while hi + 1 <= t_max and aggregate[hi] == "holds":
-        hi += 1
-    t_pairs = (lo, hi) if hi >= lo else None
+                    f"sample {j} is {v} at t={t}, but {group.spec} has {s} invariant "
+                    f"harmonics of bidegree up to ({t},{t}) (H_1..H_{t_max} = {counts})")
+        records.append(PairSample(x=x, y=y, p_xx=tuple(p_xx), p_yy=tuple(p_yy),
+                                  p_xy=tuple(p_xy), verdicts=verdicts, residuals=residuals))
+    max_residuals = tuple(max((r.residuals[i] for r in records if r.residuals[i] is not None),
+                              default=None) for i in range(t_max))
+    t_generic = totals.count(0)  # totals never decrease
+    t_pairs = (t_generic + 1, t_generic + totals.count(1)) if 1 in totals else None
     return PairScanReport(
         group_label=group.spec.label, t_max=t_max, samples=samples, seed=seed,
-        verdicts=tuple(aggregate), unanimous=tuple(unanimous),
-        max_residuals=tuple(max_residuals), t_generic=t_generic,
+        harmonic_invariants=tuple(counts),
+        verdicts=tuple(("degenerate", "holds", "fails")[min(s, 2)] for s in totals),
+        unanimous=tuple(len({r.verdicts[i] for r in records}) == 1 for i in range(t_max)),
+        max_residuals=max_residuals, t_generic=t_generic,
         t_pairs=t_pairs, sample_records=tuple(records),
     )

@@ -31,7 +31,6 @@ from .numerics import (
 from .orbits import LineSet, union_lines
 
 DOUBLE_ROOT_TOL = 1e-8  # identity tolerance for the discriminant-zero check
-DEGENERATE_TOL = 1e-10  # both sides this small (vs term scale) means the identity is vacuous
 ROOT_COLLAPSE_TOL = 1e-6  # two roots closer than this (relative) are one double root
 
 
@@ -189,18 +188,20 @@ def solve_union(X: LineSet, Y: LineSet, t: int, tol: Tolerance = DEFAULT_TOL,
     )
 
 
-def pair_identity(b_xx: float, b_yy: float, b_xy: float, c_t: float) -> float | None:
+def pair_identity(b_xx: float, b_yy: float, b_xy: float, c_t: float,
+                  tol: Tolerance = DEFAULT_TOL) -> float | None:
     """Relative residual of the double-root identity b_xx b_yy - b_xy^2 = c_t A.
 
     The identity says the discriminant B^2 - 4AC of the union quadratic
-    vanishes. Returns None when both sides vanish against the scale of their
-    terms (degenerate: both line sets are already designs, or they coincide).
+    vanishes. Returns None when both line sets are t-designs (degenerate: both
+    sides vanish), and 0.0 when both sides are exactly zero (coinciding sets).
     """
+    if abs(b_xx - c_t) <= tol.rel_eq * c_t and abs(b_yy - c_t) <= tol.rel_eq * c_t:
+        return None
     lhs = b_xx * b_yy - b_xy * b_xy
     rhs = c_t * (b_xx + b_yy - 2.0 * b_xy)
-    scale = b_xx * b_yy + c_t * (b_xx + b_yy + 2.0 * abs(b_xy))
-    if max(abs(lhs), abs(rhs)) <= DEGENERATE_TOL * scale:
-        return None
+    if lhs == rhs == 0.0:
+        return 0.0
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
 
@@ -209,8 +210,8 @@ class DoubleRootCheck:
     """Outcome of the discriminant-zero structure check.
 
     The quadratic has a double root exactly when pair_identity holds; then
-    beta_X = (b_yy - b_xy)/(b_xx + b_yy - 2 b_xy) in closed form. For a pair
-    of designs both sides vanish and the check is vacuous (degenerate).
+    beta_X = (b_yy - b_xy)/(b_xx + b_yy - 2 b_xy) in closed form, unless A = 0
+    (coinciding sets). For a pair of designs the check is vacuous (degenerate).
     """
 
     holds: bool
@@ -229,13 +230,12 @@ def check_double_root(sol: UnionSolution) -> DoubleRootCheck:
     residual = pair_identity(q.b_xx, q.b_yy, q.b_xy, float(q.c_t))
     if residual is None:
         return DoubleRootCheck(True, True, 0.0, None, None)
-    beta_x = (q.b_yy - q.b_xy) / q.a
-    beta_y = (q.b_xx - q.b_xy) / q.a
-    agreement = None
-    if sol.preferred_root is not None:
-        agreement = abs(beta_x - sol.preferred_root.alpha)
-    return DoubleRootCheck(residual <= DOUBLE_ROOT_TOL, False, residual,
-                           (beta_x, beta_y), agreement)
+    closed = agreement = None
+    if q.a != 0.0:
+        closed = ((q.b_yy - q.b_xy) / q.a, (q.b_xx - q.b_xy) / q.a)
+        if sol.preferred_root is not None:
+            agreement = abs(closed[0] - sol.preferred_root.alpha)
+    return DoubleRootCheck(residual <= DOUBLE_ROOT_TOL, False, residual, closed, agreement)
 
 
 def _serialize_lines(lines: np.ndarray) -> list:
@@ -319,21 +319,24 @@ def _load_certificate(source) -> dict:
 def verify_certificate(source, tol: Tolerance = DEFAULT_TOL) -> VerifyResult:
     """Re-verify a certificate from its stored lines and weights.
 
-    Structural problems raise CertificateError; numerical discrepancies are
-    verification failures reported in `reasons`.
+    Every order 1..t is recomputed, with any further stored order; an order
+    1..t with no stored residual fails. Structural problems raise
+    CertificateError; numerical discrepancies are verification failures
+    reported in `reasons`.
     """
     cert = _load_certificate(source)
     for key, typ in _CERT_KEYS.items():
         if key not in cert:
             raise CertificateError(f"certificate missing key {key!r}")
-        if not isinstance(cert[key], typ):
+        # bool is a subclass of int, so JSON true would pass as an integer
+        if not isinstance(cert[key], typ) or (typ is int and isinstance(cert[key], bool)):
             raise CertificateError(f"certificate key {key!r} has wrong type")
     if cert["schema"] != 1:
         raise CertificateError(f"unsupported schema {cert['schema']}")
     if cert["field"] not in ("R", "C"):
         raise CertificateError("field must be 'R' or 'C'")
-    if cert["dim"] < 1:
-        raise CertificateError("dim must be positive")
+    if cert["dim"] < 1 or cert["t"] < 1:
+        raise CertificateError("dim and t must be positive")
     try:
         lines = _parse_lines(cert["lines"], cert["field"])
         weights = [parse_rational(w) for w in cert["weights"]]
@@ -355,22 +358,25 @@ def verify_certificate(source, tol: Tolerance = DEFAULT_TOL) -> VerifyResult:
     if wsum != 1:
         reasons.append(f"weights sum to {wsum}, not 1")
     try:
-        stored = sorted((int(t), float(r)) for t, r in cert["residuals"].items())
+        held = {int(t): float(r) for t, r in cert["residuals"].items()}
     except (ValueError, TypeError) as exc:
         raise CertificateError(f"malformed residuals: {exc}") from exc
-    if any(t < 1 for t, _ in stored):
-        raise CertificateError("residual orders must be positive integers")
-    if not all(math.isfinite(r) for _, r in stored):
+    if min(held, default=1) < 1 or len(held) != len(cert["residuals"]):
+        raise CertificateError("residual orders must be distinct positive integers")
+    if not all(math.isfinite(r) for r in held.values()):
         raise CertificateError("stored residuals must be finite numbers")
-    pots = moments(lines, w, lines, w, [t for t, _ in stored])
+    orders = sorted(held.keys() | set(range(1, cert["t"] + 1)))
     residuals = {}
-    for (t, r), p in zip(stored, pots):
+    for t, p in zip(orders, moments(lines, w, lines, w, orders)):
         c_t = float(welch_constant(cert["field"], cert["dim"], t))
         recomputed = (p - c_t) / c_t
-        residuals[t] = (r, recomputed)
         if abs(recomputed) > tol.rel_eq:
             reasons.append(f"t={t}: recomputed residual {recomputed:.3e} exceeds tolerance")
-        if abs(recomputed - r) > tol.rel_eq:
-            reasons.append(f"t={t}: stored residual {r:.3e} disagrees "
+        if t not in held:
+            reasons.append(f"t={t}: no stored residual")
+            continue
+        residuals[t] = (held[t], recomputed)
+        if abs(recomputed - held[t]) > tol.rel_eq:
+            reasons.append(f"t={t}: stored residual {held[t]:.3e} disagrees "
                            f"with recomputed {recomputed:.3e}")
     return VerifyResult(not reasons, tuple(reasons), residuals)

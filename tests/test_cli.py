@@ -208,6 +208,39 @@ def test_verify_bad_residual_order_exit(capsys, tmp_path, key):
     assert "residual" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stored", [{"1": 0.0}, {}])
+def test_verify_recomputes_every_claimed_order(capsys, tmp_path, stored):
+    # uniform weights on the binO 6+12 union are a 3-design but not the
+    # claimed 5-design; the certificate stores no residual to disagree with
+    path = tmp_path / "c18.json"
+    assert main(["union", "binO", "--x", "@1", "--y", "@3", "--t", "5",
+                 "--emit", str(path)]) == 0
+    cert = json.loads(path.read_text())
+    cert["weights"] = ["1/18"] * 18
+    cert["residuals"] = stored
+    path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    code, payload = run_json(capsys, "verify", str(path))
+    assert code == 1
+    missing = [f"t={t}: no stored residual" for t in range(1, 6) if str(t) not in stored]
+    assert [r for r in payload["reasons"] if "no stored" in r] == missing
+    assert any(r.startswith("t=4: recomputed residual") for r in payload["reasons"])
+    assert not any(r.startswith("t=3: recomputed") for r in payload["reasons"])
+
+
+@pytest.mark.parametrize("key", ["schema", "dim", "t"])
+def test_verify_rejects_boolean_integers(capsys, tmp_path, key):
+    path = tmp_path / "cert.json"
+    assert main(["union", "B(2)", "--x", "@1", "--y", "@2", "--t", "2",
+                 "--emit", str(path)]) == 0
+    cert = json.loads(path.read_text())
+    cert[key] = True
+    path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 3
+    assert f"key {key!r} has wrong type" in capsys.readouterr().err
+
+
 def test_verify_structural_error_exit(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
@@ -231,6 +264,13 @@ def test_scan_json_payload(capsys):
     assert payload["t_generic"] == 1
     assert payload["t_pairs"] == [2, 3]
     assert len(payload["verdicts"]) == 4
+    assert payload["harmonic_invariants"] == [0, 1, 0, 1]
+
+
+def test_scan_contradicting_sample_exit(capsys, monkeypatch):
+    monkeypatch.setattr("orbitdesigns.pairscan._harmonic_invariants", lambda g, t: [0] * t)
+    assert main(["scan", "heis(3)", "--tmax", "3", "--samples", "2"]) == 3
+    assert "invariant harmonics" in capsys.readouterr().err
 
 
 def test_scan_heisenberg(capsys):

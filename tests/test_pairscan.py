@@ -1,13 +1,15 @@
-"""Randomized two-orbit identity scan and its building blocks."""
+"""Two-orbit identity scan: invariant counts, sampled pairs and building blocks."""
 from __future__ import annotations
 
 import json
+import types
 
 import numpy as np
 import pytest
 
 from orbitdesigns import (
     DEFAULT_TOL,
+    ConsistencyError,
     build_group,
     check_double_root,
     orbit_lines,
@@ -17,7 +19,7 @@ from orbitdesigns import (
     welch_constant,
 )
 from orbitdesigns.cli import _load_expectations, _resolve_seed
-from orbitdesigns.pairscan import _classify, _p_G, _p_triple
+from orbitdesigns.pairscan import _classify, _harmonic_invariants, _p_G, _p_triple
 
 
 def _unit(rng, dim, field):
@@ -166,19 +168,22 @@ def test_scan_even_dihedral_window():
 
 
 def test_scan_rotation_group_has_no_pair_window():
+    # cos(10 theta) and sin(10 theta) are both rot(5)-invariant: two
+    # conditions on one weight, so a generic pair fails at t = 5
     rep = scan(build_group("rot(5)"), t_max=6, samples=8, seed=0)
+    assert rep.harmonic_invariants == (0, 0, 0, 0, 2, 0)
     assert rep.t_generic == 4
     assert rep.t_pairs is None
-    assert rep.verdict_at(5) == "indeterminate"
+    assert rep.verdict_at(5) == "fails"
 
 
 def test_scan_survives_all_degenerate_orders():
-    # every rot(5) pair is degenerate through t = 4, so the redraw budget
-    # runs out and the scan reports what it saw
+    # every rot(5) orbit is a 4-design, so every pair is degenerate through t = 4
     rep = scan(build_group("rot(5)"), t_max=4, samples=4, seed=0)
     assert all(v == "degenerate" for v in rep.verdicts)
+    assert all(rep.unanimous)
+    assert rep.t_generic == 4
     assert rep.t_pairs is None
-    assert max(r.redraws for r in rep.sample_records) == 8
 
 
 def test_scan_heisenberg_fails_above_one():
@@ -220,5 +225,80 @@ def test_scan_report_invariants():
         # degenerate verdicts only where both sampled orbits are designs
         for t in range(1, 7):
             if record.verdicts[t - 1] == "degenerate":
-                assert record.strength_x >= t
-                assert record.strength_y >= t
+                c_t = float(welch_constant("R", 2, t))
+                for p in (record.p_xx[t - 1], record.p_yy[t - 1]):
+                    assert abs(p - c_t) <= DEFAULT_TOL.rel_eq * c_t
+
+
+def _degree_series(degrees, t_max):
+    """Coefficients of s^2, s^4, ..., s^(2 t_max) in prod_{i >= 2} 1/(1 - s^d_i)."""
+    coeffs = [1] + [0] * (2 * t_max)
+    for d in degrees[1:]:  # the quadratic invariant |x|^2 is not harmonic
+        for n in range(d, len(coeffs)):
+            coeffs[n] += coeffs[n - d]
+    return coeffs[2::2]
+
+
+@pytest.mark.parametrize("label, degrees", [
+    ("A(4)", (2, 3, 4, 5)),
+    ("B(5)", (2, 4, 6, 8, 10)),
+    ("D(4)", (2, 4, 4, 6)),
+    ("H3", (2, 6, 10)),
+    ("H4", (2, 12, 20, 30)),
+    ("dihedral(7)", (2, 7)),
+])
+def test_harmonic_invariants_match_coxeter_degrees(label, degrees):
+    # a reflection group's invariants are free on forms of the degrees d_i
+    assert _harmonic_invariants(build_group(label), 10) == _degree_series(degrees, 10)
+
+
+def test_harmonic_invariants_of_explicit_f4(f4_path):
+    g = build_group(f"explicit:{f4_path}")
+    assert _harmonic_invariants(g, 10) == _degree_series((2, 6, 8, 12), 10)
+
+
+def test_harmonic_invariants_binary_icosahedral():
+    # the icosahedral invariants on the sphere CP^1 have degrees 6, 10, 12, ...
+    assert _harmonic_invariants(build_group("binI"), 10) == [0, 0, 0, 0, 0, 1, 0, 0, 0, 1]
+
+
+def test_harmonic_invariants_reject_a_non_group():
+    c, s = np.cos(1.0), np.sin(1.0)
+    fake = types.SimpleNamespace(elements=np.array([[[c, -s], [s, c]]]), field="R",
+                                 spec="rotation by 1 rad")
+    with pytest.raises(ConsistencyError, match="miss an integer"):
+        _harmonic_invariants(fake, 3)
+
+
+@pytest.mark.parametrize("label, seed, t_generic, t_pairs", [
+    ("binI", 2, 5, (6, 9)),  # a near-design pair used to exit 3 ("f vanished")
+    ("binI", 12, 5, (6, 9)),
+    ("H4", 134, 5, (6, 9)),
+    ("H4", 86, 5, (6, 9)),  # an indeterminate sample used to drop t_pairs
+    ("B(5)", 732, 1, (2, 2)),
+])
+def test_scan_regressions(label, seed, t_generic, t_pairs):
+    rep = scan(build_group(label), seed=seed)
+    assert (rep.t_generic, rep.t_pairs) == (t_generic, t_pairs)
+    assert rep.verdict_at(t_pairs[1] + 1) == "fails"
+
+
+def test_near_design_pair_is_not_degenerate():
+    # the binI seed-2 sample 2 misses the 6-design by about 1e-3 on both
+    # orbits, so both sides of the identity are tiny, yet neither is a design
+    rec = scan(build_group("binI"), seed=2).sample_records[2]
+    c6 = float(welch_constant("C", 2, 6))
+    verdict, residual = _classify(rec.p_xx[5], rec.p_yy[5], rec.p_xy[5], c6)
+    assert abs(rec.p_xx[5] - c6) > 1e-4 * c6
+    assert verdict != "degenerate"
+    # S_6 = 1, so the identity holds exactly; the float residual is the
+    # rounding noise of b_xx b_yy - b_xy^2 ~ 6e-12
+    assert residual < 1e-6
+
+
+def test_scan_raises_on_a_contradicting_sample(monkeypatch):
+    # heis(3) pairs fail at t = 2; counts that call every pair degenerate
+    # there are contradicted by the first sample
+    monkeypatch.setattr("orbitdesigns.pairscan._harmonic_invariants", lambda g, t: [0] * t)
+    with pytest.raises(ConsistencyError, match="sample 0 is fails at t=2"):
+        scan(build_group("heis(3)"), t_max=3, samples=2, seed=0)

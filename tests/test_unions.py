@@ -232,6 +232,17 @@ def test_check_double_root_degenerate_for_design_pair():
     assert chk.closed_beta is None
 
 
+def test_check_double_root_on_coinciding_orbits():
+    # X with itself: A = B = 0 and both sides of the identity are exactly 0
+    X = _orbit("B(3)", 2)
+    sol = solve_union(X, X, 3)
+    assert sol.quad.a == 0.0
+    chk = check_double_root(sol)
+    assert chk.holds and not chk.degenerate
+    assert chk.residual == 0.0
+    assert chk.closed_beta is None
+
+
 def test_explicit_group_pairs(f4_path):
     g = build_group(f"explicit:{f4_path}")
     short12 = orbit_lines(g, np.array([1.0, 0.0, 0.0, 0.0]))
