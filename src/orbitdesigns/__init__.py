@@ -48,12 +48,10 @@ from .numerics import (
 from .orbits import LineSet, canonical_line, format_vector, orbit_lines, parse_vector, union_lines
 from .pairscan import PairSample, PairScanReport, scan
 from .unions import (
-    DoubleRootCheck,
     PairQuadratic,
     RootSolution,
     UnionSolution,
     VerifyResult,
-    check_double_root,
     emit_certificate,
     pair_quadratic,
     solve_union,
@@ -69,7 +67,6 @@ __all__ = [
     "DEFAULT_TOL",
     "DegeneracyError",
     "DesignReport",
-    "DoubleRootCheck",
     "FiniteMatrixGroup",
     "GroupSpec",
     "InputError",
@@ -92,7 +89,6 @@ __all__ = [
     "canonical_line",
     "catalog",
     "catalog_entry",
-    "check_double_root",
     "close_group",
     "compensated_sum",
     "cross_potential",

@@ -215,7 +215,7 @@ def _root_payload(root) -> dict:
         "residual": root.residual,
         "convex": root.convex,
         "boundary": root.boundary,
-        "double_root": root.from_double_root,
+        "double_root": True,  # every real root of the union quadratic is double
     }
 
 
@@ -234,8 +234,8 @@ def cmd_union(args, cfg: CliConfig) -> int:
         "c_t": format_rational(q.c_t),
         "discriminant": sol.discriminant,
         "degenerate": sol.degenerate,
-        "roots": [_root_payload(r) for r in sol.roots],
-        "preferred": sol.preferred,
+        "roots": [_root_payload(sol.root)] if sol.root else [],
+        "preferred": 0 if sol.root else None,
     }
     out = [
         f"group: {g.spec.label} (t = {sol.t})",
@@ -254,28 +254,25 @@ def cmd_union(args, cfg: CliConfig) -> int:
         out.append("no real root: this pair admits no union weighting")
         _emit(payload, cfg.fmt, out)
         return 2
-    for i, r in enumerate(sol.roots):
-        mark = " (preferred)" if i == sol.preferred else ""
-        beta = ("beta = (%s, %s)" % tuple(format_rational(b) for b in r.beta)
-                if r.beta else f"alpha = {r.alpha:.12g} (no snap)")
-        what = (", w_hat = (%s, %s)" % tuple(format_rational(w) for w in r.w_hat)
-                if r.w_hat else "")
-        out.append(f"root {i}: {beta}{what}, residual {r.residual:.3e}{mark}")
+    r = sol.root
+    beta = ("beta = (%s, %s)" % tuple(format_rational(b) for b in r.beta)
+            if r.beta else f"alpha = {r.alpha:.12g} (no snap)")
+    what = (", w_hat = (%s, %s)" % tuple(format_rational(w) for w in r.w_hat)
+            if r.w_hat else "")
+    out.append(f"root 0: {beta}{what}, residual {r.residual:.3e} (preferred)")
     if sol.verified is not None:
         payload["verified_strength"] = sol.verified.strength
         payload["union_lines"] = sol.union.n_lines
         out.append(f"verified strength: {sol.t}-{sol.verified.strength}"
                    if sol.verified.strength > sol.t
                    else f"verified strength: {sol.verified.strength}")
-    best = sol.preferred_root
-    if best is not None and best.beta is not None:
+    if r.beta is not None:
         cert = emit_certificate(sol, X, Y, path=args.emit)
         payload["certificate"] = cert
         if args.emit:
             out.append(f"certificate written: {args.emit}")
-    elif args.emit:  # roots exist here, so the preferred root did not snap
-        print(f"no certificate written: root {sol.preferred} did not snap to a rational",
-              file=sys.stderr)
+    elif args.emit:
+        print("no certificate written: root 0 did not snap to a rational", file=sys.stderr)
     _emit(payload, cfg.fmt, out)
     return 0
 
@@ -348,7 +345,7 @@ def _run_expectation(row: dict, cfg: CliConfig) -> tuple[bool, str]:
     if not row["betaX"]:
         return sol.empty, f"{shape}: expected no real root"
     expect_beta = (parse_rational(row["betaX"]), parse_rational(row["betaY"]))
-    best = sol.preferred_root
+    best = sol.root
     got_beta = best.beta if best is not None else None
     if got_beta != expect_beta:
         return False, (f"{shape}: beta {_fmt_pair(got_beta)} != expected "

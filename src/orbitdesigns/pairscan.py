@@ -13,7 +13,8 @@ strength t exactly when
 
     f_G = c_t (p_xx + p_yy - 2 p_xy),
 
-the identity that unions.pair_identity tests.
+the identity that unions.pair_identity tests; a residual within
+unions.IDENTITY_TOL holds here and gives solve_union its root.
 
 By Sobolev's theorem an orbit Gx is a (t,t)-design exactly when the S_t
 G-invariant harmonics phi_i of bidegree (k,k), k <= t, vanish at x. The union
@@ -33,10 +34,9 @@ from .designs import moments, welch_constant
 from .errors import ConsistencyError, InputError
 from .groups import FiniteMatrixGroup
 from .numerics import DEFAULT_TOL, Tolerance
-from .unions import pair_identity
+from .unions import IDENTITY_TOL, pair_identity
 
-HOLDS_TOL = 1e-7  # identity residual at or below this is a hold
-FAILS_TOL = 1e-3  # at or above this is a fail; between is indeterminate
+FAILS_TOL = 1e-3  # identity residual at or above this fails; above IDENTITY_TOL, indeterminate
 MOLIEN_TOL = 1e-6  # a Molien mean this far from an integer is an error
 
 
@@ -59,7 +59,7 @@ def _classify(p_xx: float, p_yy: float, p_xy: float, c_t: float,
     residual = pair_identity(p_xx, p_yy, p_xy, c_t, tol)
     if residual is None:
         return "degenerate", None
-    if residual <= HOLDS_TOL:
+    if residual <= IDENTITY_TOL:
         return "holds", residual
     if residual >= FAILS_TOL:
         return "fails", residual

@@ -6,6 +6,13 @@ The union with weights (alpha w^X, (1-alpha) w^Y) is a (t,t)-design iff
     A alpha^2 + B alpha + C = 0,
     A = b_xx + b_yy - 2 b_xy,  B = 2 b_xy - 2 b_yy,  C = b_yy - c_t.
 
+The left side is the union's potential minus c_t. For unit lines and any real
+weights summing to 1 the potential is at least c_t (the Welch bound, the
+variational characterisation of designs), so the quadratic is >= 0 for every
+real alpha: A >= 0 and B^2 - 4AC <= 0. A real root is therefore a double root,
+alpha = (b_yy - b_xy)/A, and it exists exactly when the pair identity
+b_xx b_yy - b_xy^2 = c_t A holds; pair_identity is the one test for it.
+
 Roots are snapped to rationals, re-verified by substitution and by a strength
 report on the weighted union, and can be serialized as a JSON certificate.
 """
@@ -30,8 +37,7 @@ from .numerics import (
 )
 from .orbits import LineSet, union_lines
 
-DOUBLE_ROOT_TOL = 1e-8  # identity tolerance for the discriminant-zero check
-ROOT_COLLAPSE_TOL = 1e-6  # two roots closer than this (relative) are one double root
+IDENTITY_TOL = 1e-7  # pair_identity residual at or below this is a double root
 
 
 @dataclass(frozen=True)
@@ -53,7 +59,7 @@ class PairQuadratic:
 
 @dataclass(frozen=True)
 class RootSolution:
-    """One root of the union quadratic, snapped and re-verified."""
+    """The double root of the union quadratic, snapped and re-verified."""
 
     alpha: float
     beta: tuple | None  # (Fraction, Fraction) when the root snapped
@@ -61,7 +67,6 @@ class RootSolution:
     residual: float  # |A a^2 + B a + C| at the (snapped) root
     convex: bool
     boundary: bool
-    from_double_root: bool
 
 
 @dataclass(frozen=True)
@@ -73,19 +78,15 @@ class UnionSolution:
     n_y: int
     quad: PairQuadratic
     discriminant: float
-    degenerate: bool  # all coefficients vanish: any weighting works
-    roots: tuple
-    preferred: int | None
+    degenerate: bool  # both sets are t-designs: any weighting works
+    identity_residual: float | None  # pair_identity; None when degenerate
+    root: RootSolution | None  # the double root, when the identity holds
     union: LineSet | None
     verified: DesignReport | None
 
     @property
     def empty(self) -> bool:
-        return not self.roots and not self.degenerate
-
-    @property
-    def preferred_root(self) -> RootSolution | None:
-        return self.roots[self.preferred] if self.preferred is not None else None
+        return self.root is None and not self.degenerate
 
 
 def pair_quadratic(X: LineSet, Y: LineSet, t: int,
@@ -103,43 +104,7 @@ def pair_quadratic(X: LineSet, Y: LineSet, t: int,
     return PairQuadratic(a, b, c, b_xx, b_yy, b_xy, c_t)
 
 
-def _solve_roots(q: PairQuadratic, tol: Tolerance) -> tuple[list[float], list[bool], bool, float]:
-    """Float roots of the quadratic with near-zero handling.
-
-    Coefficients within rel_eq of zero (relative to the potential scale) are
-    treated as exactly zero; this resolves boundary rows where B and C vanish
-    analytically but carry float dust. Returns (roots, is_double flags,
-    degenerate, discriminant).
-    """
-    eps = tol.rel_eq * q.scale
-    a = q.a if abs(q.a) > eps else 0.0
-    b = q.b if abs(q.b) > eps else 0.0
-    c = q.c if abs(q.c) > eps else 0.0
-    disc = b * b - 4.0 * a * c
-    if a == 0.0 and b == 0.0 and c == 0.0:
-        return [], [], True, disc
-    if a == 0.0 and b == 0.0:
-        return [], [], False, disc
-    if a == 0.0:
-        return [-c / b], [False], False, disc
-    if abs(disc) <= tol.rel_eq * max(b * b, abs(4.0 * a * c)):
-        return [-b / (2.0 * a)], [True], False, disc
-    if disc < 0.0:
-        return [], [], False, disc
-    sq = math.sqrt(disc)
-    if b == 0.0:
-        r = sq / (2.0 * a)
-        roots = sorted([-r, r])
-    else:
-        # standard cancellation-free form
-        qq = -(b + math.copysign(sq, b)) / 2.0
-        roots = sorted([qq / a, c / qq])
-    if abs(roots[0] - roots[1]) <= ROOT_COLLAPSE_TOL * max(1.0, abs(roots[0]), abs(roots[1])):
-        return [(roots[0] + roots[1]) / 2.0], [True], False, disc
-    return roots, [False, False], False, disc
-
-
-def _build_root(alpha: float, double: bool, q: PairQuadratic, n_x: int, n_y: int,
+def _build_root(alpha: float, q: PairQuadratic, n_x: int, n_y: int,
                 tol: Tolerance) -> RootSolution:
     snapped = snap_to_rational(alpha, tol)
     beta = w_hat = None
@@ -152,38 +117,33 @@ def _build_root(alpha: float, double: bool, q: PairQuadratic, n_x: int, n_y: int
         boundary = snapped == 0 or snapped == 1
     residual = abs(q.a * a_val * a_val + q.b * a_val + q.c)
     convex = (not boundary) and 0.0 < a_val < 1.0
-    return RootSolution(a_val, beta, w_hat, residual, convex, boundary, double)
+    return RootSolution(a_val, beta, w_hat, residual, convex, boundary)
 
 
 def solve_union(X: LineSet, Y: LineSet, t: int, tol: Tolerance = DEFAULT_TOL,
                 t_max: int = 12) -> UnionSolution:
-    """Solve the union quadratic, snap roots, and verify the preferred union.
+    """Solve the union quadratic, snap its root, and verify the weighted union.
 
-    Root preference: convex interior root, then boundary {0, 1}, then signed;
-    ties go to the root nearer 1/2. The preferred snapped root's union is
-    assembled and its strength certified up to max(t, t_max).
+    The pair is degenerate when pair_identity finds both sets t-designs. It
+    has a root when the identity holds within IDENTITY_TOL and A survives the
+    dust zeroing (coefficients within rel_eq of zero, relative to the
+    potential scale, count as zero); the root is then the double root -B/(2A).
+    A snapped root's union is assembled and its strength certified up to
+    max(t, t_max).
     """
     q = pair_quadratic(X, Y, t, tol)
-    raw_roots, doubles, degenerate, disc = _solve_roots(q, tol)
-    roots = tuple(
-        _build_root(r, d, q, X.n_lines, Y.n_lines, tol)
-        for r, d in zip(raw_roots, doubles)
-    )
-    preferred = None
-    if roots:
-        def rank(i: int):
-            r = roots[i]
-            category = 0 if r.convex else (1 if r.boundary else 2)
-            return (category, abs(r.alpha - 0.5), i)
-        preferred = min(range(len(roots)), key=rank)
-    union = verified = None
-    best = roots[preferred] if preferred is not None else None
-    if best is not None and best.beta is not None:
-        union = union_lines(X, Y, best.beta, tol)
+    residual = pair_identity(q.b_xx, q.b_yy, q.b_xy, float(q.c_t), tol)
+    eps = tol.rel_eq * q.scale
+    a, b, c = (v if abs(v) > eps else 0.0 for v in (q.a, q.b, q.c))
+    root = union = verified = None
+    if residual is not None and residual <= IDENTITY_TOL and a != 0.0:
+        root = _build_root(-b / (2.0 * a), q, X.n_lines, Y.n_lines, tol)
+    if root is not None and root.beta is not None:
+        union = union_lines(X, Y, root.beta, tol)
         verified = strength(union, max(t, t_max), tol)
     return UnionSolution(
-        t=t, n_x=X.n_lines, n_y=Y.n_lines, quad=q, discriminant=disc,
-        degenerate=degenerate, roots=roots, preferred=preferred,
+        t=t, n_x=X.n_lines, n_y=Y.n_lines, quad=q, discriminant=b * b - 4.0 * a * c,
+        degenerate=residual is None, identity_residual=residual, root=root,
         union=union, verified=verified,
     )
 
@@ -193,49 +153,20 @@ def pair_identity(b_xx: float, b_yy: float, b_xy: float, c_t: float,
     """Relative residual of the double-root identity b_xx b_yy - b_xy^2 = c_t A.
 
     The identity says the discriminant B^2 - 4AC of the union quadratic
-    vanishes. Returns None when both line sets are t-designs (degenerate: both
-    sides vanish), and 0.0 when both sides are exactly zero (coinciding sets).
+    vanishes. The difference of its sides is formed from the deviations
+    d = b - c_t, as d_xx d_yy - d_xy^2, which keeps its digits when both sets
+    are near designs; it is taken relative to the larger side. Returns None
+    when both line sets are t-designs (degenerate: both sides vanish), and 0.0
+    when both sides are exactly zero (coinciding sets).
     """
-    if abs(b_xx - c_t) <= tol.rel_eq * c_t and abs(b_yy - c_t) <= tol.rel_eq * c_t:
+    d_xx, d_yy, d_xy = b_xx - c_t, b_yy - c_t, b_xy - c_t
+    if abs(d_xx) <= tol.rel_eq * c_t and abs(d_yy) <= tol.rel_eq * c_t:
         return None
     lhs = b_xx * b_yy - b_xy * b_xy
     rhs = c_t * (b_xx + b_yy - 2.0 * b_xy)
     if lhs == rhs == 0.0:
         return 0.0
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-
-
-@dataclass(frozen=True)
-class DoubleRootCheck:
-    """Outcome of the discriminant-zero structure check.
-
-    The quadratic has a double root exactly when pair_identity holds; then
-    beta_X = (b_yy - b_xy)/(b_xx + b_yy - 2 b_xy) in closed form, unless A = 0
-    (coinciding sets). For a pair of designs the check is vacuous (degenerate).
-    """
-
-    holds: bool
-    degenerate: bool
-    residual: float
-    closed_beta: tuple | None  # (beta_x, beta_y) floats
-    root_agreement: float | None
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def check_double_root(sol: UnionSolution) -> DoubleRootCheck:
-    """Test the double-root identity on a solved union."""
-    q = sol.quad
-    residual = pair_identity(q.b_xx, q.b_yy, q.b_xy, float(q.c_t))
-    if residual is None:
-        return DoubleRootCheck(True, True, 0.0, None, None)
-    closed = agreement = None
-    if q.a != 0.0:
-        closed = ((q.b_yy - q.b_xy) / q.a, (q.b_xx - q.b_xy) / q.a)
-        if sol.preferred_root is not None:
-            agreement = abs(closed[0] - sol.preferred_root.alpha)
-    return DoubleRootCheck(residual <= DOUBLE_ROOT_TOL, False, residual, closed, agreement)
+    return abs(d_xx * d_yy - d_xy * d_xy) / max(abs(lhs), abs(rhs))
 
 
 def _serialize_lines(lines: np.ndarray) -> list:
@@ -252,13 +183,13 @@ def _parse_lines(data: list, field: str) -> np.ndarray:
 
 def emit_certificate(sol: UnionSolution, X: LineSet, Y: LineSet,
                      path: str | None = None) -> dict:
-    """Serialize the preferred root's weighted union as a certificate.
+    """Serialize the root's weighted union as a certificate.
 
     Residuals are stored for t = 1..verified strength, each of which passed
     the design equality; verify_certificate recomputes them from the stored
     lines and weights alone.
     """
-    best = sol.preferred_root
+    best = sol.root
     if best is None or best.beta is None or sol.union is None or sol.verified is None:
         raise NoSolutionError("certificate needs a snapped root")
     top = max(sol.verified.strength, sol.t)

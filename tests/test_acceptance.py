@@ -15,7 +15,6 @@ import exact_oracle as oracle
 from orbitdesigns import (
     build_group,
     catalog_entry,
-    check_double_root,
     cross_potential,
     orbit_lines,
     pair_quadratic,
@@ -61,7 +60,7 @@ def _frac(s):
 def _assert_row(label, sx, sy, t, beta, w_hat, expect_strength=None):
     X, Y = _orbit(label, sx), _orbit(label, sy)
     sol = solve_union(X, Y, t)
-    root = sol.preferred_root
+    root = sol.root
     assert root is not None, f"{label} ({sx};{sy}) t={t}: no root"
     assert root.beta == tuple(map(_frac, beta)), f"{label}: beta {root.beta}"
     assert root.w_hat == tuple(map(_frac, w_hat)), f"{label}: w_hat {root.w_hat}"
@@ -152,13 +151,13 @@ def test_criterion_05_binary_polyhedral_scans():
 def test_criterion_06_icosahedral_rows_and_doubling():
     with _Budget(300.0, "criterion 6: H3/H4 rows, 360-line design, 19-design doubling"):
         h3 = solve_union(_orbit("H3", "@1"), _orbit("H3", "@2"), 3)
-        assert h3.preferred_root.beta == (Fraction(5, 14), Fraction(9, 14))
+        assert h3.root.beta == (Fraction(5, 14), Fraction(9, 14))
         assert h3.verified.strength == 4
 
         X, Y = _orbit("H4", "@1"), _orbit("H4", "@2")
         assert (X.n_lines, Y.n_lines) == (60, 300)
         h4 = solve_union(X, Y, 9)
-        assert h4.preferred_root.w_hat == (Fraction(10, 7), Fraction(32, 35))
+        assert h4.root.w_hat == (Fraction(10, 7), Fraction(32, 35))
         assert h4.union.n_lines == 360
         assert h4.union.field == "R"
         # a real (9,9)-design: doubled to its 720 vectors +-x, it is a
@@ -187,11 +186,12 @@ def test_criterion_07_discriminant_structure():
     with _Budget(120.0, "criterion 7: double-root identity on every solved union"):
         for label, sx, sy, t in unions:
             sol = solve_union(_orbit(label, sx), _orbit(label, sy), t)
-            chk = check_double_root(sol)
-            assert chk.holds, (label, sx, sy)
-            assert not chk.degenerate
-            assert chk.residual <= 1e-8, (label, chk.residual)
-            assert chk.root_agreement <= 1e-9, (label, chk.root_agreement)
+            assert sol.root is not None, (label, sx, sy)
+            assert not sol.degenerate
+            assert sol.identity_residual <= 1e-8, (label, sol.identity_residual)
+            q = sol.quad
+            agreement = abs(float(sol.root.beta[0]) - (q.b_yy - q.b_xy) / q.a)
+            assert agreement <= 1e-9, (label, agreement)
 
 
 def test_criterion_08_cross_orbit_identity():

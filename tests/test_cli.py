@@ -166,6 +166,18 @@ def test_union_irrational_root_writes_no_certificate(capsys, tmp_path):
     assert "certificate" not in payload and "verified_strength" not in payload
 
 
+def test_union_near_design_pair_finds_its_root(capsys, tmp_path):
+    # the 60-line binI orbit is within 2e-7 of a 6-design; its pair with
+    # the 12-line orbit used to exit 2 ("no real root")
+    path = tmp_path / "bini.json"
+    assert main(["union", "binI", "--x", "@1", "--y", "@4", "--t", "6",
+                 "--emit", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "root 0: alpha = -0.00669256065417 (no snap)" in captured.out
+    assert captured.err == "no certificate written: root 0 did not snap to a rational\n"
+    assert not path.exists()
+
+
 def test_verify_tampered_certificate(capsys, tmp_path):
     path = tmp_path / "cert.json"
     code, _ = run_json(

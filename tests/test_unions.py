@@ -1,4 +1,4 @@
-"""Union quadratic: coefficients, roots, preference, certificates."""
+"""Union quadratic: coefficients, the double root, certificates."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -7,23 +7,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import exact_oracle as oracle
 from orbitdesigns import (
-    DEFAULT_TOL,
     CertificateError,
     MismatchError,
     NoSolutionError,
     build_group,
     catalog_entry,
-    check_double_root,
     emit_certificate,
     orbit_lines,
     pair_quadratic,
+    parse_vector,
     solve_union,
     verify_certificate,
     welch_constant,
 )
 from orbitdesigns import numerics
-from orbitdesigns.unions import PairQuadratic, _solve_roots
+from orbitdesigns.unions import IDENTITY_TOL
 
 
 def _orbit(label, ref):
@@ -50,7 +50,8 @@ def test_pair_quadratic_two_designs_degenerate():
     sol = solve_union(X, Y, 2)
     assert sol.degenerate
     assert not sol.empty
-    assert sol.roots == ()
+    assert sol.root is None
+    assert sol.identity_residual is None
 
 
 def test_pair_quadratic_mismatch():
@@ -60,17 +61,16 @@ def test_pair_quadratic_mismatch():
 
 def test_four_line_cross_root():
     sol = solve_union(_orbit("B(2)", 1), _orbit("B(2)", 2), 2)
-    root = sol.preferred_root
+    root = sol.root
     assert root.beta == (Fraction(1, 2), Fraction(1, 2))
     assert root.w_hat == (Fraction(1), Fraction(1))
-    assert root.from_double_root
     assert root.convex
     assert sol.verified.strength == 3
 
 
 def test_symmetric_group_row():
     sol = solve_union(_orbit("A(3)", 1), _orbit("A(3)", 2), 2)
-    root = sol.preferred_root
+    root = sol.root
     assert root.beta == (Fraction(2, 5), Fraction(3, 5))
     assert root.w_hat == (Fraction(14, 15), Fraction(21, 20))
     assert root.residual <= 1e-9 * float(sol.quad.c_t)
@@ -83,7 +83,7 @@ def test_six_plus_twelve_line_row():
     assert (X.n_lines, Y.n_lines) == (6, 12)
     for t in (4, 5):
         sol = solve_union(X, Y, t)
-        root = sol.preferred_root
+        root = sol.root
         assert root.beta == (Fraction(1, 5), Fraction(4, 5))
         assert root.w_hat == (Fraction(3, 5), Fraction(6, 5))
     assert sol.verified.strength == 5
@@ -96,7 +96,8 @@ def test_heisenberg_pair_has_no_real_root():
     sol = solve_union(X, Y, 2)
     assert sol.empty
     assert sol.discriminant < 0
-    assert sol.preferred_root is None
+    assert sol.identity_residual > IDENTITY_TOL
+    assert sol.root is None
     assert sol.union is None
 
 
@@ -106,10 +107,9 @@ def test_design_partner_forces_boundary_root():
     X = _orbit("B(3)", 1)
     Y = _orbit("H3", 1)
     sol = solve_union(X, Y, 2)
-    root = sol.preferred_root
+    root = sol.root
     assert root.beta == (Fraction(0), Fraction(1))
     assert root.boundary
-    assert root.from_double_root
     assert sol.verified.strength == 2
 
 
@@ -120,127 +120,113 @@ def test_affine_relations_hold_exactly():
         (lx, kx), (ly, ky) = labels
         X, Y = _orbit(lx, kx), _orbit(ly, ky)
         sol = solve_union(X, Y, t)
-        root = sol.preferred_root
+        root = sol.root
         assert root.beta[0] + root.beta[1] == 1
         assert (X.n_lines * root.w_hat[0] + Y.n_lines * root.w_hat[1]
                 == X.n_lines + Y.n_lines)
 
 
-@pytest.fixture
-def synthetic_pair(monkeypatch):
-    """Route solve_union through hand-picked quadratic coefficients.
-
-    Valid normalized inputs can never produce two distinct real roots (the
-    union potential is bounded below by c_t for every affine weighting), so
-    the multi-root ranking is exercised with synthetic coefficients.
-    """
-    X, Y = _orbit("B(2)", 1), _orbit("B(2)", 2)
-
-    def plant(a, b, c):
-        quad = PairQuadratic(a, b, c, 1.0, 1.0, 0.0, Fraction(1, 2))
-        monkeypatch.setattr("orbitdesigns.unions.pair_quadratic",
-                            lambda *args, **kwargs: quad)
-        return X, Y
-
-    return plant
-
-
-def test_two_roots_prefer_convex(synthetic_pair):
-    # roots 1/4 (convex) and 3/2 (signed)
-    X, Y = synthetic_pair(1.0, -7.0 / 4.0, 3.0 / 8.0)
-    sol = solve_union(X, Y, 2)
-    assert len(sol.roots) == 2
-    assert sol.preferred_root.beta == (Fraction(1, 4), Fraction(3, 4))
-    assert sol.preferred_root.convex
-    assert not sol.roots[1 - sol.preferred].convex
-
-
-def test_two_roots_prefer_convex_over_boundary(synthetic_pair):
-    # roots 0 (boundary) and 2/3 (convex)
-    X, Y = synthetic_pair(1.0, -2.0 / 3.0, 0.0)
-    sol = solve_union(X, Y, 2)
-    assert len(sol.roots) == 2
-    assert sol.preferred_root.beta == (Fraction(2, 3), Fraction(1, 3))
-
-
-def test_two_roots_prefer_boundary_over_signed(synthetic_pair):
-    # roots -1 (signed) and 1 (boundary)
-    X, Y = synthetic_pair(1.0, 0.0, -1.0)
-    sol = solve_union(X, Y, 2)
-    assert len(sol.roots) == 2
-    assert sol.preferred_root.beta == (Fraction(1), Fraction(0))
-    assert sol.preferred_root.boundary
-
-
-def test_two_root_tie_breaks_deterministically(synthetic_pair):
-    # roots 1/4 and 3/4 are both convex and equidistant from 1/2; the
-    # lower root wins by index order
-    X, Y = synthetic_pair(1.0, -1.0, 3.0 / 16.0)
-    sol = solve_union(X, Y, 2)
-    assert len(sol.roots) == 2
-    assert sol.preferred_root.beta == (Fraction(1, 4), Fraction(3, 4))
-
-
-def test_linear_fallback_when_leading_coefficient_vanishes():
-    q = PairQuadratic(0.0, 2.0, -1.0, 1.0, 1.0, 0.5, Fraction(1, 2))
-    roots, doubles, degenerate, _ = _solve_roots(q, DEFAULT_TOL)
-    assert roots == [0.5]
-    assert doubles == [False]
-    assert not degenerate
-
-
-def test_solve_roots_snaps_dust_coefficients():
-    q = PairQuadratic(0.4, 1e-12, -1e-13, 1.0, 1.0, 0.8, Fraction(1, 3))
-    roots, doubles, degenerate, _ = _solve_roots(q, DEFAULT_TOL)
-    assert roots == [0.0]
-    assert doubles == [True]
-    assert not degenerate
-
-
-def test_solve_roots_collapses_near_double_pair():
-    # distinct floating roots +-1e-7 merge to their midpoint
-    q = PairQuadratic(1.0, 0.0, -1e-14, 0.0, 0.0, 0.0, Fraction(1, 10**9))
-    roots, doubles, _, disc = _solve_roots(q, DEFAULT_TOL)
-    assert disc > 0
-    assert roots == [0.0]
-    assert doubles == [True]
+def _closed_beta(q):
+    """beta_X = (b_yy - b_xy)/A, the double root in closed form."""
+    return (q.b_yy - q.b_xy) / q.a
 
 
 def test_check_double_root_cross():
     sol = solve_union(_orbit("B(2)", 1), _orbit("B(2)", 2), 2)
-    chk = check_double_root(sol)
-    assert chk
-    assert not chk.degenerate
-    assert chk.residual <= 1e-8
-    assert abs(chk.closed_beta[0] - 0.5) <= 1e-9
-    assert chk.root_agreement <= 1e-9
+    assert not sol.degenerate
+    assert sol.identity_residual <= 1e-8
+    assert abs(_closed_beta(sol.quad) - 0.5) <= 1e-9
+    assert abs(_closed_beta(sol.quad) - sol.root.alpha) <= 1e-9
 
 
 def test_check_double_root_icosahedral_pair():
     sol = solve_union(_orbit("H3", 1), _orbit("H3", 2), 3)
-    assert sol.preferred_root.beta == (Fraction(5, 14), Fraction(9, 14))
-    chk = check_double_root(sol)
-    assert chk.holds
-    assert abs(chk.closed_beta[0] - 5.0 / 14.0) <= 1e-9
+    assert sol.root.beta == (Fraction(5, 14), Fraction(9, 14))
+    assert sol.identity_residual <= IDENTITY_TOL
+    assert abs(_closed_beta(sol.quad) - 5.0 / 14.0) <= 1e-9
 
 
 def test_check_double_root_degenerate_for_design_pair():
     sol = solve_union(_orbit("dihedral(3)", 1), _orbit("dihedral(3)", 2), 2)
-    chk = check_double_root(sol)
-    assert chk.holds
-    assert chk.degenerate
-    assert chk.closed_beta is None
+    assert sol.degenerate
+    assert sol.identity_residual is None
+    assert sol.root is None
 
 
 def test_check_double_root_on_coinciding_orbits():
-    # X with itself: A = B = 0 and both sides of the identity are exactly 0
+    # X with itself: A = B = 0 and both sides of the identity are exactly 0,
+    # so the identity holds, but with A = 0 no weighting makes X a design
     X = _orbit("B(3)", 2)
     sol = solve_union(X, X, 3)
     assert sol.quad.a == 0.0
-    chk = check_double_root(sol)
-    assert chk.holds and not chk.degenerate
-    assert chk.residual == 0.0
-    assert chk.closed_beta is None
+    assert not sol.degenerate
+    assert sol.identity_residual == 0.0
+    assert sol.root is None and sol.empty
+
+
+_ORACLE_SEEDS = {
+    "A(3)": [(1, 1, -1, -1), (3, -1, -1, -1), (1, -1, 0, 0), (3, 1, -2, -2)],
+    "B(2)": [(1, 0), (1, 1), (1, 2), (1, 3)],
+    "B(3)": [(1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 2, 0), (1, 2, 3)],
+    "D(3)": [(1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 2, 0), (1, 2, 3)],
+}
+
+
+def test_union_quadratic_is_nonnegative_in_exact_arithmetic():
+    # the union potential is at least c_t for every real weighting, so
+    # A >= 0 and B^2 - 4AC <= 0: a real root is a double root, and
+    # solve_union finds it exactly when the exact discriminant vanishes
+    outcomes = []
+    for label, seeds in _ORACLE_SEEDS.items():
+        elements, d = oracle.oracle_group(label)
+        g = build_group(label)
+        exact = [oracle.orbit(elements, s) for s in seeds]
+        lines = [orbit_lines(g, np.array(s, dtype=float)) for s in seeds]
+        for i in range(len(seeds)):
+            for j in range(i + 1, len(seeds)):
+                for t in range(1, 6):
+                    a, b, c, b_xx, b_yy, _ = oracle.quadratic(exact[i], exact[j], d, t)
+                    case = (label, seeds[i], seeds[j], t)
+                    assert a >= 0 and b * b - 4 * a * c <= 0, case
+                    sol = solve_union(lines[i], lines[j], t, t_max=t)
+                    c_t = oracle.welch("R", d, t)
+                    if b_xx == c_t and b_yy == c_t:
+                        assert sol.degenerate, case
+                        outcomes.append("degenerate")
+                    elif b * b - 4 * a * c == 0 and a != 0:
+                        assert sol.root.beta[0] == oracle.double_root(a, b, c), case
+                        outcomes.append("root")
+                    else:
+                        assert sol.empty, case
+                        outcomes.append("none")
+    assert [outcomes.count(k) for k in ("degenerate", "root", "none")] == [32, 36, 92]
+
+
+@pytest.mark.parametrize("t", [6, 7, 8])
+@pytest.mark.parametrize("x", [1, 2, 3])
+def test_near_design_pair_has_its_double_root(x, t):
+    # C = b_yy - c_t carries about 1e-9 relative cancellation on the 60-line
+    # binI orbit, which a discriminant test relative to B^2 and 4AC misread
+    # as "no real root"; the pair identity holds to rounding
+    sol = solve_union(_orbit("binI", x), _orbit("binI", 4), t, t_max=t)
+    assert sol.root is not None
+    assert sol.identity_residual < 1e-12
+
+
+@pytest.mark.parametrize("x, y", [
+    # float noise left B^2 - 4AC = +6.6e-20: two roots 1e-4 apart
+    ("-1.5531767648845436+0.37256535014264275i,-0.8820079726267296+0.47305334074830474i",
+     "-1.5363587182917429-0.3161422429105865i,-1.883463708541837-0.18805651607489748i"),
+    # B^2 - 4AC = -3.7e-20 past a tolerance relative to B^2: "no real root"
+    ("-1.553+0.373i,-0.882+0.473i", "-1.536-0.316i,-1.883-0.188i"),
+])
+def test_generic_binI_pair_has_one_double_root(x, y):
+    # at t = 6 every binI pair satisfies the identity (one invariant harmonic)
+    g = build_group("binI")
+    sol = solve_union(orbit_lines(g, parse_vector(x)), orbit_lines(g, parse_vector(y)), 6,
+                      t_max=6)
+    assert sol.identity_residual < 1e-10
+    assert abs(sol.root.alpha - _closed_beta(sol.quad)) <= 1e-9 * abs(sol.root.alpha)
 
 
 def test_explicit_group_pairs(f4_path):
@@ -251,7 +237,7 @@ def test_explicit_group_pairs(f4_path):
     w48b = orbit_lines(g, np.array([3.0, 1.0, 1.0, 1.0]))
     # the two root-line orbits pair with equal weight
     sol = solve_union(short12, long12, 3)
-    assert sol.preferred_root.beta == (Fraction(1, 2), Fraction(1, 2))
+    assert sol.root.beta == (Fraction(1, 2), Fraction(1, 2))
     assert sol.verified.strength == 3
     # each 12 x 48 combination lands on one of two weightings, swapped
     # between the two 48-line orbits
@@ -262,9 +248,9 @@ def test_explicit_group_pairs(f4_path):
     for beta, pairs in expect.items():
         for X, Y in pairs:
             sol = solve_union(X, Y, 3)
-            assert sol.preferred_root.beta == beta
+            assert sol.root.beta == beta
             assert sol.verified.strength == 3
-            assert check_double_root(sol).holds
+            assert sol.identity_residual <= IDENTITY_TOL
 
 
 def test_certificate_round_trip(tmp_path):
@@ -291,7 +277,7 @@ def test_certificate_round_trip(tmp_path):
 def test_certificate_signed_union():
     X, Y = _orbit("binO", 2), _orbit("binO", 3)
     sol = solve_union(X, Y, 4)
-    assert sol.preferred_root.beta == (Fraction(-3, 5), Fraction(8, 5))
+    assert sol.root.beta == (Fraction(-3, 5), Fraction(8, 5))
     cert = emit_certificate(sol, X, Y)
     assert cert["signed"]
     assert verify_certificate(cert).passed
@@ -417,7 +403,6 @@ def test_substitution_residual_bound():
         (("H3", 2), ("H3", 3), 3),
     ]:
         sol = solve_union(_orbit(lx, kx), _orbit(ly, ky), t)
-        for root in sol.roots:
-            assert root.residual <= 1e-9 * float(welch_constant(
-                "C" if lx.startswith("bin") else "R",
-                sol.union.dim if sol.union is not None else 2, t))
+        assert sol.root.residual <= 1e-9 * float(welch_constant(
+            "C" if lx.startswith("bin") else "R",
+            sol.union.dim if sol.union is not None else 2, t))
