@@ -69,7 +69,7 @@ def _add_common(p: argparse.ArgumentParser, t_max_default: int) -> None:
                    help="abort a group closure or an orbit walk that passes "
                         "this many elements or lines")
     p.add_argument("--tmax", type=_positive_int, default=t_max_default,
-                   help="largest design order probed")
+                   help="largest design order probed or verified")
     p.add_argument("--format", choices=("table", "json"), default="table",
                    help="output format")
 
@@ -309,7 +309,7 @@ def cmd_scan(args, cfg: CliConfig) -> int:
 
 
 def cmd_verify(args, cfg: CliConfig) -> int:
-    result = verify_certificate(args.path, cfg.tol)
+    result = verify_certificate(args.path, cfg.tol, cfg.t_max)
     payload = {
         "passed": result.passed,
         "reasons": list(result.reasons),

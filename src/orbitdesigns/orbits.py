@@ -18,6 +18,8 @@ from .errors import ConsistencyError, InputError, MismatchError, SizeLimitError
 from .groups import FiniteMatrixGroup, group_order
 from .numerics import DEFAULT_TOL, Rational, Tolerance, _intern, _walk, compensated_sum
 
+VALIDATE_BLOCK_TERMS = 1 << 15  # Gram entries per block of LineSet.validate's coincidence test
+
 
 @dataclass(frozen=True)
 class LineSet:
@@ -59,10 +61,13 @@ class LineSet:
         norms = np.linalg.norm(self.lines, axis=1)
         if np.abs(norms - 1.0).max() > tol.rel_eq:
             raise ConsistencyError("line representatives must have unit norm")
-        gram = np.abs(self.lines @ self.lines.conj().T)
-        np.fill_diagonal(gram, 0.0)
-        if gram.size and 1.0 - gram.max() <= tol.rel_eq:
-            raise ConsistencyError("two lines coincide projectively")
+        # the strict upper triangle of the Gram matrix, a block of rows at a time
+        n = self.n_lines
+        step = max(1, VALIDATE_BLOCK_TERMS // n)
+        for i in range(0, n - 1, step):
+            block = np.abs(self.lines[i:i + step] @ self.lines[i + 1:].conj().T)
+            if 1.0 - np.triu(block).max() <= tol.rel_eq:
+                raise ConsistencyError("two lines coincide projectively")
         if abs(compensated_sum(self.weights) - 1.0) > tol.rel_eq:
             raise ConsistencyError("weights must sum to 1")
 
@@ -124,7 +129,8 @@ def orbit_lines(
             )
         raise ConsistencyError(f"orbit of {group.spec} passes {limit} lines: {split}")
     n = len(reps)
-    if any(np.unique(row).size != n for row in maps):
+    # maps holds positions in 0..n-1, so each row is a permutation iff sorted it is 0..n-1
+    if (np.sort(maps, axis=1) != np.arange(n)).any():
         raise ConsistencyError(
             f"the generators of {group.spec} do not permute the {n} orbit lines found: "
             f"dedup keys at {digits} digits split or merge lines"

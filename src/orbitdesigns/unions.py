@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .designs import DesignReport, cross_potential, moments, potential, strength, welch_constant
-from .errors import CertificateError, MismatchError, NoSolutionError
+from .errors import CertificateError, MismatchError, NoSolutionError, SizeLimitError
 from .numerics import (
     DEFAULT_TOL,
     Rational,
@@ -215,9 +215,12 @@ def emit_certificate(sol: UnionSolution, X: LineSet, Y: LineSet,
         "signed": bool(sol.union.signed),
     }
     if path is not None:
-        with open(path, "w") as fh:
-            json.dump(cert, fh, indent=1)
-            fh.write("\n")
+        try:
+            with open(path, "w") as fh:
+                json.dump(cert, fh, indent=1)
+                fh.write("\n")
+        except OSError as exc:
+            raise CertificateError(f"cannot write certificate: {exc}") from exc
     return cert
 
 
@@ -247,13 +250,14 @@ def _load_certificate(source) -> dict:
         raise CertificateError(f"certificate is not valid JSON: {exc}") from exc
 
 
-def verify_certificate(source, tol: Tolerance = DEFAULT_TOL) -> VerifyResult:
+def verify_certificate(source, tol: Tolerance = DEFAULT_TOL, t_max: int = 12) -> VerifyResult:
     """Re-verify a certificate from its stored lines and weights.
 
     Every order 1..t is recomputed, with any further stored order; an order
     1..t with no stored residual fails. Structural problems raise
-    CertificateError; numerical discrepancies are verification failures
-    reported in `reasons`.
+    CertificateError, and a t or stored order above t_max raises
+    SizeLimitError before any potential is computed; numerical discrepancies
+    are verification failures reported in `reasons`.
     """
     cert = _load_certificate(source)
     for key, typ in _CERT_KEYS.items():
@@ -280,14 +284,6 @@ def verify_certificate(source, tol: Tolerance = DEFAULT_TOL) -> VerifyResult:
         raise CertificateError("line entries must be finite numbers")
     if len(weights) != lines.shape[0]:
         raise CertificateError("one weight per line required")
-
-    reasons = []
-    norms = np.linalg.norm(lines, axis=1)
-    if np.abs(norms - 1.0).max() > tol.rel_eq:
-        reasons.append(f"line norms deviate from 1 by {np.abs(norms - 1.0).max():.3e}")
-    wsum = sum(weights, Fraction(0))
-    if wsum != 1:
-        reasons.append(f"weights sum to {wsum}, not 1")
     try:
         held = {int(t): float(r) for t, r in cert["residuals"].items()}
     except (ValueError, TypeError) as exc:
@@ -296,6 +292,17 @@ def verify_certificate(source, tol: Tolerance = DEFAULT_TOL) -> VerifyResult:
         raise CertificateError("residual orders must be distinct positive integers")
     if not all(math.isfinite(r) for r in held.values()):
         raise CertificateError("stored residuals must be finite numbers")
+    top = max(held.keys() | {cert["t"]})
+    if top > t_max:
+        raise SizeLimitError(f"certificate claims order {top}, above t_max={t_max}")
+
+    reasons = []
+    norms = np.linalg.norm(lines, axis=1)
+    if np.abs(norms - 1.0).max() > tol.rel_eq:
+        reasons.append(f"line norms deviate from 1 by {np.abs(norms - 1.0).max():.3e}")
+    wsum = sum(weights, Fraction(0))
+    if wsum != 1:
+        reasons.append(f"weights sum to {wsum}, not 1")
     orders = sorted(held.keys() | set(range(1, cert["t"] + 1)))
     residuals = {}
     for t, p in zip(orders, moments(lines, w, lines, w, orders)):

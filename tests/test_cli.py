@@ -207,6 +207,37 @@ def test_verify_design_certificate_at_higher_order(capsys, tmp_path):
     assert "5" in verdict["residuals"]
 
 
+def test_union_emit_to_unwritable_path(capsys, tmp_path):
+    for path in (tmp_path / "missing" / "c.json", tmp_path):
+        assert main(["union", "B(2)", "--x", "@1", "--y", "@2", "--t", "2",
+                     "--emit", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write certificate: ")
+
+
+def test_verify_rejects_orders_above_tmax(capsys, tmp_path):
+    # welch_constant and the summation grow with the order count, so a
+    # claimed order above --tmax is refused before any arithmetic
+    path = tmp_path / "cert.json"
+    assert main(["union", "B(2)", "--x", "@1", "--y", "@2", "--t", "2",
+                 "--emit", str(path)]) == 0
+    cert = json.loads(path.read_text())
+    for t, residuals in ((4000, cert["residuals"]), (2, {**cert["residuals"], "4000": 0.0})):
+        path.write_text(json.dumps({**cert, "t": t, "residuals": residuals}))
+        capsys.readouterr()
+        start = time.monotonic()
+        assert main(["verify", str(path)]) == 4
+        assert time.monotonic() - start < 1.0
+        assert "certificate claims order 4000, above t_max=12" in capsys.readouterr().err
+    # the stored benchmark certificates hold orders 1..9
+    stored = sorted((Path(__file__).parents[1] / "perfbench" / "certificates").glob("*.json"))
+    assert len(stored) == 4
+    for cert_path in stored:
+        assert main(["verify", str(cert_path), "--tmax", "9"]) == 0
+    assert main(["verify", str(stored[0]), "--tmax", "8"]) == 4
+
+
 @pytest.mark.parametrize("key", ["0", "-1", "x"])
 def test_verify_bad_residual_order_exit(capsys, tmp_path, key):
     path = tmp_path / "cert.json"

@@ -2,7 +2,12 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from hypothesis import strategies as st
 from orbitdesigns import (
     ConsistencyError,
     InputError,
+    LineSet,
     MismatchError,
     Tolerance,
     build_group,
@@ -25,6 +31,7 @@ from orbitdesigns import (
     union_lines,
 )
 from orbitdesigns import groups
+from orbitdesigns.orbits import VALIDATE_BLOCK_TERMS
 
 
 def test_canonical_line_sign():
@@ -241,10 +248,50 @@ def test_validate_catches_bad_weights():
 
 def test_validate_catches_repeated_lines():
     X = orbit_lines(build_group("B(2)"), np.array([1.0, 0.0]))
-    lines = np.vstack([X.lines, -X.lines[:1]])  # -x spans the line of x
-    repeated = type(X)(field=X.field, lines=lines, weights=np.full(3, 1 / 3))
-    with pytest.raises(ConsistencyError, match="coincide projectively"):
-        repeated.validate()
+    H = orbit_lines(build_group("H4"), catalog_entry("H4").seeds[3])
+    assert VALIDATE_BLOCK_TERMS // H.n_lines < H.n_lines  # H spans several row blocks
+    C = orbit_lines(build_group("binT"), catalog_entry("binT").seeds[0])
+    cases = [
+        np.vstack([X.lines, -X.lines[:1]]),  # -x spans the line of x
+        np.vstack([H.lines, H.lines[-1:]]),  # adjacent rows, in the last block
+        np.vstack([H.lines, H.lines[:1]]),  # the first and the last row
+        np.vstack([C.lines, np.exp(0.7j) * C.lines[2:3]]),  # a phase
+    ]
+    for lines in cases:
+        n = len(lines)
+        repeated = LineSet(field=X.field, lines=lines, weights=np.full(n, 1 / n))
+        with pytest.raises(ConsistencyError, match="coincide projectively"):
+            repeated.validate()
+
+
+def test_validate_holds_no_gram_matrix():
+    g = build_group("H4")
+    X, Y = (orbit_lines(g, seed) for seed in catalog_entry("H4").seeds[1:3])
+    U = union_lines(X, Y, (Fraction(1, 2), Fraction(1, 2)))
+    assert U.n_lines == 660
+    tracemalloc.start()
+    try:
+        U.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the 660 x 660 Gram alone takes 3.3 MiB
+
+
+def test_orbit_path_does_not_import_numpy_ma():
+    # np.unique without index outputs imports numpy.ma, 12-20 ms at first use
+    code = (
+        "import sys\n"
+        "from orbitdesigns import build_group, catalog_entry, orbit_lines, solve_union\n"
+        "g = build_group('H4')\n"
+        "X, Y = (orbit_lines(g, s) for s in catalog_entry('H4').seeds[:2])\n"
+        "assert solve_union(X, Y, 6).root.beta is not None\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_parse_vector_real_and_fractional():
