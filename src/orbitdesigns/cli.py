@@ -10,7 +10,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -28,14 +27,6 @@ from .numerics import DEFAULT_TOL, Tolerance, format_rational, parse_rational
 from .orbits import LineSet, format_vector, orbit_lines, parse_vector
 from .pairscan import scan
 from .unions import emit_certificate, solve_union, verify_certificate
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    tol: Tolerance
-    t_max: int
-    fmt: str
-    max_order: int
 
 
 class _UsageError(Exception):
@@ -122,13 +113,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config(args) -> CliConfig:
+def _tolerance(args) -> Tolerance:
     try:
-        tol = Tolerance(rel_eq=args.rel_eq, snap_denom_max=args.snap_denom_max,
-                        dedup_digits=args.dedup_digits)
+        return Tolerance(rel_eq=args.rel_eq, snap_denom_max=args.snap_denom_max,
+                         dedup_digits=args.dedup_digits)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    return CliConfig(tol=tol, t_max=args.tmax, fmt=args.format, max_order=args.max_order)
 
 
 def _emit(payload: dict, fmt: str, lines: list[str]) -> None:
@@ -155,14 +145,13 @@ def _resolve_seed(group_label: str, text: str) -> tuple[np.ndarray, str]:
     return v, text
 
 
-def _orbit(group: FiniteMatrixGroup, label: str, text: str,
-           cfg: CliConfig) -> LineSet:
+def _orbit(group: FiniteMatrixGroup, label: str, text: str, tol: Tolerance) -> LineSet:
     seed, literal = _resolve_seed(label, text)
-    return orbit_lines(group, seed, cfg.tol, seed_literal=literal)
+    return orbit_lines(group, seed, tol, seed_literal=literal)
 
 
-def cmd_group(args, cfg: CliConfig) -> int:
-    g = build_group(args.spec, cfg.tol, cfg.max_order)
+def cmd_group(args, tol: Tolerance) -> int:
+    g = build_group(args.spec, tol, args.max_order)
     deviation = g.unitarity_deviation()
     payload = {
         "group": g.spec.label,
@@ -171,7 +160,7 @@ def cmd_group(args, cfg: CliConfig) -> int:
         "field": g.field,
         "unitarity_deviation": deviation,
     }
-    _emit(payload, cfg.fmt, [
+    _emit(payload, args.format, [
         f"group: {g.spec.label}",
         f"order: {g.order}",
         f"dim: {g.dim}",
@@ -181,10 +170,10 @@ def cmd_group(args, cfg: CliConfig) -> int:
     return 0
 
 
-def cmd_orbit(args, cfg: CliConfig) -> int:
-    g = build_group(args.spec, cfg.tol, cfg.max_order)
-    X = _orbit(g, args.spec, args.seed, cfg)
-    rep = strength(X, cfg.t_max, cfg.tol)
+def cmd_orbit(args, tol: Tolerance) -> int:
+    g = build_group(args.spec, tol, args.max_order)
+    X = _orbit(g, args.spec, args.seed, tol)
+    rep = strength(X, args.tmax, tol)
     payload = {
         "group": g.spec.label,
         "seed": X.seed_literal,
@@ -203,7 +192,7 @@ def cmd_orbit(args, cfg: CliConfig) -> int:
     if args.dump:
         payload["line_vectors"] = [format_vector(row) for row in X.lines]
         out += ["lines:"] + [f"  {format_vector(row)}" for row in X.lines]
-    _emit(payload, cfg.fmt, out)
+    _emit(payload, args.format, out)
     return 0
 
 
@@ -219,11 +208,11 @@ def _root_payload(root) -> dict:
     }
 
 
-def cmd_union(args, cfg: CliConfig) -> int:
-    g = build_group(args.spec, cfg.tol, cfg.max_order)
-    X = _orbit(g, args.spec, args.x, cfg)
-    Y = _orbit(g, args.spec, args.y, cfg)
-    sol = solve_union(X, Y, args.t, cfg.tol, cfg.t_max)
+def cmd_union(args, tol: Tolerance) -> int:
+    g = build_group(args.spec, tol, args.max_order)
+    X = _orbit(g, args.spec, args.x, tol)
+    Y = _orbit(g, args.spec, args.y, tol)
+    sol = solve_union(X, Y, args.t, tol, args.tmax)
     q = sol.quad
     payload = {
         "group": g.spec.label,
@@ -248,11 +237,11 @@ def cmd_union(args, cfg: CliConfig) -> int:
     ]
     if sol.degenerate:
         out.append("degenerate: every affine weighting of X and Y is a design")
-        _emit(payload, cfg.fmt, out)
+        _emit(payload, args.format, out)
         return 0
     if sol.empty:
         out.append("no real root: this pair admits no union weighting")
-        _emit(payload, cfg.fmt, out)
+        _emit(payload, args.format, out)
         return 2
     r = sol.root
     beta = ("beta = (%s, %s)" % tuple(format_rational(b) for b in r.beta)
@@ -273,13 +262,13 @@ def cmd_union(args, cfg: CliConfig) -> int:
             out.append(f"certificate written: {args.emit}")
     elif args.emit:
         print("no certificate written: root 0 did not snap to a rational", file=sys.stderr)
-    _emit(payload, cfg.fmt, out)
+    _emit(payload, args.format, out)
     return 0
 
 
-def cmd_scan(args, cfg: CliConfig) -> int:
-    g = build_group(args.spec, cfg.tol, cfg.max_order)
-    rep = scan(g, cfg.t_max, args.samples, args.seed, cfg.tol)
+def cmd_scan(args, tol: Tolerance) -> int:
+    g = build_group(args.spec, tol, args.max_order)
+    rep = scan(g, args.tmax, args.samples, args.seed, tol)
     payload = {
         "group": g.spec.label,
         "seed": rep.seed,
@@ -304,12 +293,12 @@ def cmd_scan(args, cfg: CliConfig) -> int:
         out.append(f"{t:<2d} {rep.verdicts[t - 1]:<14s} {res_s:<13s} "
                    f"{'yes' if rep.unanimous[t - 1] else 'no'}")
     out += [f"t_generic: {rep.t_generic}", f"t_pairs: {pairs}"]
-    _emit(payload, cfg.fmt, out)
+    _emit(payload, args.format, out)
     return 0
 
 
-def cmd_verify(args, cfg: CliConfig) -> int:
-    result = verify_certificate(args.path, cfg.tol, cfg.t_max)
+def cmd_verify(args, tol: Tolerance) -> int:
+    result = verify_certificate(args.path, tol, args.tmax)
     payload = {
         "passed": result.passed,
         "reasons": list(result.reasons),
@@ -321,7 +310,7 @@ def cmd_verify(args, cfg: CliConfig) -> int:
         out.append(f"{t:<2d} {stored:+.3e}    {recomputed:+.3e}")
     out += [f"reason: {r}" for r in result.reasons]
     out.append("PASS" if result.passed else "FAIL")
-    _emit(payload, cfg.fmt, out)
+    _emit(payload, args.format, out)
     return 0 if result.passed else 1
 
 
@@ -330,17 +319,17 @@ def _load_expectations() -> list[dict]:
     return list(csv.DictReader(text.splitlines()))
 
 
-def _run_expectation(row: dict, cfg: CliConfig) -> tuple[bool, str]:
+def _run_expectation(row: dict, args, tol: Tolerance) -> tuple[bool, str]:
     label = row["group"]
     t = int(row["t"])
-    g = build_group(label, cfg.tol, cfg.max_order)
-    X = _orbit(g, label, row["seedX"], cfg)
+    g = build_group(label, tol, args.max_order)
+    X = _orbit(g, label, row["seedX"], tol)
     if not row["seedY"]:
-        rep = strength(X, max(cfg.t_max, t), cfg.tol)
+        rep = strength(X, max(args.tmax, t), tol)
         desc = f"{label} single orbit {X.n_lines} lines: strength {rep.strength}"
         return rep.strength >= t, desc
-    Y = _orbit(g, label, row["seedY"], cfg)
-    sol = solve_union(X, Y, t, cfg.tol, cfg.t_max)
+    Y = _orbit(g, label, row["seedY"], tol)
+    sol = solve_union(X, Y, t, tol, args.tmax)
     shape = f"{label} ({X.n_lines}+{Y.n_lines} lines, t={t})"
     if not row["betaX"]:
         return sol.empty, f"{shape}: expected no real root"
@@ -355,9 +344,8 @@ def _run_expectation(row: dict, cfg: CliConfig) -> tuple[bool, str]:
         if best.w_hat != expect_what:
             return False, (f"{shape}: w_hat {_fmt_pair(best.w_hat)} != expected "
                            f"{_fmt_pair(expect_what)}")
-    residual = abs(sol.verified.residual_at(t)) if sol.verified else float("inf")
-    if residual > 1e-9:
-        return False, f"{shape}: design residual {residual:.3e} exceeds 1e-9"
+    if sol.verified.strength < t:
+        return False, f"{shape}: verified strength {sol.verified.strength} is below t"
     return True, f"{shape}: beta = {_fmt_pair(got_beta)}"
 
 
@@ -367,7 +355,7 @@ def _fmt_pair(pair) -> str:
     return "(%s, %s)" % tuple(format_rational(p) for p in pair)
 
 
-def cmd_reproduce(args, cfg: CliConfig) -> int:
+def cmd_reproduce(args, tol: Tolerance) -> int:
     rows = _load_expectations()
     if args.table != "all":
         rows = [r for r in rows if r["table"] == args.table]
@@ -375,12 +363,12 @@ def cmd_reproduce(args, cfg: CliConfig) -> int:
         raise InputError(f"no expectation rows for table {args.table!r}")
     results = []
     for row in rows:
-        ok, desc = _run_expectation(row, cfg)
+        ok, desc = _run_expectation(row, args, tol)
         results.append({"table": row["table"], "ok": ok, "description": desc})
-        if cfg.fmt == "table":
+        if args.format == "table":
             print(f"[{'PASS' if ok else 'FAIL'}] {row['table']}: {desc}")
     failed = sum(1 for r in results if not r["ok"])
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(json.dumps({"rows": results, "failed": failed}, indent=2))
     else:
         print(f"{len(results) - failed}/{len(results)} rows reproduced")
@@ -391,8 +379,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config(args)
-        return args.func(args, cfg)
+        return args.func(args, _tolerance(args))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3

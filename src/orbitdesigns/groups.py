@@ -505,7 +505,6 @@ class CatalogEntry:
     spec: GroupSpec
     seeds: tuple = ()
     expected_lines: tuple = ()
-    seed_note: str = ""
 
 
 def _fundamental_weights(simple_roots: np.ndarray) -> list[np.ndarray]:
@@ -535,7 +534,6 @@ def catalog() -> list[CatalogEntry]:
             parse_group_spec(f"A({d})"),
             tuple(np.array(s, dtype=float) for s in seeds),
             counts,
-            "ambient coordinates on the sum-zero hyperplane",
         ))
 
     b_counts = {2: (2, 2), 3: (3, 6, 4), 4: (4, 12, 16, 8), 5: (5, 20, 40, 40, 16)}
@@ -544,7 +542,6 @@ def catalog() -> list[CatalogEntry]:
             parse_group_spec(f"B({d})"),
             tuple(_ones(k, d) for k in range(1, d + 1)),
             b_counts[d],
-            "seeds e1+...+ek",
         ))
 
     d_counts = {3: (3, 6, 4), 4: (4, 12, 16, 4)}
@@ -553,7 +550,6 @@ def catalog() -> list[CatalogEntry]:
             parse_group_spec(f"D({d})"),
             tuple(_ones(k, d) for k in range(1, d + 1)),
             d_counts[d],
-            "seeds e1+...+ek",
         ))
 
     generic2 = np.array([math.cos(0.37), math.sin(0.37)])
@@ -562,7 +558,6 @@ def catalog() -> list[CatalogEntry]:
             parse_group_spec(f"dihedral({m})"),
             (np.array([1.0, 0.0]), generic2),
             counts,
-            "axis seed and a generic seed",
         ))
 
     genericC2 = np.array([1.0, 0.3 + 0.2j])
@@ -571,12 +566,13 @@ def catalog() -> list[CatalogEntry]:
             parse_group_spec(f"binD({k})"),
             (genericC2,),
             (k,),
-            "generic seed (observed line count)",
         ))
 
     # Bloch-sphere polyhedron seeds for the binary polyhedral groups:
     # c3/s3 point along a cube diagonal, the pi/8 seed along an edge axis,
-    # c5/s5 along an icosahedron vertex axis.
+    # c5/s5 along an icosahedron vertex axis. binT: tetrahedron vertex and
+    # face axes, a 2-fold axis, a generic seed; binO and binI: vertex, face
+    # and edge axes, then a generic seed.
     c3 = math.sqrt((1 + 1 / math.sqrt(3)) / 2)
     s3 = math.sqrt((1 - 1 / math.sqrt(3)) / 2)
     e4 = np.exp(1j * math.pi / 4)
@@ -589,36 +585,32 @@ def catalog() -> list[CatalogEntry]:
         parse_group_spec("binT"),
         (tetra_vertex, tetra_face, np.array([1.0 + 0j, 0.0]), genericC2),
         (4, 4, 6, 12),
-        "tetrahedron vertex/face axes, a 2-fold axis, and a generic seed",
     ))
     entries.append(CatalogEntry(
         parse_group_spec("binO"),
         (np.array([1.0 + 0j, 0.0]), tetra_vertex,
          np.array([math.cos(math.pi / 8) + 0j, math.sin(math.pi / 8)]), genericC2),
         (6, 8, 12, 24),
-        "octahedron vertex/face/edge axes and a generic seed",
     ))
     entries.append(CatalogEntry(
         parse_group_spec("binI"),
         (np.array([c5, 1j * s5]), tetra_vertex,
          np.array([PHI / 2, (1 / PHI + 1j) / 2]), genericC2),
         (12, 20, 30, 60),
-        "icosahedron vertex/face/edge axes and a generic seed",
     ))
 
+    # H3, H4: fundamental weights, ordered by line count
     w3 = _fundamental_weights(H3_SIMPLE_ROOTS)
     entries.append(CatalogEntry(
         parse_group_spec("H3"),
         (w3[2], w3[0], w3[1]),
         (6, 10, 15),
-        "fundamental weights, ordered by line count",
     ))
     w4 = _fundamental_weights(H4_SIMPLE_ROOTS)
     entries.append(CatalogEntry(
         parse_group_spec("H4"),
         (w4[3], w4[0], w4[2], w4[1]),
         (60, 300, 360, 600),
-        "fundamental weights, ordered by line count",
     ))
 
     for d in (3, 4):
@@ -626,7 +618,6 @@ def catalog() -> list[CatalogEntry]:
             parse_group_spec(f"heis({d})"),
             (np.eye(d, dtype=complex)[0], np.arange(1, d + 1).astype(complex)),
             (d, d * d),
-            "basis seed and a generic seed",
         ))
     return entries
 

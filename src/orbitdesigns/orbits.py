@@ -28,8 +28,8 @@ class LineSet:
     lines          (L, d) canonical unit representatives
     weights        per-line weights summing to 1; negative entries allowed
                    for signed designs
-    exact_weights  optional Fractions matching weights exactly
-    group_label    provenance: spec string of the generating group, if any
+    exact_weights  optional Fractions matching weights exactly; orbits and
+                   unions always carry them
     seed_literal   provenance: the seed vector literal, if any
     group          the group when the set is a union of its orbits, else None
     orbit_starts   with group: the first row of each orbit block, the rows of
@@ -40,7 +40,6 @@ class LineSet:
     lines: np.ndarray
     weights: np.ndarray
     exact_weights: tuple | None = None
-    group_label: str | None = None
     seed_literal: str | None = None
     group: FiniteMatrixGroup | None = None
     orbit_starts: tuple | None = None
@@ -146,7 +145,6 @@ def orbit_lines(
         lines=reps,
         weights=np.full(n, 1.0 / n),
         exact_weights=(w,) * n,
-        group_label=group.spec.label,
         seed_literal=seed_literal if seed_literal is not None else format_vector(np.asarray(seed)),
         group=group,
         orbit_starts=(0,),
@@ -163,33 +161,30 @@ def union_lines(
 ) -> LineSet:
     """Weighted union: X's weights scaled by beta_X, Y's by beta_Y = 1 - beta_X.
 
-    Lines shared by X and Y are merged with summed weight; lines whose merged
-    weight is exactly zero are dropped. When X and Y are single orbits of one
-    group, the result is an orbit union of that group.
+    Weights are summed exactly: an operand without exact_weights contributes
+    the Fraction of each float weight, so the union always carries
+    exact_weights. Lines shared by X and Y are merged with summed weight;
+    lines whose merged weight is zero are dropped. When X and Y are single
+    orbits of one group, the result is an orbit union of that group.
     """
     if X.dim != Y.dim or X.field != Y.field:
         raise MismatchError("union operands must share dimension and field")
     bx, by = Fraction(beta[0]), Fraction(beta[1])
     if bx + by != 1:
         raise InputError("union weighting must satisfy beta_X + beta_Y = 1")
-    exact = X.exact_weights is not None and Y.exact_weights is not None
     index: dict[bytes, int] = {}
     # per operand, the union row of each of its lines
     where = [_intern(ls.lines, index, tol.dedup_digits).tolist() for ls in (X, Y)]
     rows = where[0] + where[1]
     _, first = np.unique(rows, return_index=True)
     lines = np.concatenate([X.lines, Y.lines])[first]
-    if exact:
-        scaled = [bx * w for w in X.exact_weights] + [by * w for w in Y.exact_weights]
-    else:
-        scaled = np.concatenate([float(bx) * X.weights, float(by) * Y.weights]).tolist()
+    # Fraction * float is a float, so float weights become Fractions first
+    scaled = [b * w for b, ls in ((bx, X), (by, Y))
+              for w in ls.exact_weights or map(Fraction, ls.weights.tolist())]
     weights: list = [None] * len(index)
     for i, w in zip(rows, scaled):
         weights[i] = w if weights[i] is None else weights[i] + w
-    if exact:
-        keep = [i for i, w in enumerate(weights) if w != 0]
-    else:
-        keep = [i for i, w in enumerate(weights) if abs(w) > 1e-15]
+    keep = [i for i, w in enumerate(weights) if w != 0]
     if not keep:
         raise ConsistencyError("union has no lines with nonzero weight")
     kept_w = [weights[i] for i in keep]
@@ -199,8 +194,7 @@ def union_lines(
         field=X.field,
         lines=lines[keep],
         weights=np.array([float(w) for w in kept_w]),
-        exact_weights=tuple(kept_w) if exact else None,
-        group_label=X.group_label if X.group_label == Y.group_label else None,
+        exact_weights=tuple(kept_w),
         group=group,
         orbit_starts=_union_blocks(X, Y, where, keep, tol) if group is not None else None,
     )

@@ -107,7 +107,6 @@ class PairSample:
 class PairScanReport:
     """Scan outcome: exact verdicts and the samples that cross-check them."""
 
-    group_label: str
     t_max: int
     samples: int
     seed: int
@@ -150,6 +149,8 @@ def scan(group: FiniteMatrixGroup, t_max: int = 10, samples: int = 20,
         raise InputError("samples must be >= 1")
     if t_max < 1:
         raise InputError("t_max must be >= 1")
+    if seed < 0:
+        raise InputError("seed must be >= 0")
     counts = _harmonic_invariants(group, t_max)
     totals = np.cumsum(counts).tolist()
     rng = np.random.default_rng(seed)
@@ -172,7 +173,7 @@ def scan(group: FiniteMatrixGroup, t_max: int = 10, samples: int = 20,
     t_generic = totals.count(0)  # totals never decrease
     t_pairs = (t_generic + 1, t_generic + totals.count(1)) if 1 in totals else None
     return PairScanReport(
-        group_label=group.spec.label, t_max=t_max, samples=samples, seed=seed,
+        t_max=t_max, samples=samples, seed=seed,
         harmonic_invariants=tuple(counts),
         verdicts=tuple(("degenerate", "holds", "fails")[min(s, 2)] for s in totals),
         unanimous=tuple(len({r.verdicts[i] for r in records}) == 1 for i in range(t_max)),

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .designs import DesignReport, cross_potential, moments, potential, strength, welch_constant
+from .designs import DesignReport, cross_potential, potential, strength, welch_constant
 from .errors import CertificateError, MismatchError, NoSolutionError, SizeLimitError
 from .numerics import (
     DEFAULT_TOL,
@@ -74,8 +74,6 @@ class UnionSolution:
     """Full outcome of solve_union for one (X, Y, t)."""
 
     t: int
-    n_x: int
-    n_y: int
     quad: PairQuadratic
     discriminant: float
     degenerate: bool  # both sets are t-designs: any weighting works
@@ -142,7 +140,7 @@ def solve_union(X: LineSet, Y: LineSet, t: int, tol: Tolerance = DEFAULT_TOL,
         union = union_lines(X, Y, root.beta, tol)
         verified = strength(union, max(t, t_max), tol)
     return UnionSolution(
-        t=t, n_x=X.n_lines, n_y=Y.n_lines, quad=q, discriminant=b * b - 4.0 * a * c,
+        t=t, quad=q, discriminant=b * b - 4.0 * a * c,
         degenerate=residual is None, identity_residual=residual, root=root,
         union=union, verified=verified,
     )
@@ -175,10 +173,17 @@ def _serialize_lines(lines: np.ndarray) -> list:
     return [[float(x) for x in row] for row in lines]
 
 
+def _number(e) -> float:
+    # float() would take JSON true as 1.0 and a string as the number it spells
+    if isinstance(e, bool) or not isinstance(e, (int, float)):
+        raise TypeError(f"line entry {e!r} is not a number")
+    return float(e)
+
+
 def _parse_lines(data: list, field: str) -> np.ndarray:
     if field == "C":
-        return np.array([[complex(e[0], e[1]) for e in row] for row in data])
-    return np.array([[float(e) for e in row] for row in data])
+        return np.array([[complex(_number(e[0]), _number(e[1])) for e in row] for row in data])
+    return np.array([[_number(e) for e in row] for row in data])
 
 
 def emit_certificate(sol: UnionSolution, X: LineSet, Y: LineSet,
@@ -197,18 +202,15 @@ def emit_certificate(sol: UnionSolution, X: LineSet, Y: LineSet,
         str(t): sol.verified.residual_at(t)
         for t in range(1, top + 1)
     }
-    exact_w = sol.union.exact_weights
-    if exact_w is None:
-        raise NoSolutionError("certificate needs exact union weights")
     cert = {
         "schema": 1,
-        "group": X.group_label or "explicit",
+        "group": X.group.spec.label if X.group is not None else "explicit",
         "field": X.field,
         "dim": X.dim,
         "t": sol.t,
         "seeds": [X.seed_literal or "", Y.seed_literal or ""],
         "lines": _serialize_lines(sol.union.lines),
-        "weights": [format_rational(w) for w in exact_w],
+        "weights": [format_rational(w) for w in sol.union.exact_weights],
         "beta": [format_rational(b) for b in best.beta],
         "w_hat": [format_rational(w) for w in best.w_hat],
         "residuals": residuals,
@@ -253,9 +255,10 @@ def _load_certificate(source) -> dict:
 def verify_certificate(source, tol: Tolerance = DEFAULT_TOL, t_max: int = 12) -> VerifyResult:
     """Re-verify a certificate from its stored lines and weights.
 
-    Every order 1..t is recomputed, with any further stored order; an order
-    1..t with no stored residual fails. Structural problems raise
-    CertificateError, and a t or stored order above t_max raises
+    Every order 1..t is recomputed, with any further stored order, by
+    designs.strength on the stored set; it has no group, so every Gram row is
+    summed. An order 1..t with no stored residual fails. Structural problems
+    raise CertificateError, and a t or stored order above t_max raises
     SizeLimitError before any potential is computed; numerical discrepancies
     are verification failures reported in `reasons`.
     """
@@ -274,7 +277,9 @@ def verify_certificate(source, tol: Tolerance = DEFAULT_TOL, t_max: int = 12) ->
         raise CertificateError("dim and t must be positive")
     try:
         lines = _parse_lines(cert["lines"], cert["field"])
-        weights = [parse_rational(w) for w in cert["weights"]]
+        if not all(isinstance(x, str) for x in cert["weights"]):
+            raise TypeError("weights must be rational strings")
+        weights = [parse_rational(x) for x in cert["weights"]]
         w = np.array([float(x) for x in weights])
     except (ValueError, TypeError, IndexError, ZeroDivisionError, OverflowError) as exc:
         raise CertificateError(f"malformed lines or weights: {exc}") from exc
@@ -304,10 +309,10 @@ def verify_certificate(source, tol: Tolerance = DEFAULT_TOL, t_max: int = 12) ->
     if wsum != 1:
         reasons.append(f"weights sum to {wsum}, not 1")
     orders = sorted(held.keys() | set(range(1, cert["t"] + 1)))
+    report = strength(LineSet(cert["field"], lines, w), top, tol)
     residuals = {}
-    for t, p in zip(orders, moments(lines, w, lines, w, orders)):
-        c_t = float(welch_constant(cert["field"], cert["dim"], t))
-        recomputed = (p - c_t) / c_t
+    for t in orders:
+        recomputed = report.residual_at(t)
         if abs(recomputed) > tol.rel_eq:
             reasons.append(f"t={t}: recomputed residual {recomputed:.3e} exceeds tolerance")
         if t not in held:

@@ -1,6 +1,7 @@
 """Command-line surface: payloads, exit codes, reproduction driver."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from orbitdesigns import cli
 from orbitdesigns.cli import main
 
 
@@ -284,6 +286,24 @@ def test_verify_rejects_boolean_integers(capsys, tmp_path, key):
     assert f"key {key!r} has wrong type" in capsys.readouterr().err
 
 
+def test_verify_rejects_untyped_weights_and_lines(capsys, tmp_path):
+    # JSON number weights used to crash in parse_rational, and a line entry
+    # true was read as 1.0 and passed
+    path = tmp_path / "cert.json"
+    assert main(["union", "B(2)", "--x", "@1", "--y", "@2", "--t", "2",
+                 "--emit", str(path)]) == 0
+    cert = json.loads(path.read_text())
+    assert cert["weights"] == ["1/4"] * 4 and cert["lines"][0][0] == 1.0
+    lines = [[True if e == 1.0 else e for e in row] for row in cert["lines"]]
+    for damaged in ({**cert, "weights": [0.25] * 4}, {**cert, "lines": lines}):
+        path.write_text(json.dumps(damaged))
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed lines or weights: ")
+        assert err.count("\n") == 1
+
+
 def test_verify_structural_error_exit(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
@@ -316,6 +336,13 @@ def test_scan_contradicting_sample_exit(capsys, monkeypatch):
     assert "invariant harmonics" in capsys.readouterr().err
 
 
+def test_scan_rejects_negative_seed(capsys):
+    assert main(["scan", "binT", "--tmax", "3", "--seed", "-1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0\n"
+
+
 def test_scan_heisenberg(capsys):
     code, out = run(capsys, "scan", "heis(3)", "--tmax", "3", "--samples", "6")
     assert code == 0
@@ -327,6 +354,22 @@ def test_reproduce_one_table(capsys):
     assert code == 0
     assert out.count("[PASS]") == 4
     assert "4/4 rows reproduced" in out
+
+
+def test_reproduce_judges_unions_by_verified_strength(capsys, monkeypatch):
+    # a union row passes when its verified strength reaches t, as a single
+    # orbit row does
+    solve = cli.solve_union
+
+    def short_of_t(X, Y, t, *args):
+        sol = solve(X, Y, t, *args)
+        return dataclasses.replace(
+            sol, verified=dataclasses.replace(sol.verified, strength=t - 1))
+
+    monkeypatch.setattr(cli, "solve_union", short_of_t)
+    code, out = run(capsys, "reproduce", "A")
+    assert code == 1
+    assert out.count("verified strength 1 is below t") == 4
 
 
 def test_reproduce_json(capsys):

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from orbitdesigns import (
     solve_union,
     strength,
     union_lines,
+    verify_certificate,
     welch_constant,
 )
 from orbitdesigns import designs, groups
@@ -271,6 +273,13 @@ def test_sets_without_a_shared_group_sum_every_row(row_counts):
     assert Y.group is not X.group
     cross_potential(X, Y, 4)
     assert row_counts == [X.n_lines, X.n_lines]
+
+
+def test_verify_sums_every_certificate_row(row_counts):
+    # a certificate's lines carry no group, so strength sums all 660 Gram rows
+    path = Path(__file__).parents[1] / "perfbench" / "certificates" / "h4_t6_x1_y4.json"
+    assert verify_certificate(str(path)).passed
+    assert row_counts == [660]
 
 
 def test_union_of_an_orbit_with_itself_is_one_block():

@@ -192,6 +192,26 @@ def test_union_of_a_two_orbit_union_drops_the_group():
     assert W.exact_weights == (Fraction(3, 8),) * 2 + (Fraction(1, 8),) * 2
 
 
+def test_union_of_a_float_only_set_sums_exact_fractions():
+    # a set without exact_weights enters as the Fraction of each float
+    # weight; Fraction * float would be a float
+    g = build_group("H3")
+    X = orbit_lines(g, catalog_entry("H3").seeds[1])
+    Y = orbit_lines(g, catalog_entry("H3").seeds[0])
+    w = np.linspace(1.0, 2.0, X.n_lines)
+    F = LineSet(field=X.field, lines=X.lines, weights=w / w.sum())
+    bx, by = Fraction(1, 3), Fraction(2, 3)
+    floats = [bx * Fraction(x) for x in F.weights.tolist()]
+    disjoint = floats + [by * x for x in Y.exact_weights]
+    # X shares F's lines, so its weights merge onto F's rows
+    merged = [a + by * b for a, b in zip(floats, X.exact_weights)]
+    for other, expected in ((Y, disjoint), (X, merged)):
+        U = union_lines(F, other, (bx, by))
+        assert all(type(x) is Fraction for x in U.exact_weights)
+        assert list(U.exact_weights) == expected
+        assert U.weights.tolist() == [float(x) for x in expected]
+
+
 def test_union_rejects_a_partial_orbit_merge():
     # one line of Y's orbit block coincides with a line of X, the other not:
     # two orbits of one group are never related so, only a key merge does it

@@ -377,6 +377,13 @@ def test_verify_flags_doctored_residuals():
         lambda c: c["lines"][0].__setitem__(0, float("inf")),
         lambda c: c["residuals"].__setitem__("1", float("nan")),
         lambda c: c["residuals"].__setitem__("1", float("inf")),
+        # weights must be rational strings, line entries numbers but not bools
+        lambda c: c.update(weights=[float(Fraction(w)) for w in c["weights"]]),
+        lambda c: c["weights"].__setitem__(0, None),
+        lambda c: c["weights"].__setitem__(0, True),
+        lambda c: c["lines"][0].__setitem__(0, True),
+        lambda c: c["lines"][0].__setitem__(0, None),
+        lambda c: c["lines"][0].__setitem__(0, "1"),
     ],
 )
 def test_verify_rejects_structural_damage(mutate):
