@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from importlib import resources
 
 import numpy as np
@@ -47,20 +48,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, t_max_default: int) -> None:
+def _add_common(p: argparse.ArgumentParser, t_max: int | None, walks: bool = True) -> None:
     p.add_argument("--rel-eq", type=float, default=DEFAULT_TOL.rel_eq,
                    help="relative equality tolerance")
-    p.add_argument("--snap-denom-max", type=_positive_int,
-                   default=DEFAULT_TOL.snap_denom_max,
-                   help="largest denominator tried when snapping to rationals")
-    p.add_argument("--dedup-digits", type=_positive_int,
-                   default=DEFAULT_TOL.dedup_digits,
-                   help="rounding digits for projective deduplication keys")
-    p.add_argument("--max-order", type=_positive_int, default=DEFAULT_MAX_ORDER,
-                   help="abort a group closure or an orbit walk that passes "
-                        "this many elements or lines")
-    p.add_argument("--tmax", type=_positive_int, default=t_max_default,
-                   help="largest design order probed or verified")
+    if walks:
+        p.add_argument("--dedup-digits", type=_positive_int,
+                       default=DEFAULT_TOL.dedup_digits,
+                       help="rounding digits for projective deduplication keys")
+        p.add_argument("--max-order", type=_positive_int, default=DEFAULT_MAX_ORDER,
+                       help="abort a group closure or an orbit walk that passes "
+                            "this many elements or lines")
+    if t_max is not None:
+        p.add_argument("--tmax", type=_positive_int, default=t_max,
+                       help="largest design order probed or verified")
     p.add_argument("--format", choices=("table", "json"), default="table",
                    help="output format")
 
@@ -72,7 +72,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("group", parents=[], help="build a group and summarize it")
     p.add_argument("spec", help="group spec, e.g. 'G(2,1,4)', 'binI', 'H3'")
-    _add_common(p, 12)
+    _add_common(p, None)
     p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("orbit", help="orbit a seed vector and report strength")
@@ -102,7 +102,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="re-verify a certificate file")
     p.add_argument("path")
-    _add_common(p, 12)
+    _add_common(p, 12, walks=False)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reproduce", help="re-derive tabulated weightings")
@@ -114,9 +114,10 @@ def _build_parser() -> _Parser:
 
 
 def _tolerance(args) -> Tolerance:
+    # each Tolerance field is read from the flag of its name where the subcommand has one
     try:
-        return Tolerance(rel_eq=args.rel_eq, snap_denom_max=args.snap_denom_max,
-                         dedup_digits=args.dedup_digits)
+        return Tolerance(**{f.name: getattr(args, f.name) for f in fields(Tolerance)
+                            if hasattr(args, f.name)})
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -145,9 +146,9 @@ def _resolve_seed(group_label: str, text: str) -> tuple[np.ndarray, str]:
     return v, text
 
 
-def _orbit(group: FiniteMatrixGroup, label: str, text: str, tol: Tolerance) -> LineSet:
+def _orbit(group: FiniteMatrixGroup, label: str, text: str) -> LineSet:
     seed, literal = _resolve_seed(label, text)
-    return orbit_lines(group, seed, tol, seed_literal=literal)
+    return orbit_lines(group, seed, seed_literal=literal)
 
 
 def cmd_group(args, tol: Tolerance) -> int:
@@ -172,7 +173,7 @@ def cmd_group(args, tol: Tolerance) -> int:
 
 def cmd_orbit(args, tol: Tolerance) -> int:
     g = build_group(args.spec, tol, args.max_order)
-    X = _orbit(g, args.spec, args.seed, tol)
+    X = _orbit(g, args.spec, args.seed)
     rep = strength(X, args.tmax, tol)
     payload = {
         "group": g.spec.label,
@@ -210,8 +211,8 @@ def _root_payload(root) -> dict:
 
 def cmd_union(args, tol: Tolerance) -> int:
     g = build_group(args.spec, tol, args.max_order)
-    X = _orbit(g, args.spec, args.x, tol)
-    Y = _orbit(g, args.spec, args.y, tol)
+    X = _orbit(g, args.spec, args.x)
+    Y = _orbit(g, args.spec, args.y)
     sol = solve_union(X, Y, args.t, tol, args.tmax)
     q = sol.quad
     payload = {
@@ -237,6 +238,9 @@ def cmd_union(args, tol: Tolerance) -> int:
     ]
     if sol.degenerate:
         out.append("degenerate: every affine weighting of X and Y is a design")
+        if args.emit:
+            print("no certificate written: the pair is degenerate and has no root",
+                  file=sys.stderr)
         _emit(payload, args.format, out)
         return 0
     if sol.empty:
@@ -323,12 +327,12 @@ def _run_expectation(row: dict, args, tol: Tolerance) -> tuple[bool, str]:
     label = row["group"]
     t = int(row["t"])
     g = build_group(label, tol, args.max_order)
-    X = _orbit(g, label, row["seedX"], tol)
+    X = _orbit(g, label, row["seedX"])
     if not row["seedY"]:
         rep = strength(X, max(args.tmax, t), tol)
         desc = f"{label} single orbit {X.n_lines} lines: strength {rep.strength}"
         return rep.strength >= t, desc
-    Y = _orbit(g, label, row["seedY"], tol)
+    Y = _orbit(g, label, row["seedY"])
     sol = solve_union(X, Y, t, tol, args.tmax)
     shape = f"{label} ({X.n_lines}+{Y.n_lines} lines, t={t})"
     if not row["betaX"]:

@@ -29,7 +29,7 @@ from .errors import (
     KeyCollisionError,
     SizeLimitError,
 )
-from .numerics import DEFAULT_TOL, Tolerance, _walk
+from .numerics import DEFAULT_TOL, Tolerance, _json_complex, _json_number, _walk
 
 DEFAULT_MAX_ORDER = 200_000
 
@@ -70,8 +70,6 @@ class FiniteMatrixGroup:
 
     generators (d, d) unitary matrices, float64 for real groups, complex128
                otherwise
-    seed_basis optional (ambient, d) orthonormal basis used to embed seed
-               vectors given in ambient coordinates (sum-zero model of A(d))
     tol, max_order
                the dedup policy and size limit of closure and orbit walks
 
@@ -81,15 +79,21 @@ class FiniteMatrixGroup:
     spec: GroupSpec
     field: str  # "R" or "C"
     generators: tuple
-    seed_basis: np.ndarray | None = None
     tol: Tolerance = DEFAULT_TOL
     max_order: int = DEFAULT_MAX_ORDER
 
     @cached_property
     def elements(self) -> np.ndarray:
         """(order, d, d) array of every element, identity first."""
-        return close_group(list(self.generators), self.field, self.spec, self.tol,
-                           self.max_order, self.seed_basis).elements
+        return close_group(self).elements
+
+    @cached_property
+    def seed_basis(self) -> np.ndarray | None:
+        """(ambient, d) orthonormal basis that embeds seeds given in ambient
+        coordinates: the Helmert basis of the sum-zero model of G(1,1,n), else None."""
+        if self.spec.kind == "G" and self.spec.params[0] == 1:
+            return _helmert_basis(self.spec.params[2])
+        return None
 
     @property
     def dim(self) -> int:
@@ -292,10 +296,7 @@ def build_generators(spec: GroupSpec) -> tuple[list[np.ndarray], str]:
 
 def _entry(e) -> complex:
     """A generator-file entry: a real number or a [re, im] pair."""
-    if isinstance(e, (int, float)):
-        return complex(e)
-    re_, im_ = e
-    return complex(re_, im_)
+    return _json_complex(e) if isinstance(e, list) else complex(_json_number(e))
 
 
 def _load_explicit(path: str) -> tuple[list[np.ndarray], str]:
@@ -375,15 +376,9 @@ def group_order(spec: GroupSpec) -> int | None:
     return _FAMILIES[spec.kind].order(*spec.params)
 
 
-def close_group(
-    generators: list[np.ndarray],
-    field: str,
-    spec: GroupSpec,
-    tol: Tolerance = DEFAULT_TOL,
-    max_order: int = DEFAULT_MAX_ORDER,
-    seed_basis: np.ndarray | None = None,
-) -> FiniteMatrixGroup:
-    """Breadth-first closure of the generated group, deduplicated by quantized key.
+def close_group(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
+    """Breadth-first closure of the group's generators under its dedup policy
+    and size limit; returns the group with `elements` filled in.
 
     When the family has a closed-form order, a closure that passes it or ends
     short of it is a dedup-key failure and raises ConsistencyError. A product
@@ -391,16 +386,15 @@ def close_group(
     that is not finite (generators of no finite group, or overflowing ones)
     raises InputError.
     """
-    if not generators:
+    if not group.generators:
         raise InputError("no generators")
-    d = generators[0].shape[0]
-    dtype = float if field == "R" else complex
-    gens = [np.asarray(g, dtype=dtype) for g in generators]
-    digits = tol.dedup_digits
+    spec, max_order, digits = group.spec, group.max_order, group.tol.dedup_digits
+    dtype = float if group.field == "R" else complex
+    gens = [np.asarray(g, dtype=dtype) for g in group.generators]
     expected = group_order(spec)
     limit = max_order if expected is None else min(expected, max_order)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite products are caught below
-        elements, maps = _walk(np.eye(d, dtype=dtype)[None],
+        elements, maps = _walk(np.eye(group.dim, dtype=dtype)[None],
                                lambda block: np.concatenate([block @ g for g in gens]),
                                limit, digits)
         if maps is None:
@@ -421,18 +415,17 @@ def close_group(
             f"closure of {spec} ends at {len(elements)} of its {expected} elements: "
             f"distinct elements share a dedup key at {digits} digits"
         )
-    group = FiniteMatrixGroup(spec, field, tuple(gens), seed_basis, tol, max_order)
     return _enumerated(group, elements)
 
 
-def unitarize(group: FiniteMatrixGroup, tol: Tolerance = DEFAULT_TOL) -> FiniteMatrixGroup:
+def unitarize(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
     """Conjugate the representation so every element is unitary.
 
     Averages H = (1/|G|) sum_g g*g, factors H = L L*, and maps every element
     and generator g to L* g L*^-1. Returns the input unchanged when it is
-    already unitary within tolerance.
+    already unitary within the group's rel_eq.
     """
-    if group.unitarity_deviation() <= tol.rel_eq:
+    if group.unitarity_deviation() <= group.tol.rel_eq:
         return group
     E = group.elements
     H = np.einsum("nji,njk->ik", E.conj(), E) / len(E)
@@ -449,11 +442,10 @@ def unitarize(group: FiniteMatrixGroup, tol: Tolerance = DEFAULT_TOL) -> FiniteM
 
     out = _enumerated(
         FiniteMatrixGroup(group.spec, group.field,
-                          tuple(conjugate(np.stack(group.generators))),
-                          group.seed_basis, group.tol, group.max_order),
+                          tuple(conjugate(np.stack(group.generators))), group.tol, group.max_order),
         conjugate(E),
     )
-    if not out.unitarity_deviation() <= tol.rel_eq:
+    if not out.unitarity_deviation() <= group.tol.rel_eq:
         raise DegeneracyError("unitarization failed to reach tolerance")
     return out
 
@@ -486,12 +478,10 @@ def _assemble(spec: GroupSpec, tol: Tolerance, max_order: int) -> FiniteMatrixGr
     if order is not None and order > max_order:
         raise SizeLimitError(f"closure of {spec} exceeds max_order={max_order}")
     gens, ftag = build_generators(spec)
-    seed_basis = None
-    if spec.kind == "G" and spec.params[0] == 1:
-        seed_basis = _helmert_basis(spec.params[2])
+    group = FiniteMatrixGroup(spec, ftag, tuple(gens), tol, max_order)
     if _unitarity_deviation(np.stack(gens)) <= tol.rel_eq:
-        return FiniteMatrixGroup(spec, ftag, tuple(gens), seed_basis, tol, max_order)
-    return unitarize(close_group(gens, ftag, spec, tol, max_order, seed_basis), tol)
+        return group
+    return unitarize(group)
 
 
 @dataclass(frozen=True)

@@ -26,20 +26,16 @@ Rational = Fraction
 class Tolerance:
     """Numerical policy knobs.
 
-    rel_eq         relative tolerance for equality tests
-    snap_denom_max largest denominator considered when snapping to a rational
-    dedup_digits   decimal digits kept in quantized dedup keys
+    rel_eq        relative tolerance for equality tests
+    dedup_digits  decimal digits kept in quantized dedup keys
     """
 
     rel_eq: float = 1e-9
-    snap_denom_max: int = 10 ** 6
     dedup_digits: int = 8
 
     def __post_init__(self) -> None:
         if not (self.rel_eq > 0):
             raise ValueError("rel_eq must be positive")
-        if self.snap_denom_max < 1:
-            raise ValueError("snap_denom_max must be >= 1")
         if self.dedup_digits < 1:
             raise ValueError("dedup_digits must be >= 1")
 
@@ -171,22 +167,38 @@ def _walk(start: np.ndarray, step, limit: int,
 # Some p/q is within 1/q^2 of any real x, so with q up to 10^6 nearly any x
 # meets rel_eq; a rounded rational x scores q^2 |x - p/q| ~ |pq| 2^-53.
 # Rational roots of catalog pairs score <= 7e-6, irrational ones >= 4e-3.
+SNAP_DENOM_MAX = 10 ** 6
 SNAP_QUALITY_MAX = 1e-4
 
 
 def snap_to_rational(x: float, tol: Tolerance = DEFAULT_TOL) -> Rational | None:
-    """Best rational p/q with q <= snap_denom_max, or None if none is close.
+    """Best rational p/q with q <= SNAP_DENOM_MAX, or None if none is close.
 
     Uses the continued-fraction convergent and accepts it only when
     |x - p/q| <= rel_eq * max(1, |x|) and q^2 |x - p/q| <= SNAP_QUALITY_MAX.
     """
     if not math.isfinite(x):
         return None
-    cand = Fraction(x).limit_denominator(tol.snap_denom_max)
+    cand = Fraction(x).limit_denominator(SNAP_DENOM_MAX)
     err = abs(x - cand)
     if err <= tol.rel_eq * max(1.0, abs(x)) and cand.denominator ** 2 * err <= SNAP_QUALITY_MAX:
         return cand
     return None
+
+
+def _json_number(e) -> float:
+    """A number read from JSON. float() would take true as 1.0 and a string as
+    the number it spells, so those raise TypeError like any other non-number."""
+    if isinstance(e, bool) or not isinstance(e, (int, float)):
+        raise TypeError(f"entry {e!r} is not a number")
+    return float(e)
+
+
+def _json_complex(e) -> complex:
+    """A [re, im] pair of numbers read from JSON; TypeError for anything else."""
+    if not isinstance(e, list) or len(e) != 2:
+        raise TypeError(f"entry {e!r} is not a [re, im] pair")
+    return complex(_json_number(e[0]), _json_number(e[1]))
 
 
 def format_rational(r: Rational) -> str:

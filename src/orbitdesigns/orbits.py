@@ -94,20 +94,17 @@ def _canonicalize_rows(rows: np.ndarray, tol: Tolerance) -> np.ndarray:
     return rows * np.sign(p)[:, None]
 
 
-def orbit_lines(
-    group: FiniteMatrixGroup,
-    seed: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
-    seed_literal: str | None = None,
-) -> LineSet:
+def orbit_lines(group: FiniteMatrixGroup, seed: np.ndarray,
+                seed_literal: str | None = None) -> LineSet:
     """The projective orbit of a seed under the group, uniformly weighted.
 
-    Walks canonical lines breadth-first under the group's generators, so the
-    group's elements are never enumerated. Every generator must permute the
-    lines found, and their number must divide the group order when that has a
-    closed form; a dedup key that splits one line into several or merges two
-    is an error.
+    Walks canonical lines breadth-first under the group's generators and its
+    tol, so the group's elements are never enumerated. Every generator must
+    permute the lines found, and their number must divide the group order when
+    that has a closed form; a dedup key that splits one line into several or
+    merges two is an error.
     """
+    tol = group.tol
     x = group.embed_seed(np.asarray(seed))
     nx = np.linalg.norm(x)
     if nx == 0.0:

@@ -31,6 +31,8 @@ from .numerics import (
     DEFAULT_TOL,
     Rational,
     Tolerance,
+    _json_complex,
+    _json_number,
     format_rational,
     parse_rational,
     snap_to_rational,
@@ -87,8 +89,7 @@ class UnionSolution:
         return self.root is None and not self.degenerate
 
 
-def pair_quadratic(X: LineSet, Y: LineSet, t: int,
-                   tol: Tolerance = DEFAULT_TOL) -> PairQuadratic:
+def pair_quadratic(X: LineSet, Y: LineSet, t: int) -> PairQuadratic:
     """Coefficients of the union quadratic in alpha = beta_X."""
     if X.dim != Y.dim or X.field != Y.field:
         raise MismatchError("pair quadratic needs matching dimension and field")
@@ -129,7 +130,7 @@ def solve_union(X: LineSet, Y: LineSet, t: int, tol: Tolerance = DEFAULT_TOL,
     A snapped root's union is assembled and its strength certified up to
     max(t, t_max).
     """
-    q = pair_quadratic(X, Y, t, tol)
+    q = pair_quadratic(X, Y, t)
     residual = pair_identity(q.b_xx, q.b_yy, q.b_xy, float(q.c_t), tol)
     eps = tol.rel_eq * q.scale
     a, b, c = (v if abs(v) > eps else 0.0 for v in (q.a, q.b, q.c))
@@ -173,17 +174,9 @@ def _serialize_lines(lines: np.ndarray) -> list:
     return [[float(x) for x in row] for row in lines]
 
 
-def _number(e) -> float:
-    # float() would take JSON true as 1.0 and a string as the number it spells
-    if isinstance(e, bool) or not isinstance(e, (int, float)):
-        raise TypeError(f"line entry {e!r} is not a number")
-    return float(e)
-
-
 def _parse_lines(data: list, field: str) -> np.ndarray:
-    if field == "C":
-        return np.array([[complex(_number(e[0]), _number(e[1])) for e in row] for row in data])
-    return np.array([[_number(e) for e in row] for row in data])
+    entry = _json_complex if field == "C" else _json_number
+    return np.array([[entry(e) for e in row] for row in data])
 
 
 def emit_certificate(sol: UnionSolution, X: LineSet, Y: LineSet,
@@ -263,6 +256,8 @@ def verify_certificate(source, tol: Tolerance = DEFAULT_TOL, t_max: int = 12) ->
     are verification failures reported in `reasons`.
     """
     cert = _load_certificate(source)
+    if not isinstance(cert, dict):
+        raise CertificateError("certificate must be a JSON object")
     for key, typ in _CERT_KEYS.items():
         if key not in cert:
             raise CertificateError(f"certificate missing key {key!r}")

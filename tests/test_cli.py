@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -309,6 +310,29 @@ def test_verify_structural_error_exit(capsys, tmp_path):
     path.write_text("{not json")
     assert main(["verify", str(path)]) == 3
     assert main(["verify", str(tmp_path / "missing.json")]) == 3
+    # valid JSON that is not an object used to crash with a TypeError, exit 1
+    for text in ("5", "null", "true", "[]"):
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 3
+        assert capsys.readouterr().err == "error: certificate must be a JSON object\n"
+
+
+def test_union_emit_on_degenerate_pair_says_why(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    assert main(["union", "B(2)", "--x", "1,0", "--y", "1,1", "--t", "1",
+                 "--emit", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert not path.exists()
+    assert "degenerate: every affine weighting of X and Y is a design" in captured.out
+    assert captured.err == "no certificate written: the pair is degenerate and has no root\n"
+
+
+def test_group_rejects_boolean_generator_entries(capsys, tmp_path):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps({"field": "R", "generators": [[[False, True], [True, False]]]}))
+    assert main(["group", f"explicit:{path}"]) == 3
+    assert "malformed generator entry" in capsys.readouterr().err
 
 
 def test_scan_table_output(capsys):
@@ -412,10 +436,37 @@ def test_reproduce_rejects_unknown_table(capsys):
         ["orbit", "B(2)", "--seed", "1e400,1"],
         ["group", "rot(5 5)"],
         ["union", "B(2)", "--x", "1,0", "--y", "1,1", "--t", "2", "--workers", "2"],
+        # flags a subcommand does not read are not offered
+        ["verify", "cert.json", "--dedup-digits", "3"],
+        ["verify", "cert.json", "--max-order", "1"],
+        ["group", "B(2)", "--tmax", "3"],
+        ["union", "B(2)", "--x", "1,0", "--y", "1,1", "--t", "2", "--snap-denom-max", "5"],
+        ["reproduce", "all", "--snap-denom-max", "5"],
     ],
 )
 def test_usage_errors(argv, capsys):
     assert main(argv) == 3
+
+
+_COMMON_FLAGS = ["--rel-eq", "--dedup-digits", "--max-order", "--tmax", "--format"]
+_SUBCOMMAND_FLAGS = {
+    "group": ["--rel-eq", "--dedup-digits", "--max-order", "--format"],
+    "orbit": ["--seed", "--dump", *_COMMON_FLAGS],
+    "union": ["--x", "--y", "--t", "--emit", *_COMMON_FLAGS],
+    "scan": ["--samples", "--seed", *_COMMON_FLAGS],
+    "verify": ["--rel-eq", "--tmax", "--format"],
+    "reproduce": _COMMON_FLAGS,
+}
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMAND_FLAGS))
+def test_subcommand_flags(command, capsys):
+    # each subcommand offers only the flags it reads
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    flags = re.findall(r"^\s+(?:-\w, )?(--[a-z][a-z-]*)", out, re.M)
+    assert [f for f in flags if f != "--help"] == _SUBCOMMAND_FLAGS[command]
 
 
 def test_resource_limit_exit(capsys):

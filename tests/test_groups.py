@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from orbitdesigns import (
+    FiniteMatrixGroup,
     InputError,
     KeyCollisionError,
     SizeLimitError,
@@ -22,7 +23,7 @@ from orbitdesigns import (
     parse_group_spec,
     unitarize,
 )
-from orbitdesigns.groups import _unitarity_deviation, build_generators
+from orbitdesigns.groups import _helmert_basis, _unitarity_deviation, build_generators
 
 
 @pytest.mark.parametrize(
@@ -164,7 +165,7 @@ def test_unitarize_conjugated_copy():
     M = np.array([[1.0, 0.3], [-0.2, 1.1]])
     Minv = np.linalg.inv(M)
     skew = [Minv @ g @ M for g in gens]
-    group = close_group(skew, field, spec)
+    group = close_group(FiniteMatrixGroup(spec, field, tuple(skew)))
     assert group.order == 6
     assert group.unitarity_deviation() > 1e-6
     fixed = unitarize(group)
@@ -210,7 +211,7 @@ def test_closure_key_collision():
     spec = parse_group_spec("rot(100)")
     gens, field = build_generators(spec)
     with pytest.raises(KeyCollisionError, match="collide at 1 digits"):
-        close_group(gens, field, spec, Tolerance(dedup_digits=1))
+        close_group(FiniteMatrixGroup(spec, field, tuple(gens), Tolerance(dedup_digits=1)))
 
 
 def test_catalog_covers_expected_families():
@@ -284,6 +285,13 @@ _EXPLICIT_REJECTIONS = {
     json.dumps({"field": "R", "generators": [[[1e200, 0], [0, 1e-200]]]}): "leave the floating range",
     json.dumps({"field": "R", "generators": [[[["a", 0], 0], [0, 1]]]}): "malformed generator entry",
     json.dumps({"field": "R", "generators": [[[1, 0], [0]]]}): "malformed generator entry",
+    # JSON booleans are not numbers, and a complex entry is exactly [re, im]
+    json.dumps({"field": "R", "generators": [[[False, True], [True, False]]]}):
+        "malformed generator entry",
+    json.dumps({"field": "C", "generators": [[[[True, 0], 0], [0, 1]]]}):
+        "malformed generator entry",
+    json.dumps({"field": "C", "generators": [[[[1, 0, 0], 0], [0, 1]]]}):
+        "malformed generator entry",
 }
 
 
@@ -298,3 +306,9 @@ def test_explicit_loader_rejects_malformed_input(tmp_path, payload):
 def test_explicit_loader_missing_file():
     with pytest.raises(InputError):
         build_group("explicit:/nonexistent/gens.json")
+
+
+def test_seed_basis_follows_the_spec():
+    # only the sum-zero model of G(1,1,n) embeds seeds given in ambient coordinates
+    assert np.array_equal(build_group("A(4)").seed_basis, _helmert_basis(5))
+    assert build_group("B(3)").seed_basis is None

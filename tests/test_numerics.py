@@ -27,13 +27,12 @@ from orbitdesigns.orbits import _canonicalize_rows
 
 def test_tolerance_defaults():
     assert DEFAULT_TOL.rel_eq == 1e-9
-    assert DEFAULT_TOL.snap_denom_max == 10**6
     assert DEFAULT_TOL.dedup_digits == 8
 
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"rel_eq": 0.0}, {"rel_eq": -1e-9}, {"snap_denom_max": 0}, {"dedup_digits": 0}],
+    [{"rel_eq": 0.0}, {"rel_eq": -1e-9}, {"dedup_digits": 0}, {"rel_eq": float("nan")}],
 )
 def test_tolerance_rejects_bad_knobs(kwargs):
     with pytest.raises(ValueError):
@@ -137,8 +136,6 @@ def test_snap_examples():
 
 def test_snap_rejects_far_values():
     assert snap_to_rational(float("nan")) is None
-    # pi has no convergent with denominator <= 3 within 1e-9
-    assert snap_to_rational(math.pi, Tolerance(snap_denom_max=3)) is None
     # each has a convergent p/q within rel_eq, but q^2 |x - p/q| is far above
     # SNAP_QUALITY_MAX (pi 1.13, sqrt(2) 0.35, phi 0.45)
     for x in (math.pi, math.sqrt(2), (1 + math.sqrt(5)) / 2):
@@ -146,9 +143,10 @@ def test_snap_rejects_far_values():
 
 
 def test_snap_respects_denominator_cap():
-    tight = Tolerance(rel_eq=1e-12, snap_denom_max=10)
-    assert snap_to_rational(1 / 7, tight) == Fraction(1, 7)
-    assert snap_to_rational(1 / 101, tight) is None
+    # 999983 is the largest prime below SNAP_DENOM_MAX = 10^6, 1000003 the least above
+    assert numerics.SNAP_DENOM_MAX == 10**6
+    assert snap_to_rational(1 / 999983) == Fraction(1, 999983)
+    assert snap_to_rational(1 / 1000003) is None
 
 
 @given(

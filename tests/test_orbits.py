@@ -108,7 +108,7 @@ def test_h4_orbits_never_close_the_group(monkeypatch):
     close = groups.close_group
 
     def counted(*args, **kwargs):
-        calls.append(args[2])  # the spec
+        calls.append(args[0].spec)
         return close(*args, **kwargs)
 
     monkeypatch.setattr(groups, "close_group", counted)
@@ -121,11 +121,11 @@ def test_h4_orbits_never_close_the_group(monkeypatch):
 
 
 def test_orbit_walk_rejects_merged_keys():
-    # at 1 digit distinct lines of this A(4) orbit share keys, so the lines the
-    # walk keeps are not permuted by the generators
-    tol = Tolerance(dedup_digits=1)
+    # at the group's 1 digit distinct lines of this A(4) orbit share keys, so
+    # the lines the walk keeps are not permuted by the generators
+    g = build_group("A(4)", Tolerance(dedup_digits=1))
     with pytest.raises(ConsistencyError, match="do not permute"):
-        orbit_lines(build_group("A(4)", tol), catalog_entry("A(4)").seeds[0], tol)
+        orbit_lines(g, catalog_entry("A(4)").seeds[0])
 
 
 def test_orbit_weights_are_uniform_rationals():

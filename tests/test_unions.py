@@ -336,6 +336,11 @@ def _fresh_cert():
     return emit_certificate(solve_union(X, Y, 2), X, Y)
 
 
+def _fresh_complex_cert():
+    X, Y = _orbit("binO", 1), _orbit("binO", 3)
+    return emit_certificate(solve_union(X, Y, 4), X, Y)
+
+
 def test_verify_flags_perturbed_weight():
     cert = _fresh_cert()
     cert["weights"][0] = "251/1000"
@@ -384,6 +389,10 @@ def test_verify_flags_doctored_residuals():
         lambda c: c["lines"][0].__setitem__(0, True),
         lambda c: c["lines"][0].__setitem__(0, None),
         lambda c: c["lines"][0].__setitem__(0, "1"),
+        # a complex line entry is exactly [re, im]: the binO certificate replaces
+        # the real one, then its first entry grows or shrinks
+        lambda c: c.update(_fresh_complex_cert()) or c["lines"][0][0].extend([99.0, "junk"]),
+        lambda c: c.update(_fresh_complex_cert()) or c["lines"][0][0].pop(),
     ],
 )
 def test_verify_rejects_structural_damage(mutate):
