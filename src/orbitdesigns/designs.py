@@ -5,11 +5,11 @@ is a (t,t)-design exactly when the potential meets the field's Welch constant
 c_t. Potentials are accumulated blockwise with exact summation and never
 materialize the full Gram matrix.
 
-For a unitary group G, |<gx,gy>| = |<x,y>|, so against a G-invariant set every
-line of one G-orbit has the same Gram row sum. A union of orbits of one group
-(LineSet.group and orbit_starts) therefore sums one Gram row per orbit, the
-orbit's first line carrying its total weight; any other set sums every row.
-verify_certificate keeps the full sum, independent of orbit structure.
+For a unitary group G, |<gx,gy>| = |<x,y>|, so every line of one G-orbit has
+the same Gram row sum against a G-invariant set: the cross potential of two
+orbits of one group (LineSet.group) sums one row, the first line carrying the
+orbit's weight, and any other pair sums every row. cross_matrix holds them for
+k sets, whose union weighted w has potential w^T P w.
 
 A real (t,t)-design doubled to +-x, each with half its line's weight, is a
 spherical (2t+1)-design: its order-2t moment is the design's potential, and
@@ -17,6 +17,7 @@ its odd moments cancel in antipodal pairs.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,33 +91,40 @@ def _terms(A: np.ndarray, wa: np.ndarray, B: np.ndarray, wb: np.ndarray, orders:
             yield block.reshape(len(orders), -1)
 
 
-def _rows(X: LineSet, Y: LineSet) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and row weights whose moments against Y's lines equal X's.
+def _pair_moments(X: LineSet, Y: LineSet, orders) -> list[float]:
+    """[sum_{x in X, y in Y} w_x w_y |<x,y>|^(2t) for t in orders].
 
-    When X and Y are orbit unions of one group, each orbit block of X gives its
-    first line with the block's total weight; otherwise every line of X is a
-    row with its own weight.
+    When X and Y are orbits of one group, X gives one row, its first line with
+    its total weight; otherwise every line of X is a row with its own weight.
     """
-    if X.group is None or Y.group is not X.group:
-        return X.lines, X.weights
-    for S in (Y, X):  # X last: its starts and sizes make the rows
-        starts = list(S.orbit_starts)
-        sizes = np.diff(S.orbit_starts + (S.n_lines,))
-        if (np.repeat(S.weights[starts], sizes) != S.weights).any():
-            raise ConsistencyError(f"weights vary within an orbit of {S.group.spec}")
-    return X.lines[starts], X.weights[starts] * sizes
+    if X.dim != Y.dim or X.field != Y.field:
+        raise MismatchError("potentials need matching dimension and field")
+    rows, weights = X.lines, X.weights
+    if X.group is not None and Y.group is X.group:
+        for S in (Y, X):
+            if (S.weights != S.weights[0]).any():
+                raise ConsistencyError(f"weights vary within an orbit of {S.group.spec}")
+        rows, weights = X.lines[:1], X.weights[:1] * X.n_lines
+    return moments(rows, weights, Y.lines, Y.weights, orders)
+
+
+def cross_matrix(sets, orders) -> np.ndarray:
+    """P[n, i, j], the cross potential of sets[i] and sets[j] at orders[n]:
+    one moments call per pair i <= j, mirrored."""
+    P = np.empty((len(orders), len(sets), len(sets)))
+    for i, j in itertools.combinations_with_replacement(range(len(sets)), 2):
+        P[:, i, j] = P[:, j, i] = _pair_moments(sets[i], sets[j], orders)
+    return P
 
 
 def potential(X: LineSet, t: int) -> float:
     """Design potential of X at order t."""
-    return moments(*_rows(X, X), X.lines, X.weights, [t])[0]
+    return _pair_moments(X, X, [t])[0]
 
 
 def cross_potential(X: LineSet, Y: LineSet, t: int) -> float:
     """Mixed potential sum_{x in X, y in Y} w_x w_y |<x,y>|^(2t)."""
-    if X.dim != Y.dim or X.field != Y.field:
-        raise MismatchError("cross potential needs matching dimension and field")
-    return moments(*_rows(X, Y), Y.lines, Y.weights, [t])[0]
+    return _pair_moments(X, Y, [t])[0]
 
 
 @dataclass(frozen=True)
@@ -137,15 +145,20 @@ class DesignReport:
     def residual_at(self, t: int) -> float:
         return self.residuals[self.t_values.index(t)]
 
+    @classmethod
+    def build(cls, field: str, dim: int, potentials, signed: bool, tol: Tolerance) -> DesignReport:
+        """The report on potentials for t = 1..len(potentials) over field^dim."""
+        ts = tuple(range(1, len(potentials) + 1))
+        targets = tuple(welch_constant(field, dim, t) for t in ts)
+        residuals = tuple((p - float(c)) / float(c) for p, c in zip(potentials, targets))
+        missed = [t for t, r in zip(ts, residuals) if abs(r) > tol.rel_eq]
+        return cls(ts, tuple(potentials), targets, residuals,
+                   min(missed, default=len(ts) + 1) - 1, signed)
+
 
 def strength(X: LineSet, t_max: int = 12, tol: Tolerance = DEFAULT_TOL) -> DesignReport:
     """Evaluate potentials for t = 1..t_max and certify the design strength."""
     if t_max < 1:
         raise ValueError("t_max >= 1 required")
-    ts = tuple(range(1, t_max + 1))
-    pots = tuple(moments(*_rows(X, X), X.lines, X.weights, ts))
-    targets = tuple(welch_constant(X.field, X.dim, t) for t in ts)
-    residuals = tuple((p - float(c)) / float(c) for p, c in zip(pots, targets))
-    missed = [t for t, r in zip(ts, residuals) if abs(r) > tol.rel_eq]
-    return DesignReport(ts, pots, targets, residuals, min(missed, default=t_max + 1) - 1,
-                        X.signed)
+    return DesignReport.build(X.field, X.dim, _pair_moments(X, X, range(1, t_max + 1)),
+                              X.signed, tol)

@@ -31,7 +31,7 @@ class DegeneracyError(OrbitDesignsError):
 
 class ConsistencyError(OrbitDesignsError):
     """Internal invariant violated: dedup keys split or merge group elements or
-    orbit lines, weights vary within an orbit block, orbits merge only in part
+    orbit lines, weights vary within an orbit, orbits merge only in part
     in a union, or a scan's sample or Molien mean contradicts its counts."""
 
 

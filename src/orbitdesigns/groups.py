@@ -64,7 +64,7 @@ class GroupSpec:
         return self.label
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equal only to itself: == on arrays has no truth value
 class FiniteMatrixGroup:
     """A finite unitary matrix group, given by its generators.
 

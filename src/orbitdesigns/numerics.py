@@ -11,6 +11,7 @@ sum is correctly rounded, by exact bucket accumulation over numpy arrays
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -34,10 +35,12 @@ class Tolerance:
     dedup_digits: int = 8
 
     def __post_init__(self) -> None:
-        if not (self.rel_eq > 0):
-            raise ValueError("rel_eq must be positive")
-        if self.dedup_digits < 1:
-            raise ValueError("dedup_digits must be >= 1")
+        # a relative tolerance of 1 or more counts any two numbers of one sign equal
+        if not (0 < self.rel_eq < 1):
+            raise ValueError("rel_eq must be positive and below 1")
+        # past the largest decimal exponent, np.round overflows and every key is nan
+        if not (1 <= self.dedup_digits <= sys.float_info.max_10_exp):
+            raise ValueError(f"dedup_digits must be in 1..{sys.float_info.max_10_exp}")
 
 
 DEFAULT_TOL = Tolerance()

@@ -21,7 +21,7 @@ from .numerics import DEFAULT_TOL, Rational, Tolerance, _intern, _walk, compensa
 VALIDATE_BLOCK_TERMS = 1 << 15  # Gram entries per block of LineSet.validate's coincidence test
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equal only to itself: == on arrays has no truth value
 class LineSet:
     """A weighted set of projective lines.
 
@@ -31,9 +31,8 @@ class LineSet:
     exact_weights  optional Fractions matching weights exactly; orbits and
                    unions always carry them
     seed_literal   provenance: the seed vector literal, if any
-    group          the group when the set is a union of its orbits, else None
-    orbit_starts   with group: the first row of each orbit block, the rows of
-                   one block being one orbit with one weight; else None
+    group          the group when the set is one orbit of it, else None; only
+                   orbit_lines sets it
     """
 
     field: str
@@ -42,7 +41,6 @@ class LineSet:
     exact_weights: tuple | None = None
     seed_literal: str | None = None
     group: FiniteMatrixGroup | None = None
-    orbit_starts: tuple | None = None
 
     @property
     def dim(self) -> int:
@@ -144,7 +142,6 @@ def orbit_lines(group: FiniteMatrixGroup, seed: np.ndarray,
         exact_weights=(w,) * n,
         seed_literal=seed_literal if seed_literal is not None else format_vector(np.asarray(seed)),
         group=group,
-        orbit_starts=(0,),
     )
     out.validate(tol)
     return out
@@ -161,8 +158,9 @@ def union_lines(
     Weights are summed exactly: an operand without exact_weights contributes
     the Fraction of each float weight, so the union always carries
     exact_weights. Lines shared by X and Y are merged with summed weight;
-    lines whose merged weight is zero are dropped. When X and Y are single
-    orbits of one group, the result is an orbit union of that group.
+    lines whose merged weight is zero are dropped. The result has no group.
+    Two orbits of one group are equal or disjoint: a partial merge of them, or
+    of one orbit's own lines, means the dedup keys joined distinct lines.
     """
     if X.dim != Y.dim or X.field != Y.field:
         raise MismatchError("union operands must share dimension and field")
@@ -172,6 +170,13 @@ def union_lines(
     index: dict[bytes, int] = {}
     # per operand, the union row of each of its lines
     where = [_intern(ls.lines, index, tol.dedup_digits).tolist() for ls in (X, Y)]
+    rx, ry = set(where[0]), set(where[1])
+    if X.group is not None and Y.group is X.group and (
+            len(rx) != X.n_lines or len(ry) != Y.n_lines or (rx & ry and rx != ry)):
+        raise ConsistencyError(
+            f"orbits of {X.group.spec} merge only in part in a union: dedup "
+            f"keys at {tol.dedup_digits} digits joined distinct lines"
+        )
     rows = where[0] + where[1]
     _, first = np.unique(rows, return_index=True)
     lines = np.concatenate([X.lines, Y.lines])[first]
@@ -185,37 +190,14 @@ def union_lines(
     if not keep:
         raise ConsistencyError("union has no lines with nonzero weight")
     kept_w = [weights[i] for i in keep]
-    single = X.group is Y.group and X.orbit_starts == Y.orbit_starts == (0,)
-    group = X.group if single else None
     out = LineSet(
         field=X.field,
         lines=lines[keep],
         weights=np.array([float(w) for w in kept_w]),
         exact_weights=tuple(kept_w),
-        group=group,
-        orbit_starts=_union_blocks(X, Y, where, keep, tol) if group is not None else None,
     )
     out.validate(tol)
     return out
-
-
-def _union_blocks(X: LineSet, Y: LineSet, where: list[list[int]], keep: list[int],
-                  tol: Tolerance) -> tuple:
-    """orbit_starts of the union of two orbits of one group.
-
-    Two orbits of a group are equal or disjoint, so Y's union rows are X's or
-    none of them, and each operand's lines take distinct rows; anything else
-    means the dedup keys joined distinct lines. An orbit dropped for zero
-    weight goes whole, since weights are constant on an orbit.
-    """
-    rx, ry = set(where[0]), set(where[1])
-    if len(rx) != X.n_lines or len(ry) != Y.n_lines or (rx & ry and rx != ry):
-        raise ConsistencyError(
-            f"orbits of {X.group.spec} merge only in part in a union: dedup "
-            f"keys at {tol.dedup_digits} digits joined distinct lines"
-        )
-    position = {row: n for n, row in enumerate(keep)}
-    return tuple(sorted(position[s] for s in {min(rx), min(ry)} if s in position))
 
 
 _COMPLEX_ENTRY = re.compile(

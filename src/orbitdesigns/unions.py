@@ -14,7 +14,8 @@ alpha = (b_yy - b_xy)/A, and it exists exactly when the pair identity
 b_xx b_yy - b_xy^2 = c_t A holds; pair_identity is the one test for it.
 
 Roots are snapped to rationals, re-verified by substitution and by a strength
-report on the weighted union, and can be serialized as a JSON certificate.
+report on the union's potentials w^T P w, P the pair's designs.cross_matrix,
+and can be serialized as a JSON certificate.
 """
 from __future__ import annotations
 
@@ -25,8 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .designs import DesignReport, cross_potential, potential, strength, welch_constant
-from .errors import CertificateError, MismatchError, NoSolutionError, SizeLimitError
+from .designs import DesignReport, cross_matrix, strength, welch_constant
+from .errors import CertificateError, NoSolutionError, SizeLimitError
 from .numerics import (
     DEFAULT_TOL,
     Rational,
@@ -91,12 +92,12 @@ class UnionSolution:
 
 def pair_quadratic(X: LineSet, Y: LineSet, t: int) -> PairQuadratic:
     """Coefficients of the union quadratic in alpha = beta_X."""
-    if X.dim != Y.dim or X.field != Y.field:
-        raise MismatchError("pair quadratic needs matching dimension and field")
-    b_xx = potential(X, t)
-    b_yy = potential(Y, t)
-    b_xy = cross_potential(X, Y, t)
-    c_t = welch_constant(X.field, X.dim, t)
+    return _quadratic(cross_matrix([X, Y], [t])[0], welch_constant(X.field, X.dim, t))
+
+
+def _quadratic(M: np.ndarray, c_t: Rational) -> PairQuadratic:
+    """The quadratic from the 2x2 cross matrix M of X and Y at one order."""
+    (b_xx, b_xy), (_, b_yy) = M.tolist()
     a = b_xx + b_yy - 2.0 * b_xy
     b = 2.0 * b_xy - 2.0 * b_yy
     c = b_yy - float(c_t)
@@ -128,9 +129,10 @@ def solve_union(X: LineSet, Y: LineSet, t: int, tol: Tolerance = DEFAULT_TOL,
     dust zeroing (coefficients within rel_eq of zero, relative to the
     potential scale, count as zero); the root is then the double root -B/(2A).
     A snapped root's union is assembled and its strength certified up to
-    max(t, t_max).
+    max(t, t_max), on the potentials w^T P w with w the float beta.
     """
-    q = pair_quadratic(X, Y, t)
+    P = cross_matrix([X, Y], range(1, max(t, t_max) + 1))
+    q = _quadratic(P[t - 1], welch_constant(X.field, X.dim, t))
     residual = pair_identity(q.b_xx, q.b_yy, q.b_xy, float(q.c_t), tol)
     eps = tol.rel_eq * q.scale
     a, b, c = (v if abs(v) > eps else 0.0 for v in (q.a, q.b, q.c))
@@ -139,7 +141,8 @@ def solve_union(X: LineSet, Y: LineSet, t: int, tol: Tolerance = DEFAULT_TOL,
         root = _build_root(-b / (2.0 * a), q, X.n_lines, Y.n_lines, tol)
     if root is not None and root.beta is not None:
         union = union_lines(X, Y, root.beta, tol)
-        verified = strength(union, max(t, t_max), tol)
+        w = np.array(root.beta, dtype=float)
+        verified = DesignReport.build(X.field, X.dim, (w @ P @ w).tolist(), union.signed, tol)
     return UnionSolution(
         t=t, quad=q, discriminant=b * b - 4.0 * a * c,
         degenerate=residual is None, identity_residual=residual, root=root,

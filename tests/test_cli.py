@@ -72,6 +72,14 @@ def test_group_closure_key_collision_exit(capsys):
     assert capsys.readouterr().err == "error: distinct elements of rot(100) collide at 1 digits\n"
 
 
+def test_dedup_digits_stop_at_the_float_range(capsys):
+    # past 308 digits np.round overflows, and every line took one nan key
+    code, payload = run_json(capsys, "orbit", "B(3)", "--seed", "1,1,0", "--dedup-digits", "308")
+    assert code == 0 and payload["lines"] == 6
+    assert main(["orbit", "B(3)", "--seed", "1,1,0", "--dedup-digits", "309"]) == 3
+    assert capsys.readouterr().err == "error: dedup_digits must be in 1..308\n"
+
+
 def test_orbit_key_split_exit(capsys):
     # the walk stops once it passes |H4| = 14400 lines instead of running on
     start = time.monotonic()

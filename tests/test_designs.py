@@ -228,6 +228,8 @@ def test_orbit_rows_match_full_sum():
 
 
 def test_union_rows_match_full_sum():
+    # the verified potentials are w^T P w from the orbits' cross matrix; the
+    # reference sums every Gram row of the assembled union
     ts = range(1, 13)
     for row in _load_expectations():
         if not row["seedY"] or not row["betaX"]:
@@ -235,12 +237,10 @@ def test_union_rows_match_full_sum():
         g = build_group(row["group"])
         X, Y = (orbit_lines(g, _resolve_seed(row["group"], row[k])[0])
                 for k in ("seedX", "seedY"))
-        U = solve_union(X, Y, int(row["t"])).union
-        assert U.group is g and len(U.orbit_starts) in (1, 2)
-        bare = dataclasses.replace(U, group=None, orbit_starts=None)
-        _, scale = _full_sum(U, ts)
-        pairs = zip(ts, strength(U, 12).potentials, strength(bare, 12).potentials, scale)
-        for t, p, f, s in pairs:
+        sol = solve_union(X, Y, int(row["t"]))
+        assert sol.union.group is None
+        full, scale = _full_sum(sol.union, ts)
+        for t, p, f, s in zip(ts, sol.verified.potentials, full, scale):
             assert abs(p - f) <= 8 * t * EPS * s, (row["group"], row["betaX"], t)
 
 
@@ -262,7 +262,7 @@ def test_solve_union_sums_one_row_per_orbit(row_counts):
     X, Y = _orbit("H4", 1), _orbit("H4", 4)
     sol = solve_union(X, Y, 6)
     assert sol.union.n_lines == 660 and sol.verified.strength >= 6
-    assert row_counts and max(row_counts) <= 2
+    assert row_counts == [1, 1, 1]  # b_xx, b_xy and b_yy, each at every order
 
 
 def test_sets_without_a_shared_group_sum_every_row(row_counts):
@@ -285,8 +285,9 @@ def test_verify_sums_every_certificate_row(row_counts):
 def test_union_of_an_orbit_with_itself_is_one_block():
     X = _orbit("H4", 1)
     U = union_lines(X, X, (Fraction(1, 3), Fraction(2, 3)))
-    assert U.group is X.group and U.orbit_starts == (0,)
-    assert potential(U, 6) == potential(X, 6)
+    assert U.group is None and np.array_equal(U.lines, X.lines)
+    assert U.exact_weights == X.exact_weights
+    assert potential(U, 6) == _full_sum(X, [6])[0][0]
 
 
 def test_unequal_weights_within_an_orbit_raise():

@@ -32,7 +32,8 @@ def test_tolerance_defaults():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"rel_eq": 0.0}, {"rel_eq": -1e-9}, {"dedup_digits": 0}, {"rel_eq": float("nan")}],
+    [{"rel_eq": 0.0}, {"rel_eq": -1e-9}, {"dedup_digits": 0}, {"rel_eq": float("nan")},
+     {"rel_eq": 1.0}, {"rel_eq": float("inf")}, {"dedup_digits": 309}, {"dedup_digits": 400}],
 )
 def test_tolerance_rejects_bad_knobs(kwargs):
     with pytest.raises(ValueError):

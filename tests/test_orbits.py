@@ -159,7 +159,7 @@ def test_union_identity_weighting():
                     (Fraction(1), Fraction(0)))
     assert U.n_lines == X.n_lines
     assert U.exact_weights == X.exact_weights
-    assert U.group is X.group and U.orbit_starts == (0,)
+    assert U.group is None
 
 
 def test_union_merges_identical_sets():
@@ -167,7 +167,7 @@ def test_union_merges_identical_sets():
     U = union_lines(X, X, (Fraction(1, 2), Fraction(1, 2)))
     assert U.n_lines == X.n_lines
     assert U.exact_weights == X.exact_weights
-    assert U.orbit_starts == (0,)
+    assert U.group is None and np.array_equal(U.lines, X.lines)
 
 
 def test_union_four_line_cross():
@@ -177,18 +177,18 @@ def test_union_four_line_cross():
     U = union_lines(X, Y, (Fraction(1, 2), Fraction(1, 2)))
     assert U.n_lines == 4
     assert U.exact_weights == (Fraction(1, 4),) * 4
-    assert U.group is g and U.orbit_starts == (0, 2)
+    assert U.group is None
 
 
 def test_union_of_a_two_orbit_union_drops_the_group():
-    # only unions of two single orbits keep the orbit structure; a wider
-    # union is a plain line set summed in full
+    # a union is a plain line set, summed in full, and so is its union with
+    # an orbit
     g = build_group("G(2,1,2)")
     X = orbit_lines(g, np.array([1.0, 0.0]))
     Y = orbit_lines(g, np.array([1.0, 1.0]))
     U = union_lines(X, Y, (Fraction(1, 2), Fraction(1, 2)))
     W = union_lines(U, X, (Fraction(1, 2), Fraction(1, 2)))
-    assert W.group is None and W.orbit_starts is None
+    assert W.group is None
     assert W.exact_weights == (Fraction(3, 8),) * 2 + (Fraction(1, 8),) * 2
 
 
@@ -213,7 +213,7 @@ def test_union_of_a_float_only_set_sums_exact_fractions():
 
 
 def test_union_rejects_a_partial_orbit_merge():
-    # one line of Y's orbit block coincides with a line of X, the other not:
+    # one line of Y's orbit coincides with a line of X, the other not:
     # two orbits of one group are never related so, only a key merge does it
     g = build_group("G(2,1,2)")
     X = orbit_lines(g, np.array([1.0, 0.0]))
@@ -225,8 +225,17 @@ def test_union_rejects_a_partial_orbit_merge():
     twice = dataclasses.replace(Y, lines=np.stack([Y.lines[0], Y.lines[0]]))
     with pytest.raises(ConsistencyError, match="merge only in part"):
         union_lines(X, twice, (Fraction(1, 2), Fraction(1, 2)))
-    plain = dataclasses.replace(half, group=None, orbit_starts=None)
-    assert union_lines(X, plain, (Fraction(1, 2), Fraction(1, 2))).orbit_starts is None
+    plain = dataclasses.replace(half, group=None)
+    assert union_lines(X, plain, (Fraction(1, 2), Fraction(1, 2))).group is None
+
+
+def test_groups_and_line_sets_compare_by_identity():
+    # generators are arrays, so field-wise == would raise on their truth value
+    g, h = build_group("B(2)"), build_group("B(2)", max_order=1000)
+    X, Y = (orbit_lines(g, np.array([1.0, 0.0])) for _ in range(2))
+    for a, b in ((g, h), (X, Y)):
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
 
 def test_union_signed_weighting():

@@ -23,6 +23,7 @@ from orbitdesigns import (
     welch_constant,
 )
 from orbitdesigns import numerics
+from orbitdesigns.cli import _load_expectations, _resolve_seed
 from orbitdesigns.unions import IDENTITY_TOL
 
 
@@ -292,15 +293,22 @@ def test_certificate_requires_a_root():
         emit_certificate(sol, X, Y)
 
 
-@pytest.mark.parametrize("pair", [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+_H4_PAIRS = [("H4", f"@{x}", f"@{y}", 6) for x, y in [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]]
+_ROOT_ROWS = [(r["group"], r["seedX"], r["seedY"], int(r["t"]))
+              for r in _load_expectations() if r["seedY"] and r["betaX"]]
+
+
+@pytest.mark.parametrize("pair", _H4_PAIRS + [r for r in _ROOT_ROWS if r not in _H4_PAIRS])
 def test_orbit_row_residuals_match_full_gram_sum(pair):
-    # the certificate's residuals come from one Gram row per orbit, verify's
+    # the certificate's residuals come from the orbits' cross matrix, verify's
     # from every row of the stored lines
-    X, Y = (_orbit("H4", k) for k in pair)
-    cert = emit_certificate(solve_union(X, Y, 6), X, Y)
+    label, seed_x, seed_y, t = pair
+    g = build_group(label)
+    X, Y = (orbit_lines(g, _resolve_seed(label, s)[0]) for s in (seed_x, seed_y))
+    cert = emit_certificate(solve_union(X, Y, t), X, Y)
     result = verify_certificate(cert)
     assert result.passed, result.reasons
-    assert len(result.residuals) >= 6
+    assert len(result.residuals) >= t
     for stored, recomputed in result.residuals.values():
         assert abs(stored - recomputed) <= 1e-12
 
