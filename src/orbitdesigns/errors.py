@@ -15,10 +15,9 @@ class NumericRangeError(OrbitDesignsError):
 
 
 class SizeLimitError(OrbitDesignsError):
-    """A group or orbit passes the configured maximum order: in build_group's
-    check of a family's closed-form order, in a group closure, or in the orbit
-    walk of a group without a closed-form order (explicit generator files).
-    Also a certificate whose t or stored residual order passes t_max."""
+    """A family's closed-form order, a group closure or an orbit walk passes
+    the group's max_order. Also a certificate whose t or stored residual
+    order passes t_max."""
 
 
 class KeyCollisionError(OrbitDesignsError):

@@ -1,15 +1,16 @@
 """Finite unitary matrix groups: family generators, closure, unitarization, catalog.
 
-Each family is one row of the table _FAMILIES, keyed by the head of its spec,
-that holds its arity, its parameter check, its closed-form order and its
-generators with their field tag. The families are the imprimitive monomial
-groups G(m,p,n), real dihedral/rotation groups on the plane, binary
-dihedral/tetrahedral/octahedral/icosahedral subgroups of SU(2), the
-icosahedral reflection groups H3/H4 and discrete Heisenberg groups. A(d), B(d)
-and D(d) are aliases that check their own parameter and name G(1,1,d+1),
-G(2,1,d) and G(2,2,d); G(1,1,n) is realized on the sum-zero hyperplane.
-Explicit generator files (explicit:<path>) have their own loader and no
-closed-form order.
+A group is its generator matrices, whose dtype is its field. Each family is
+one row of the table _FAMILIES, keyed by the head of its spec, that holds its
+arity, its parameter check, its closed-form order and its generators. The
+families are the imprimitive reflection groups G(m,p,n), real
+dihedral/rotation groups on the plane, binary dihedral/tetrahedral/
+octahedral/icosahedral subgroups of SU(2), the icosahedral reflection groups
+H3/H4 and discrete Heisenberg groups; G(m,p,n), H3 and H4 are generated by
+_reflection in their roots. A(d), B(d) and D(d) are aliases that check their
+own parameter and name G(1,1,d+1), G(2,1,d) and G(2,2,d); G(1,1,n) is
+realized on the sum-zero hyperplane. Explicit generator files
+(explicit:<path>) have their own loader and no closed-form order.
 """
 from __future__ import annotations
 
@@ -68,8 +69,8 @@ class GroupSpec:
 class FiniteMatrixGroup:
     """A finite unitary matrix group, given by its generators.
 
-    generators (d, d) unitary matrices, float64 for real groups, complex128
-               otherwise
+    generators (d, d) unitary matrices, all float64 for a real group (field
+               "R") or all complex128 (field "C")
     tol, max_order
                the dedup policy and size limit of closure and orbit walks
 
@@ -77,7 +78,6 @@ class FiniteMatrixGroup:
     """
 
     spec: GroupSpec
-    field: str  # "R" or "C"
     generators: tuple
     tol: Tolerance = DEFAULT_TOL
     max_order: int = DEFAULT_MAX_ORDER
@@ -100,6 +100,24 @@ class FiniteMatrixGroup:
         return self.generators[0].shape[0]
 
     @property
+    def field(self) -> str:
+        """"C" when the generators are complex, else "R"."""
+        return "C" if np.iscomplexobj(self.generators[0]) else "R"
+
+    def walk(self, start: np.ndarray, step, too_many: str, split: str):
+        """_walk from start under the group's dedup digits, up to the
+        closed-form order when that is within max_order, else max_order.
+        Passing max_order raises SizeLimitError(too_many); passing the known
+        order is a dedup-key split and raises ConsistencyError(split)."""
+        known = group_order(self.spec)
+        exact = known is not None and known <= self.max_order
+        rows, maps = _walk(start, step, known if exact else self.max_order,
+                           self.tol.dedup_digits)
+        if maps is None:
+            raise ConsistencyError(split) if exact else SizeLimitError(too_many)
+        return rows, maps
+
+    @property
     def order(self) -> int:
         """The family's closed-form order, else the number of closed elements."""
         known = group_order(self.spec)
@@ -112,14 +130,11 @@ class FiniteMatrixGroup:
         ambient coordinates with zero coordinate sum.
         """
         v = np.asarray(v)
-        if self.field == "R":
-            if np.iscomplexobj(v):
-                if np.abs(v.imag).max() > 1e-12:
-                    raise InputError(f"{self.spec} is a real group; seed has imaginary parts")
-                v = v.real
-            v = v.astype(float)
-        else:
-            v = v.astype(complex)
+        if self.field == "R" and np.iscomplexobj(v):
+            if np.abs(v.imag).max() > 1e-12:
+                raise InputError(f"{self.spec} is a real group; seed has imaginary parts")
+            v = v.real
+        v = v.astype(self.generators[0].dtype)
         if self.seed_basis is not None and len(v) == self.seed_basis.shape[0]:
             if abs(v.sum()) > 1e-9 * max(1.0, float(np.abs(v).max())):
                 raise InputError(
@@ -175,31 +190,29 @@ def _helmert_basis(n: int) -> np.ndarray:
     return B
 
 
-def _imprimitive(m: int, p: int, n: int) -> tuple[list[np.ndarray], str]:
-    """Transpositions plus diagonal/twisted-transposition generators of G(m,p,n);
-    for m = 1, the transpositions projected onto the sum-zero hyperplane."""
-    dtype = float if m <= 2 else complex
+def _reflection(root: np.ndarray, zeta: complex = -1.0) -> np.ndarray:
+    """The reflection that multiplies root by zeta and fixes its orthogonal
+    complement, I - (1 - zeta) v v*/|v|^2; real when root and zeta are."""
+    v = np.asarray(root)
+    return np.eye(len(v)) - (1 - zeta) / np.vdot(v, v).real * np.outer(v, v.conj())
+
+
+def _imprimitive(m: int, p: int, n: int) -> list[np.ndarray]:
+    """G(m,p,n) from its roots: e_i - e_(i+1) with zeta = -1 (transpositions),
+    e_1 with zeta = omega^p when p < m, and e_1 - omega e_2 with zeta = -1
+    when p > 1, where omega = exp(2 pi i/m); for m = 1, the transpositions
+    projected onto the sum-zero hyperplane."""
     omega = -1.0 if m == 2 else np.exp(2j * np.pi / m)
-    gens = []
-    for i in range(n - 1):
-        T = np.eye(n, dtype=dtype)
-        T[[i, i + 1]] = T[[i + 1, i]]
-        gens.append(T)
+    e = np.eye(n, dtype=float if m <= 2 else complex)
+    gens = [_reflection(e[i] - e[i + 1]) for i in range(n - 1)]
     if p < m:
-        D = np.eye(n, dtype=dtype)
-        D[0, 0] = omega ** p
-        gens.append(D)
+        gens.append(_reflection(e[0], omega ** p))
     if p > 1:
-        # e1 -> omega e2, e2 -> conj(omega) e1; determinant of nonzero entries is 1
-        T = np.eye(n, dtype=dtype)
-        T[0, 0] = T[1, 1] = 0
-        T[0, 1] = np.conj(omega)
-        T[1, 0] = omega
-        gens.append(T)
+        gens.append(_reflection(e[0] - omega * e[1]))
     if m == 1:
         B = _helmert_basis(n)
-        return [B.T @ T @ B for T in gens], "R"
-    return gens, "R" if m <= 2 else "C"
+        return [B.T @ T @ B for T in gens]
+    return gens
 
 
 def _check_imprimitive(m: int, p: int, n: int) -> str | None:
@@ -214,25 +227,19 @@ def _check_imprimitive(m: int, p: int, n: int) -> str | None:
     return None
 
 
-def _binary_dihedral(k: int) -> tuple[list[np.ndarray], str]:
+def _binary_dihedral(k: int) -> list[np.ndarray]:
     omega = np.exp(2j * np.pi / k)
     return [np.diag([omega, omega.conjugate()]),
-            np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)], "C"
+            np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)]
 
 
-def _reflections(roots: np.ndarray) -> tuple[list[np.ndarray], str]:
-    """The real reflections in the given unit roots."""
-    d = roots.shape[1]
-    return [np.eye(d) - 2.0 * np.outer(r, r) for r in roots], "R"
-
-
-def _heisenberg(d: int) -> tuple[list[np.ndarray], str]:
+def _heisenberg(d: int) -> list[np.ndarray]:
     if d == 2:
-        return [np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])], "R"
+        return [np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])]
     omega = np.exp(2j * np.pi / d)
     shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
     clock = np.diag(omega ** np.arange(d))
-    return [shift, clock], "C"
+    return [shift, clock]
 
 
 def _at_least(low: int, message: str) -> Callable[[int], str | None]:
@@ -246,49 +253,54 @@ class _Family:
 
     arity       number of integer parameters the spec takes
     order       closed-form group order, from the parameters
-    generators  (generator matrices, field tag), from the parameters
+    generators  generator matrices, from the parameters
     check       error message for invalid parameters, else None
     as_g        for the aliases A, B and D: the G(m,p,n) parameters they name
                 (these rows have no order or generators of their own)
+    dim         dimension of the generators, from the parameters
     """
 
     arity: int
     order: Callable[..., int] | None = None
-    generators: Callable[..., tuple[list[np.ndarray], str]] | None = None
+    generators: Callable[..., list[np.ndarray]] | None = None
     check: Callable[..., str | None] = lambda *params: None
     as_g: Callable[..., tuple[int, int, int]] | None = None
+    dim: Callable[..., int] = lambda *params: 2
 
 
 _FAMILIES = {
     "G": _Family(3, lambda m, p, n: m ** n * math.factorial(n) // p, _imprimitive,
-                 _check_imprimitive),
+                 _check_imprimitive, dim=lambda m, p, n: n - (m == 1)),
     "A": _Family(1, check=_at_least(1, "A(d) needs d >= 1"), as_g=lambda d: (1, 1, d + 1)),
     "B": _Family(1, check=_at_least(2, "B(d) needs d >= 2"), as_g=lambda d: (2, 1, d)),
     "D": _Family(1, check=_at_least(3, "D(d) needs d >= 3 (D(2) is reducible)"),
                  as_g=lambda d: (2, 2, d)),
     "dihedral": _Family(1, lambda m: 2 * m,
-                        lambda m: ([_rotation(2 * math.pi / m), np.diag([1.0, -1.0])], "R"),
+                        lambda m: [_rotation(2 * math.pi / m), np.diag([1.0, -1.0])],
                         _at_least(3, "dihedral(m) needs m >= 3 for irreducibility")),
-    "rot": _Family(1, lambda m: m, lambda m: ([_rotation(2 * math.pi / m)], "R"),
+    "rot": _Family(1, lambda m: m, lambda m: [_rotation(2 * math.pi / m)],
                    _at_least(3, "rot(m) needs m >= 3 for irreducibility")),
     "binD": _Family(1, lambda k: 2 * k, _binary_dihedral,
                     lambda k: "binD(k) needs even k >= 4" if k < 4 or k % 2 else None),
     "binT": _Family(0, lambda: 24,
-                    lambda: ([_su2(0, 1, 0, 0), _su2(0.5, 0.5, 0.5, 0.5)], "C")),
+                    lambda: [_su2(0, 1, 0, 0), _su2(0.5, 0.5, 0.5, 0.5)]),
     "binO": _Family(0, lambda: 48,
-                    lambda: ([_su2(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0, 0),
-                              _su2(0.5, 0.5, 0.5, 0.5)], "C")),
+                    lambda: [_su2(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0, 0),
+                             _su2(0.5, 0.5, 0.5, 0.5)]),
     "binI": _Family(0, lambda: 120,
-                    lambda: ([_su2(0.5, 0.5, 0.5, 0.5),
-                              _su2(PHI / 2, 1 / (2 * PHI), 0.5, 0)], "C")),
-    "H3": _Family(0, lambda: 120, lambda: _reflections(H3_SIMPLE_ROOTS)),
-    "H4": _Family(0, lambda: 14400, lambda: _reflections(H4_SIMPLE_ROOTS)),
-    "heis": _Family(1, lambda d: d ** 3, _heisenberg, _at_least(2, "heis(d) needs d >= 2")),
+                    lambda: [_su2(0.5, 0.5, 0.5, 0.5),
+                             _su2(PHI / 2, 1 / (2 * PHI), 0.5, 0)]),
+    "H3": _Family(0, lambda: 120, lambda: [_reflection(r) for r in H3_SIMPLE_ROOTS],
+                  dim=lambda: 3),
+    "H4": _Family(0, lambda: 14400, lambda: [_reflection(r) for r in H4_SIMPLE_ROOTS],
+                  dim=lambda: 4),
+    "heis": _Family(1, lambda d: d ** 3, _heisenberg, _at_least(2, "heis(d) needs d >= 2"),
+                    dim=lambda d: d),
 }
 
 
-def build_generators(spec: GroupSpec) -> tuple[list[np.ndarray], str]:
-    """Generator matrices and field tag for a validated spec."""
+def build_generators(spec: GroupSpec) -> list[np.ndarray]:
+    """Generator matrices for a validated spec."""
     if spec.kind == "explicit":
         return _load_explicit(spec.params[0])
     return _FAMILIES[spec.kind].generators(*spec.params)
@@ -299,7 +311,8 @@ def _entry(e) -> complex:
     return _json_complex(e) if isinstance(e, list) else complex(_json_number(e))
 
 
-def _load_explicit(path: str) -> tuple[list[np.ndarray], str]:
+def _load_explicit(path: str) -> list[np.ndarray]:
+    """The file's generators: complex128 under "field": "C", else float64."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -309,8 +322,7 @@ def _load_explicit(path: str) -> tuple[list[np.ndarray], str]:
         raise InputError(f"generator file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "field" not in data or "generators" not in data:
         raise InputError("generator file needs 'field' and 'generators' keys")
-    ftag = data["field"]
-    if ftag not in ("R", "C"):
+    if data["field"] not in ("R", "C"):
         raise InputError("field must be 'R' or 'C'")
     try:
         gens = [np.array([[_entry(e) for e in row] for row in mat]) for mat in data["generators"]]
@@ -331,11 +343,11 @@ def _load_explicit(path: str) -> tuple[list[np.ndarray], str]:
         if not abs(det - 1.0) <= 1e-6:
             raise InputError(f"generators must be invertible with |det| = 1, as in "
                              f"a finite group: generator {i} has |det| = {det:.6g}")
-    if ftag == "R":
+    if data["field"] == "R":
         if max(float(np.abs(g.imag).max()) for g in gens) > 1e-12:
             raise InputError("field 'R' but generators have imaginary parts")
         gens = [g.real.copy() for g in gens]
-    return gens, ftag
+    return gens
 
 
 _SPEC_RE = re.compile(r"^([A-Za-z][A-Za-z0-9]*)\s*(?:\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\))?$")
@@ -377,33 +389,29 @@ def group_order(spec: GroupSpec) -> int | None:
 
 
 def close_group(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
-    """Breadth-first closure of the group's generators under its dedup policy
-    and size limit; returns the group with `elements` filled in.
+    """Breadth-first closure of the group's generators by group.walk; returns
+    the group with `elements` filled in.
 
-    When the family has a closed-form order, a closure that passes it or ends
-    short of it is a dedup-key failure and raises ConsistencyError. A product
-    whose key matches a different element raises KeyCollisionError; a product
-    that is not finite (generators of no finite group, or overflowing ones)
-    raises InputError.
+    A closed-form order above max_order raises SizeLimitError before the walk,
+    as does a closure that passes max_order. When the family has a closed-form
+    order, a closure that passes it or ends short of it is a dedup-key failure
+    and raises ConsistencyError. A product whose key matches a different
+    element raises KeyCollisionError; a product that is not finite (generators
+    of no finite group, or overflowing ones) raises InputError.
     """
     if not group.generators:
         raise InputError("no generators")
-    spec, max_order, digits = group.spec, group.max_order, group.tol.dedup_digits
-    dtype = float if group.field == "R" else complex
-    gens = [np.asarray(g, dtype=dtype) for g in group.generators]
+    spec, gens, digits = group.spec, group.generators, group.tol.dedup_digits
     expected = group_order(spec)
-    limit = max_order if expected is None else min(expected, max_order)
+    too_many = f"closure of {spec} exceeds max_order={group.max_order}"
+    if expected is not None and expected > group.max_order:
+        raise SizeLimitError(too_many)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite products are caught below
-        elements, maps = _walk(np.eye(group.dim, dtype=dtype)[None],
-                               lambda block: np.concatenate([block @ g for g in gens]),
-                               limit, digits)
-        if maps is None:
-            if expected is None or expected > max_order:
-                raise SizeLimitError(f"closure of {spec} exceeds max_order={max_order}")
-            raise ConsistencyError(
-                f"closure of {spec} passes its order {expected}: copies of "
-                f"one element split into distinct dedup keys at {digits} digits"
-            )
+        elements, maps = group.walk(
+            np.eye(group.dim, dtype=gens[0].dtype)[None],
+            lambda block: np.concatenate([block @ g for g in gens]), too_many,
+            f"closure of {spec} passes its order {expected}: copies of "
+            f"one element split into distinct dedup keys at {digits} digits")
         for g, targets in zip(gens, maps):
             gap = float(np.abs(elements @ g - elements[targets]).max())
             if not math.isfinite(gap):
@@ -436,15 +444,10 @@ def unitarize(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
     except np.linalg.LinAlgError as exc:
         raise DegeneracyError("averaged Hermitian form is singular") from exc
 
-    def conjugate(mats: np.ndarray) -> np.ndarray:
-        out = np.einsum("ij,njk,kl->nil", A, mats, Ainv)
-        return out.real if group.field == "R" and np.iscomplexobj(out) else out
-
-    out = _enumerated(
-        FiniteMatrixGroup(group.spec, group.field,
-                          tuple(conjugate(np.stack(group.generators))), group.tol, group.max_order),
-        conjugate(E),
-    )
+    gens, elements = (np.einsum("ij,njk,kl->nil", A, M, Ainv)
+                      for M in (np.stack(group.generators), E))
+    out = _enumerated(FiniteMatrixGroup(group.spec, tuple(gens), group.tol, group.max_order),
+                      elements)
     if not out.unitarity_deviation() <= group.tol.rel_eq:
         raise DegeneracyError("unitarization failed to reach tolerance")
     return out
@@ -458,8 +461,11 @@ def build_group(
     """Parse (if needed) and generate. Cached per family spec.
 
     Unitary generators are kept as they are and the group is closed only when
-    its elements are read. Otherwise (only explicit files can fail the test)
-    the group is closed and unitarized at once.
+    its elements are read, so max_order bounds the walks that run, not the
+    family's order. Otherwise (only explicit files can fail the test) the
+    group is closed and unitarized at once. A family whose order and whose
+    squared dimension both pass max_order raises SizeLimitError before its
+    generators are built.
     """
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
@@ -474,12 +480,16 @@ def _build_cached(spec: GroupSpec, tol: Tolerance, max_order: int) -> FiniteMatr
 
 
 def _assemble(spec: GroupSpec, tol: Tolerance, max_order: int) -> FiniteMatrixGroup:
+    # G(m,p,n) has about d generators of d^2 entries each: with d^2 > max_order
+    # they outgrow a walk of max_order lines before any walk starts
     order = group_order(spec)
     if order is not None and order > max_order:
-        raise SizeLimitError(f"closure of {spec} exceeds max_order={max_order}")
-    gens, ftag = build_generators(spec)
-    group = FiniteMatrixGroup(spec, ftag, tuple(gens), tol, max_order)
-    if _unitarity_deviation(np.stack(gens)) <= tol.rel_eq:
+        d = _FAMILIES[spec.kind].dim(*spec.params)
+        if d * d > max_order:
+            raise SizeLimitError(f"{spec} exceeds max_order={max_order}: its order "
+                                 f"does, and so does its dimension {d} squared")
+    group = FiniteMatrixGroup(spec, tuple(build_generators(spec)), tol, max_order)
+    if _unitarity_deviation(np.stack(group.generators)) <= tol.rel_eq:
         return group
     return unitarize(group)
 

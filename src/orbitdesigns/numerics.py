@@ -126,6 +126,15 @@ def compensated_sum(terms) -> float:
     return compensated_sums([np.asarray(terms, dtype=float).reshape(1, -1)], 1)[0]
 
 
+def pow2_scaled(v: np.ndarray) -> np.ndarray:
+    """v times the power of two that brings its largest real or imaginary part
+    into [0.5, 1) (a zero v is kept): exact while no part leaves the normal
+    range, and the norm of the result cannot overflow or underflow."""
+    v = np.ascontiguousarray(v, dtype=complex if np.iscomplexobj(v) else float)
+    parts = v.view(np.float64)
+    return np.ldexp(parts, -np.frexp(np.abs(parts).max(initial=0.0))[1]).view(v.dtype)
+
+
 def quantized_keys(items: np.ndarray, digits: int) -> list[bytes]:
     """Dedup key of each item along the first axis: its entries rounded to
     `digits` decimals."""

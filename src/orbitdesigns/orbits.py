@@ -14,9 +14,10 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import ConsistencyError, InputError, MismatchError, SizeLimitError
+from .errors import ConsistencyError, InputError, MismatchError
 from .groups import FiniteMatrixGroup, group_order
-from .numerics import DEFAULT_TOL, Rational, Tolerance, _intern, _walk, compensated_sum
+from .numerics import (DEFAULT_TOL, Rational, Tolerance, _intern, compensated_sum,
+                       pow2_scaled)
 
 VALIDATE_BLOCK_TERMS = 1 << 15  # Gram entries per block of LineSet.validate's coincidence test
 
@@ -74,7 +75,7 @@ def canonical_line(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     Idempotent: applying it to its own output changes nothing.
     """
-    v = np.asarray(v)
+    v = pow2_scaled(v)  # its norm cannot overflow or underflow
     if np.linalg.norm(v) == 0.0:
         raise InputError("zero vector spans no line")
     return _canonicalize_rows(v[None], tol)[0]
@@ -97,31 +98,26 @@ def orbit_lines(group: FiniteMatrixGroup, seed: np.ndarray,
     """The projective orbit of a seed under the group, uniformly weighted.
 
     Walks canonical lines breadth-first under the group's generators and its
-    tol, so the group's elements are never enumerated. Every generator must
-    permute the lines found, and their number must divide the group order when
-    that has a closed form; a dedup key that splits one line into several or
-    merges two is an error.
+    tol by group.walk, so the group's elements are never enumerated. Every
+    generator must permute the lines found, and their number must divide the
+    group order when that has a closed form; a dedup key that splits one line
+    into several or merges two is an error.
     """
     tol = group.tol
-    x = group.embed_seed(np.asarray(seed))
+    x = pow2_scaled(group.embed_seed(np.asarray(seed)))  # its norm cannot overflow
     nx = np.linalg.norm(x)
     if nx == 0.0:
         raise InputError("zero seed vector")
     digits = tol.dedup_digits
     order = group_order(group.spec)
-    limit = order if order is not None else group.max_order
     gens_t = np.stack(group.generators).transpose(0, 2, 1)
-    reps, maps = _walk(_canonicalize_rows((x / nx)[None], tol),
-                       lambda block: _canonicalize_rows((block @ gens_t).reshape(-1, x.size), tol),
-                       limit, digits)
-    if maps is None:
-        split = f"copies of one line split into distinct dedup keys at {digits} digits"
-        if order is None:
-            raise SizeLimitError(
-                f"orbit of {group.spec} passes max_order={limit} lines: the "
-                f"group is larger than that, or {split}"
-            )
-        raise ConsistencyError(f"orbit of {group.spec} passes {limit} lines: {split}")
+    split = f"copies of one line split into distinct dedup keys at {digits} digits"
+    reps, maps = group.walk(
+        _canonicalize_rows((x / nx)[None], tol),
+        lambda block: _canonicalize_rows((block @ gens_t).reshape(-1, x.size), tol),
+        f"orbit of {group.spec} passes max_order={group.max_order} lines: "
+        f"the group is larger than that, or {split}",
+        f"orbit of {group.spec} passes {order} lines: {split}")
     n = len(reps)
     # maps holds positions in 0..n-1, so each row is a permutation iff sorted it is 0..n-1
     if (np.sort(maps, axis=1) != np.arange(n)).any():

@@ -253,7 +253,9 @@ def verify_certificate(source, tol: Tolerance = DEFAULT_TOL, t_max: int = 12) ->
 
     Every order 1..t is recomputed, with any further stored order, by
     designs.strength on the stored set; it has no group, so every Gram row is
-    summed. An order 1..t with no stored residual fails. Structural problems
+    summed. An order 1..t with no stored residual fails, and so does a
+    `signed` claim that disagrees with the weights. Lines that are not unit
+    fail with no order recomputed. Structural problems
     raise CertificateError, and a t or stored order above t_max raises
     SizeLimitError before any potential is computed; numerical discrepancies
     are verification failures reported in `reasons`.
@@ -300,12 +302,18 @@ def verify_certificate(source, tol: Tolerance = DEFAULT_TOL, t_max: int = 12) ->
         raise SizeLimitError(f"certificate claims order {top}, above t_max={t_max}")
 
     reasons = []
-    norms = np.linalg.norm(lines, axis=1)
-    if np.abs(norms - 1.0).max() > tol.rel_eq:
-        reasons.append(f"line norms deviate from 1 by {np.abs(norms - 1.0).max():.3e}")
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        deviation = np.abs(np.linalg.norm(lines, axis=1) - 1.0).max()
+    if deviation > tol.rel_eq:
+        reasons.append(f"line norms deviate from 1 by {deviation:.3e}")
     wsum = sum(weights, Fraction(0))
     if wsum != 1:
         reasons.append(f"weights sum to {wsum}, not 1")
+    if cert["signed"] != any(x < 0 for x in weights):
+        reasons.append(f"signed is {str(cert['signed']).lower()}, but "
+                       f"{'no' if cert['signed'] else 'some'} weight is negative")
+    if deviation > tol.rel_eq:  # potentials of lines that are not unit mean nothing
+        return VerifyResult(False, tuple(reasons), {})
     orders = sorted(held.keys() | set(range(1, cert["t"] + 1)))
     report = strength(LineSet(cert["field"], lines, w), top, tol)
     residuals = {}

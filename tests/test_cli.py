@@ -66,6 +66,56 @@ def test_group_closure_key_split_at_max_order_exit(capsys):
     assert main(["group", "H4", "--max-order", "100"]) == 4
 
 
+@pytest.mark.parametrize("argv,lines", [
+    (["orbit", "B(8)", "--seed", "1,1,1,1,1,1,1,1"], 128),  # |B(8)| = 10,321,920
+    (["orbit", "H4", "--seed", "@1", "--max-order", "1000"], 60),
+])
+def test_max_order_bounds_only_the_walk_that_runs(capsys, argv, lines):
+    code, payload = run_json(capsys, *argv)
+    assert code == 0 and payload["lines"] == lines
+
+
+def test_orbit_passing_max_order_is_a_size_limit(capsys):
+    # a generic H4 orbit has 7200 lines
+    assert main(["orbit", "H4", "--seed", "1,2,3,4", "--max-order", "1000"]) == 4
+    assert "orbit of H4 passes max_order=1000 lines" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,err", [
+    # |B(20)| passes max_order: the closure is refused before it walks
+    (["group", "B(20)"], "resource error: closure of B(20) exceeds max_order=200000\n"),
+    (["scan", "B(20)"], "resource error: closure of B(20) exceeds max_order=200000\n"),
+    # B(1000)'s generators alone would be 8 GB: refused before they are built
+    (["orbit", "B(1000)", "--seed", ",".join(["1"] + ["0"] * 999)],
+     "resource error: B(1000) exceeds max_order=200000: its order does, "
+     "and so does its dimension 1000 squared\n"),
+])
+def test_family_above_max_order_fails_at_once(capsys, argv, err):
+    assert main(argv) == 4
+    assert capsys.readouterr().err == err
+
+
+def test_union_in_a_group_above_max_order(capsys):
+    code, payload = run_json(capsys, "union", "B(9)", "--x", "1,0,0,0,0,0,0,0,0",
+                             "--y", "1,1,1,1,1,1,1,1,1", "--t", "2")
+    assert code == 0
+    assert payload["roots"][0]["beta"] == ["2/11", "9/11"]
+    assert payload["verified_strength"] == 2
+
+
+@pytest.mark.parametrize("seed", ["1e200,1", "1e-200,1e-200"])
+def test_orbit_of_a_seed_far_from_unit_norm(capsys, seed):
+    # the seed's norm leaves the float range unless it is scaled first
+    assert main(["orbit", "binI", "--seed", seed, "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["lines"] == 30 and captured.err == ""
+
+
+def test_orbit_of_a_zero_seed(capsys):
+    assert main(["orbit", "binI", "--seed", "0,0"]) == 3
+    assert capsys.readouterr().err == "error: zero seed vector\n"
+
+
 def test_group_closure_key_collision_exit(capsys):
     # at 1 digit neighbouring rotations of rot(100) round to one key
     assert main(["group", "rot(100)", "--dedup-digits", "1"]) == 3
@@ -280,6 +330,20 @@ def test_verify_recomputes_every_claimed_order(capsys, tmp_path, stored):
     assert [r for r in payload["reasons"] if "no stored" in r] == missing
     assert any(r.startswith("t=4: recomputed residual") for r in payload["reasons"])
     assert not any(r.startswith("t=3: recomputed") for r in payload["reasons"])
+
+
+def test_verify_line_norm_past_the_float_range(capsys, tmp_path):
+    # the squared norm of 1e200 overflows; the line-norm reason must say so
+    stored = Path(__file__).parents[1] / "perfbench" / "certificates" / "h4_t6_x1_y2.json"
+    cert = json.loads(stored.read_text())
+    cert["lines"][0] = [1e200, 0, 0, 0]
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(cert))
+    assert main(["verify", str(path), "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    reasons = json.loads(captured.out)["reasons"]
+    assert len(reasons) == 1 and reasons[0].startswith("line norms deviate from 1 by")
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("key", ["schema", "dim", "t"])

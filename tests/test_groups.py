@@ -23,7 +23,13 @@ from orbitdesigns import (
     parse_group_spec,
     unitarize,
 )
-from orbitdesigns.groups import _helmert_basis, _unitarity_deviation, build_generators
+from orbitdesigns.groups import (
+    H3_SIMPLE_ROOTS,
+    H4_SIMPLE_ROOTS,
+    _helmert_basis,
+    _unitarity_deviation,
+    build_generators,
+)
 
 
 @pytest.mark.parametrize(
@@ -161,11 +167,10 @@ def test_heisenberg_contains_shift_and_clock():
 def test_unitarize_conjugated_copy():
     # conjugate dihedral(3) by a fixed well-conditioned matrix, then restore
     spec = parse_group_spec("dihedral(3)")
-    gens, field = build_generators(spec)
     M = np.array([[1.0, 0.3], [-0.2, 1.1]])
     Minv = np.linalg.inv(M)
-    skew = [Minv @ g @ M for g in gens]
-    group = close_group(FiniteMatrixGroup(spec, field, tuple(skew)))
+    skew = [Minv @ g @ M for g in build_generators(spec)]
+    group = close_group(FiniteMatrixGroup(spec, tuple(skew)))
     assert group.order == 6
     assert group.unitarity_deviation() > 1e-6
     fixed = unitarize(group)
@@ -176,9 +181,8 @@ def test_unitarize_conjugated_copy():
 def test_explicit_non_unitary_generators_are_conjugated(tmp_path):
     # skewed dihedral(3) generators: the group is closed and unitarized when it
     # is built, and its generators are conjugated with its elements
-    gens, _ = build_generators(parse_group_spec("dihedral(3)"))
     M = np.array([[1.0, 0.3], [-0.2, 1.1]])
-    skew = [np.linalg.inv(M) @ g @ M for g in gens]
+    skew = [np.linalg.inv(M) @ g @ M for g in build_generators(parse_group_spec("dihedral(3)"))]
     path = tmp_path / "skew.json"
     path.write_text(json.dumps({"field": "R", "generators": [g.tolist() for g in skew]}))
     g = build_group(f"explicit:{path}")
@@ -203,15 +207,87 @@ def test_unitarize_leaves_unitary_groups_alone():
 
 
 def test_size_limit():
-    with pytest.raises(SizeLimitError):
-        build_group("H4", max_order=100)
+    # building checks no size; the closure that would pass max_order does
+    g = build_group("H4", max_order=100)
+    with pytest.raises(SizeLimitError, match=re.escape("closure of H4 exceeds max_order=100")):
+        g.elements
+
+
+def _imprimitive_roots(m, p, n):
+    """(root, zeta) of each generator of G(m,p,n), in the order built."""
+    omega = np.exp(2j * np.pi / m)
+    e = np.eye(n)
+    roots = [(e[i] - e[i + 1], -1) for i in range(n - 1)]
+    if p < m:
+        roots.append((e[0], omega ** p))
+    if p > 1:
+        roots.append((e[0] - omega * e[1], -1))
+    if m == 1:
+        roots = [(_helmert_basis(n).T @ r, zeta) for r, zeta in roots]
+    return roots
+
+
+_REFLECTION_GROUPS = {
+    **{f"G({m},{p},{n})": _imprimitive_roots(m, p, n)
+       for m in range(1, 7) for p in range(1, m + 1) for n in range(2, 5)
+       if m % p == 0 and (m, p, n) != (2, 2, 2)},
+    "H3": [(r, -1) for r in H3_SIMPLE_ROOTS],
+    "H4": [(r, -1) for r in H4_SIMPLE_ROOTS],
+}
+
+
+@pytest.mark.parametrize("spec", list(_REFLECTION_GROUPS))
+def test_generators_are_reflections_in_their_roots(spec):
+    gens = build_generators(parse_group_spec(spec))
+    roots = _REFLECTION_GROUPS[spec]
+    assert len(gens) == len(roots)
+    for g, (r, zeta) in zip(gens, roots):
+        assert np.linalg.matrix_rank(g - np.eye(len(g)), tol=1e-9) == 1
+        assert np.abs(g @ r - zeta * r).max() <= 1e-12
+
+
+@pytest.mark.parametrize("m,p,n", [(1, 1, 4), (2, 1, 3), (2, 2, 4), (3, 1, 3), (4, 4, 2)])
+def test_transpositions_are_exact_permutations(m, p, n):
+    gens = build_generators(parse_group_spec(f"G({m},{p},{n})"))
+    for i in range(n - 1):
+        perm = np.eye(n)[[*range(i), i + 1, i, *range(i + 2, n)]]
+        if m == 1:  # projected onto the sum-zero hyperplane
+            B = _helmert_basis(n)
+            perm = B.T @ perm @ B
+        assert np.array_equal(gens[i], perm)
+
+
+def test_real_reflections_are_bit_exact():
+    for spec, roots in (("H3", H3_SIMPLE_ROOTS), ("H4", H4_SIMPLE_ROOTS)):
+        gens = build_generators(parse_group_spec(spec))
+        assert all(g.dtype == np.float64 for g in gens)
+        for g, r in zip(gens, roots):
+            assert np.array_equal(g, np.eye(len(r)) - 2.0 * np.outer(r, r))
+
+
+def test_explicit_complex_field_with_real_entries(tmp_path):
+    # the field is the generators' dtype: "C" stores real entries as complex
+    path = tmp_path / "b2.json"
+    path.write_text(json.dumps({"field": "C", "generators": [[[0, 1], [1, 0]], [[1, 0], [0, -1]]]}))
+    g = build_group(f"explicit:{path}")
+    assert g.field == "C"
+    assert all(gen.dtype == np.complex128 for gen in g.generators)
+    assert len(g.elements) == 8
+    assert orbit_lines(g, np.array([1.0, 0.0])).field == "C"
+
+
+def test_family_too_large_to_build_is_refused():
+    # only a family whose order and squared dimension both pass max_order
+    with pytest.raises(SizeLimitError, match="its dimension 500 squared"):
+        build_group("heis(500)")
+    assert build_group("heis(60)").dim == 60  # order 216000, dimension 60
 
 
 def test_closure_key_collision():
     spec = parse_group_spec("rot(100)")
-    gens, field = build_generators(spec)
+    gens = build_generators(spec)
     with pytest.raises(KeyCollisionError, match="collide at 1 digits"):
-        close_group(FiniteMatrixGroup(spec, field, tuple(gens), Tolerance(dedup_digits=1)))
+        close_group(FiniteMatrixGroup(spec, tuple(gens), Tolerance(dedup_digits=1)))
 
 
 def test_catalog_covers_expected_families():

@@ -1,6 +1,7 @@
 """Union quadratic: coefficients, the double root, certificates."""
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -364,6 +365,20 @@ def test_verify_flags_perturbed_line():
     result = verify_certificate(cert)
     assert not result.passed
     assert any("norm" in r for r in result.reasons)
+
+
+@pytest.mark.parametrize("name,signed", [("h4_t6_x2_y3.json", True), ("h4_t6_x1_y2.json", False)])
+def test_verify_flags_a_false_signed_claim(name, signed):
+    # x2_y3 has beta = (-48/77, 125/77); x1_y2 has positive weights
+    path = Path(__file__).parents[1] / "perfbench" / "certificates" / name
+    cert = json.loads(path.read_text())
+    assert cert["signed"] is signed
+    cert["signed"] = not signed
+    result = verify_certificate(cert)
+    assert not result.passed
+    claim = "false" if signed else "true"
+    some = "some" if signed else "no"
+    assert result.reasons == (f"signed is {claim}, but {some} weight is negative",)
 
 
 def test_verify_flags_doctored_residuals():
