@@ -37,9 +37,7 @@ from .groups import (
     unitarize,
 )
 from .numerics import (
-    DEFAULT_TOL,
     Rational,
-    Tolerance,
     compensated_sum,
     format_rational,
     parse_rational,
@@ -64,7 +62,6 @@ __all__ = [
     "CatalogEntry",
     "CertificateError",
     "ConsistencyError",
-    "DEFAULT_TOL",
     "DegeneracyError",
     "DesignReport",
     "FiniteMatrixGroup",
@@ -82,7 +79,6 @@ __all__ = [
     "Rational",
     "RootSolution",
     "SizeLimitError",
-    "Tolerance",
     "UnionSolution",
     "VerifyResult",
     "build_group",

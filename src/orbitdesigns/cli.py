@@ -10,7 +10,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import fields
 from importlib import resources
 
 import numpy as np
@@ -24,7 +23,7 @@ from .errors import (
     SizeLimitError,
 )
 from .groups import DEFAULT_MAX_ORDER, FiniteMatrixGroup, build_group, catalog_entry
-from .numerics import DEFAULT_TOL, Tolerance, format_rational, parse_rational
+from .numerics import DEDUP_DIGITS, format_rational, parse_rational
 from .orbits import LineSet, format_vector, orbit_lines, parse_vector
 from .pairscan import scan
 from .unions import emit_certificate, solve_union, verify_certificate
@@ -49,11 +48,8 @@ def _positive_int(text: str) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, t_max: int | None, walks: bool = True) -> None:
-    p.add_argument("--rel-eq", type=float, default=DEFAULT_TOL.rel_eq,
-                   help="relative equality tolerance")
     if walks:
-        p.add_argument("--dedup-digits", type=_positive_int,
-                       default=DEFAULT_TOL.dedup_digits,
+        p.add_argument("--dedup-digits", type=_positive_int, default=DEDUP_DIGITS,
                        help="rounding digits for projective deduplication keys")
         p.add_argument("--max-order", type=_positive_int, default=DEFAULT_MAX_ORDER,
                        help="abort a group closure or an orbit walk that passes "
@@ -113,15 +109,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _tolerance(args) -> Tolerance:
-    # each Tolerance field is read from the flag of its name where the subcommand has one
-    try:
-        return Tolerance(**{f.name: getattr(args, f.name) for f in fields(Tolerance)
-                            if hasattr(args, f.name)})
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
 def _emit(payload: dict, fmt: str, lines: list[str]) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2))
@@ -151,8 +138,8 @@ def _orbit(group: FiniteMatrixGroup, label: str, text: str) -> LineSet:
     return orbit_lines(group, seed, seed_literal=literal)
 
 
-def cmd_group(args, tol: Tolerance) -> int:
-    g = build_group(args.spec, tol, args.max_order)
+def cmd_group(args) -> int:
+    g = build_group(args.spec, args.dedup_digits, args.max_order)
     deviation = g.unitarity_deviation()
     payload = {
         "group": g.spec.label,
@@ -171,10 +158,10 @@ def cmd_group(args, tol: Tolerance) -> int:
     return 0
 
 
-def cmd_orbit(args, tol: Tolerance) -> int:
-    g = build_group(args.spec, tol, args.max_order)
+def cmd_orbit(args) -> int:
+    g = build_group(args.spec, args.dedup_digits, args.max_order)
     X = _orbit(g, args.spec, args.seed)
-    rep = strength(X, args.tmax, tol)
+    rep = strength(X, args.tmax)
     payload = {
         "group": g.spec.label,
         "seed": X.seed_literal,
@@ -209,11 +196,11 @@ def _root_payload(root) -> dict:
     }
 
 
-def cmd_union(args, tol: Tolerance) -> int:
-    g = build_group(args.spec, tol, args.max_order)
+def cmd_union(args) -> int:
+    g = build_group(args.spec, args.dedup_digits, args.max_order)
     X = _orbit(g, args.spec, args.x)
     Y = _orbit(g, args.spec, args.y)
-    sol = solve_union(X, Y, args.t, tol, args.tmax)
+    sol = solve_union(X, Y, args.t, args.tmax)
     q = sol.quad
     payload = {
         "group": g.spec.label,
@@ -270,9 +257,9 @@ def cmd_union(args, tol: Tolerance) -> int:
     return 0
 
 
-def cmd_scan(args, tol: Tolerance) -> int:
-    g = build_group(args.spec, tol, args.max_order)
-    rep = scan(g, args.tmax, args.samples, args.seed, tol)
+def cmd_scan(args) -> int:
+    g = build_group(args.spec, args.dedup_digits, args.max_order)
+    rep = scan(g, args.tmax, args.samples, args.seed)
     payload = {
         "group": g.spec.label,
         "seed": rep.seed,
@@ -301,8 +288,8 @@ def cmd_scan(args, tol: Tolerance) -> int:
     return 0
 
 
-def cmd_verify(args, tol: Tolerance) -> int:
-    result = verify_certificate(args.path, tol, args.tmax)
+def cmd_verify(args) -> int:
+    result = verify_certificate(args.path, args.tmax)
     payload = {
         "passed": result.passed,
         "reasons": list(result.reasons),
@@ -323,17 +310,17 @@ def _load_expectations() -> list[dict]:
     return list(csv.DictReader(text.splitlines()))
 
 
-def _run_expectation(row: dict, args, tol: Tolerance) -> tuple[bool, str]:
+def _run_expectation(row: dict, args) -> tuple[bool, str]:
     label = row["group"]
     t = int(row["t"])
-    g = build_group(label, tol, args.max_order)
+    g = build_group(label, args.dedup_digits, args.max_order)
     X = _orbit(g, label, row["seedX"])
     if not row["seedY"]:
-        rep = strength(X, max(args.tmax, t), tol)
+        rep = strength(X, max(args.tmax, t))
         desc = f"{label} single orbit {X.n_lines} lines: strength {rep.strength}"
         return rep.strength >= t, desc
     Y = _orbit(g, label, row["seedY"])
-    sol = solve_union(X, Y, t, tol, args.tmax)
+    sol = solve_union(X, Y, t, args.tmax)
     shape = f"{label} ({X.n_lines}+{Y.n_lines} lines, t={t})"
     if not row["betaX"]:
         return sol.empty, f"{shape}: expected no real root"
@@ -359,7 +346,7 @@ def _fmt_pair(pair) -> str:
     return "(%s, %s)" % tuple(format_rational(p) for p in pair)
 
 
-def cmd_reproduce(args, tol: Tolerance) -> int:
+def cmd_reproduce(args) -> int:
     rows = _load_expectations()
     if args.table != "all":
         rows = [r for r in rows if r["table"] == args.table]
@@ -367,7 +354,7 @@ def cmd_reproduce(args, tol: Tolerance) -> int:
         raise InputError(f"no expectation rows for table {args.table!r}")
     results = []
     for row in rows:
-        ok, desc = _run_expectation(row, args, tol)
+        ok, desc = _run_expectation(row, args)
         results.append({"table": row["table"], "ok": ok, "description": desc})
         if args.format == "table":
             print(f"[{'PASS' if ok else 'FAIL'}] {row['table']}: {desc}")
@@ -383,7 +370,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, _tolerance(args))
+        return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConsistencyError, MismatchError
-from .numerics import DEFAULT_TOL, Rational, Tolerance, compensated_sums
+from .numerics import REL_EQ, Rational, compensated_sums
 from .orbits import LineSet
 
 # The bits of a Gram entry depend on the rows in its matrix product, so the
@@ -131,7 +131,7 @@ def cross_potential(X: LineSet, Y: LineSet, t: int) -> float:
 class DesignReport:
     """Per-order potentials against Welch targets and the certified strength.
 
-    strength is the largest t with |residual| <= rel_eq for every order up to
+    strength is the largest t with |residual| <= REL_EQ for every order up to
     t; residuals are (potential - c_t)/c_t.
     """
 
@@ -146,19 +146,19 @@ class DesignReport:
         return self.residuals[self.t_values.index(t)]
 
     @classmethod
-    def build(cls, field: str, dim: int, potentials, signed: bool, tol: Tolerance) -> DesignReport:
+    def build(cls, field: str, dim: int, potentials, signed: bool) -> DesignReport:
         """The report on potentials for t = 1..len(potentials) over field^dim."""
         ts = tuple(range(1, len(potentials) + 1))
         targets = tuple(welch_constant(field, dim, t) for t in ts)
         residuals = tuple((p - float(c)) / float(c) for p, c in zip(potentials, targets))
-        missed = [t for t, r in zip(ts, residuals) if abs(r) > tol.rel_eq]
+        missed = [t for t, r in zip(ts, residuals) if abs(r) > REL_EQ]
         return cls(ts, tuple(potentials), targets, residuals,
                    min(missed, default=len(ts) + 1) - 1, signed)
 
 
-def strength(X: LineSet, t_max: int = 12, tol: Tolerance = DEFAULT_TOL) -> DesignReport:
+def strength(X: LineSet, t_max: int = 12) -> DesignReport:
     """Evaluate potentials for t = 1..t_max and certify the design strength."""
     if t_max < 1:
         raise ValueError("t_max >= 1 required")
     return DesignReport.build(X.field, X.dim, _pair_moments(X, X, range(1, t_max + 1)),
-                              X.signed, tol)
+                              X.signed)

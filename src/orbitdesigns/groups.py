@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -30,7 +31,8 @@ from .errors import (
     KeyCollisionError,
     SizeLimitError,
 )
-from .numerics import DEFAULT_TOL, Tolerance, _json_complex, _json_number, _walk
+from .numerics import (DEDUP_DIGITS, REL_EQ, _json_complex, _json_number, _walk,
+                       pow2_scaled)
 
 DEFAULT_MAX_ORDER = 200_000
 
@@ -69,18 +71,24 @@ class GroupSpec:
 class FiniteMatrixGroup:
     """A finite unitary matrix group, given by its generators.
 
-    generators (d, d) unitary matrices, all float64 for a real group (field
-               "R") or all complex128 (field "C")
-    tol, max_order
-               the dedup policy and size limit of closure and orbit walks
+    generators    (d, d) unitary matrices, all float64 for a real group
+                  (field "R") or all complex128 (field "C")
+    dedup_digits  decimal digits of the dedup keys of closure and orbit walks,
+                  1..308
+    max_order     size limit of closure and orbit walks
 
     `elements` is enumerated by close_group on first use only.
     """
 
     spec: GroupSpec
     generators: tuple
-    tol: Tolerance = DEFAULT_TOL
+    dedup_digits: int = DEDUP_DIGITS
     max_order: int = DEFAULT_MAX_ORDER
+
+    def __post_init__(self) -> None:
+        # past the largest decimal exponent, np.round overflows and every key is nan
+        if not 1 <= self.dedup_digits <= sys.float_info.max_10_exp:
+            raise InputError(f"dedup_digits must be in 1..{sys.float_info.max_10_exp}")
 
     @cached_property
     def elements(self) -> np.ndarray:
@@ -112,7 +120,7 @@ class FiniteMatrixGroup:
         known = group_order(self.spec)
         exact = known is not None and known <= self.max_order
         rows, maps = _walk(start, step, known if exact else self.max_order,
-                           self.tol.dedup_digits)
+                           self.dedup_digits)
         if maps is None:
             raise ConsistencyError(split) if exact else SizeLimitError(too_many)
         return rows, maps
@@ -124,19 +132,22 @@ class FiniteMatrixGroup:
         return known if known is not None else len(self.elements)
 
     def embed_seed(self, v: np.ndarray) -> np.ndarray:
-        """Map a seed vector into the representation space.
+        """Map a seed vector, scaled by numerics.pow2_scaled, into the
+        representation space.
 
         Accepts model coordinates directly; for hyperplane models also accepts
-        ambient coordinates with zero coordinate sum.
+        ambient coordinates with zero coordinate sum. The scaled seed's
+        largest part is below 1, so its imaginary parts (for a real group) and
+        its ambient sum are judged independently of the seed's scale.
         """
-        v = np.asarray(v)
+        v = pow2_scaled(np.asarray(v))
         if self.field == "R" and np.iscomplexobj(v):
             if np.abs(v.imag).max() > 1e-12:
                 raise InputError(f"{self.spec} is a real group; seed has imaginary parts")
             v = v.real
         v = v.astype(self.generators[0].dtype)
         if self.seed_basis is not None and len(v) == self.seed_basis.shape[0]:
-            if abs(v.sum()) > 1e-9 * max(1.0, float(np.abs(v).max())):
+            if abs(v.sum()) > REL_EQ:
                 raise InputError(
                     f"seed for {self.spec} given in ambient coordinates must sum to zero"
                 )
@@ -401,7 +412,7 @@ def close_group(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
     """
     if not group.generators:
         raise InputError("no generators")
-    spec, gens, digits = group.spec, group.generators, group.tol.dedup_digits
+    spec, gens, digits = group.spec, group.generators, group.dedup_digits
     expected = group_order(spec)
     too_many = f"closure of {spec} exceeds max_order={group.max_order}"
     if expected is not None and expected > group.max_order:
@@ -431,9 +442,9 @@ def unitarize(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
 
     Averages H = (1/|G|) sum_g g*g, factors H = L L*, and maps every element
     and generator g to L* g L*^-1. Returns the input unchanged when it is
-    already unitary within the group's rel_eq.
+    already unitary within REL_EQ.
     """
-    if group.unitarity_deviation() <= group.tol.rel_eq:
+    if group.unitarity_deviation() <= REL_EQ:
         return group
     E = group.elements
     H = np.einsum("nji,njk->ik", E.conj(), E) / len(E)
@@ -446,19 +457,20 @@ def unitarize(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
 
     gens, elements = (np.einsum("ij,njk,kl->nil", A, M, Ainv)
                       for M in (np.stack(group.generators), E))
-    out = _enumerated(FiniteMatrixGroup(group.spec, tuple(gens), group.tol, group.max_order),
-                      elements)
-    if not out.unitarity_deviation() <= group.tol.rel_eq:
+    out = _enumerated(FiniteMatrixGroup(group.spec, tuple(gens), group.dedup_digits,
+                                        group.max_order), elements)
+    if not out.unitarity_deviation() <= REL_EQ:
         raise DegeneracyError("unitarization failed to reach tolerance")
     return out
 
 
-def build_group(
-    spec: GroupSpec | str,
-    tol: Tolerance = DEFAULT_TOL,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> FiniteMatrixGroup:
+def build_group(spec: GroupSpec | str, dedup_digits: int = DEDUP_DIGITS,
+                max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixGroup:
     """Parse (if needed) and generate. Cached per family spec.
+
+    dedup_digits (1..308, else InputError) and max_order become the group's
+    own: the dedup digits and size limit of its closure and of every orbit
+    walk over it.
 
     Unitary generators are kept as they are and the group is closed only when
     its elements are read, so max_order bounds the walks that run, not the
@@ -470,16 +482,16 @@ def build_group(
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     if spec.kind == "explicit":
-        return _assemble(spec, tol, max_order)
-    return _build_cached(spec, tol, max_order)
+        return _assemble(spec, dedup_digits, max_order)
+    return _build_cached(spec, dedup_digits, max_order)
 
 
 @lru_cache(maxsize=64)
-def _build_cached(spec: GroupSpec, tol: Tolerance, max_order: int) -> FiniteMatrixGroup:
-    return _assemble(spec, tol, max_order)
+def _build_cached(spec: GroupSpec, dedup_digits: int, max_order: int) -> FiniteMatrixGroup:
+    return _assemble(spec, dedup_digits, max_order)
 
 
-def _assemble(spec: GroupSpec, tol: Tolerance, max_order: int) -> FiniteMatrixGroup:
+def _assemble(spec: GroupSpec, dedup_digits: int, max_order: int) -> FiniteMatrixGroup:
     # G(m,p,n) has about d generators of d^2 entries each: with d^2 > max_order
     # they outgrow a walk of max_order lines before any walk starts
     order = group_order(spec)
@@ -488,8 +500,8 @@ def _assemble(spec: GroupSpec, tol: Tolerance, max_order: int) -> FiniteMatrixGr
         if d * d > max_order:
             raise SizeLimitError(f"{spec} exceeds max_order={max_order}: its order "
                                  f"does, and so does its dimension {d} squared")
-    group = FiniteMatrixGroup(spec, tuple(build_generators(spec)), tol, max_order)
-    if _unitarity_deviation(np.stack(group.generators)) <= tol.rel_eq:
+    group = FiniteMatrixGroup(spec, tuple(build_generators(spec)), dedup_digits, max_order)
+    if _unitarity_deviation(np.stack(group.generators)) <= REL_EQ:
         return group
     return unitarize(group)
 

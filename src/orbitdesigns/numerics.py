@@ -1,6 +1,12 @@
-"""Scalar plumbing shared by every module: tolerance policy, exact
+"""Scalar plumbing shared by every module: the equality tolerance, exact
 summation, quantized dedup keys, and reconstruction of exact rationals from
 floating point values.
+
+Every equality test in the package reads one relative tolerance, REL_EQ:
+design residuals, unit norms, coincident lines, weight sums, canonical pivots,
+the rational snap, a pair's degeneracy, the union quadratic's dust zeroing and
+the unitarity of a group. Dedup keys keep DEDUP_DIGITS decimals unless a group
+sets its own.
 
 All heavy arithmetic in this package is binary64; exact `Fraction` values
 appear only at the reporting boundary, where a floating root or weight is
@@ -11,8 +17,6 @@ sum is correctly rounded, by exact bucket accumulation over numpy arrays
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -22,28 +26,8 @@ from .errors import NumericRangeError
 
 Rational = Fraction
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Numerical policy knobs.
-
-    rel_eq        relative tolerance for equality tests
-    dedup_digits  decimal digits kept in quantized dedup keys
-    """
-
-    rel_eq: float = 1e-9
-    dedup_digits: int = 8
-
-    def __post_init__(self) -> None:
-        # a relative tolerance of 1 or more counts any two numbers of one sign equal
-        if not (0 < self.rel_eq < 1):
-            raise ValueError("rel_eq must be positive and below 1")
-        # past the largest decimal exponent, np.round overflows and every key is nan
-        if not (1 <= self.dedup_digits <= sys.float_info.max_10_exp):
-            raise ValueError(f"dedup_digits must be in 1..{sys.float_info.max_10_exp}")
-
-
-DEFAULT_TOL = Tolerance()
+REL_EQ = 1e-9  # relative tolerance of every equality test
+DEDUP_DIGITS = 8  # decimal digits kept in quantized dedup keys by default
 
 
 # A finite double is x = f * 2^e with 1/2 <= |f| < 1 (frexp; 0 for zero), so
@@ -177,23 +161,23 @@ def _walk(start: np.ndarray, step, limit: int,
 
 
 # Some p/q is within 1/q^2 of any real x, so with q up to 10^6 nearly any x
-# meets rel_eq; a rounded rational x scores q^2 |x - p/q| ~ |pq| 2^-53.
+# meets REL_EQ; a rounded rational x scores q^2 |x - p/q| ~ |pq| 2^-53.
 # Rational roots of catalog pairs score <= 7e-6, irrational ones >= 4e-3.
 SNAP_DENOM_MAX = 10 ** 6
 SNAP_QUALITY_MAX = 1e-4
 
 
-def snap_to_rational(x: float, tol: Tolerance = DEFAULT_TOL) -> Rational | None:
+def snap_to_rational(x: float) -> Rational | None:
     """Best rational p/q with q <= SNAP_DENOM_MAX, or None if none is close.
 
     Uses the continued-fraction convergent and accepts it only when
-    |x - p/q| <= rel_eq * max(1, |x|) and q^2 |x - p/q| <= SNAP_QUALITY_MAX.
+    |x - p/q| <= REL_EQ * max(1, |x|) and q^2 |x - p/q| <= SNAP_QUALITY_MAX.
     """
     if not math.isfinite(x):
         return None
     cand = Fraction(x).limit_denominator(SNAP_DENOM_MAX)
     err = abs(x - cand)
-    if err <= tol.rel_eq * max(1.0, abs(x)) and cand.denominator ** 2 * err <= SNAP_QUALITY_MAX:
+    if err <= REL_EQ * max(1.0, abs(x)) and cand.denominator ** 2 * err <= SNAP_QUALITY_MAX:
         return cand
     return None
 

@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import ConsistencyError, InputError, MismatchError
 from .groups import FiniteMatrixGroup, group_order
-from .numerics import (DEFAULT_TOL, Rational, Tolerance, _intern, compensated_sum,
-                       pow2_scaled)
+from .numerics import DEDUP_DIGITS, REL_EQ, Rational, _intern, compensated_sum, pow2_scaled
 
 VALIDATE_BLOCK_TERMS = 1 << 15  # Gram entries per block of LineSet.validate's coincidence test
 
@@ -55,22 +54,22 @@ class LineSet:
     def signed(self) -> bool:
         return bool((self.weights < 0).any())
 
-    def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
+    def validate(self) -> None:
         norms = np.linalg.norm(self.lines, axis=1)
-        if np.abs(norms - 1.0).max() > tol.rel_eq:
+        if np.abs(norms - 1.0).max() > REL_EQ:
             raise ConsistencyError("line representatives must have unit norm")
         # the strict upper triangle of the Gram matrix, a block of rows at a time
         n = self.n_lines
         step = max(1, VALIDATE_BLOCK_TERMS // n)
         for i in range(0, n - 1, step):
             block = np.abs(self.lines[i:i + step] @ self.lines[i + 1:].conj().T)
-            if 1.0 - np.triu(block).max() <= tol.rel_eq:
+            if 1.0 - np.triu(block).max() <= REL_EQ:
                 raise ConsistencyError("two lines coincide projectively")
-        if abs(compensated_sum(self.weights) - 1.0) > tol.rel_eq:
+        if abs(compensated_sum(self.weights) - 1.0) > REL_EQ:
             raise ConsistencyError("weights must sum to 1")
 
 
-def canonical_line(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def canonical_line(v: np.ndarray) -> np.ndarray:
     """Unit representative of the line through v, with a positive real pivot.
 
     Idempotent: applying it to its own output changes nothing.
@@ -78,15 +77,15 @@ def canonical_line(v: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     v = pow2_scaled(v)  # its norm cannot overflow or underflow
     if np.linalg.norm(v) == 0.0:
         raise InputError("zero vector spans no line")
-    return _canonicalize_rows(v[None], tol)[0]
+    return _canonicalize_rows(v[None])[0]
 
 
-def _canonicalize_rows(rows: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _canonicalize_rows(rows: np.ndarray) -> np.ndarray:
     """Vectorized canonical_line over the rows of an (n, d) array."""
     norms = np.linalg.norm(rows, axis=1)
     rows = rows / norms[:, None]
     mags = np.abs(rows)
-    pivots = (mags > tol.rel_eq).argmax(axis=1)
+    pivots = (mags > REL_EQ).argmax(axis=1)
     p = rows[np.arange(len(rows)), pivots]
     if np.iscomplexobj(rows):
         return rows / (p / np.abs(p))[:, None]
@@ -98,23 +97,22 @@ def orbit_lines(group: FiniteMatrixGroup, seed: np.ndarray,
     """The projective orbit of a seed under the group, uniformly weighted.
 
     Walks canonical lines breadth-first under the group's generators and its
-    tol by group.walk, so the group's elements are never enumerated. Every
-    generator must permute the lines found, and their number must divide the
-    group order when that has a closed form; a dedup key that splits one line
-    into several or merges two is an error.
+    dedup digits by group.walk, so the group's elements are never enumerated.
+    Every generator must permute the lines found, and their number must divide
+    the group order when that has a closed form; a dedup key that splits one
+    line into several or merges two is an error.
     """
-    tol = group.tol
-    x = pow2_scaled(group.embed_seed(np.asarray(seed)))  # its norm cannot overflow
+    x = group.embed_seed(np.asarray(seed))  # scaled: its norm cannot overflow
     nx = np.linalg.norm(x)
     if nx == 0.0:
         raise InputError("zero seed vector")
-    digits = tol.dedup_digits
+    digits = group.dedup_digits
     order = group_order(group.spec)
     gens_t = np.stack(group.generators).transpose(0, 2, 1)
     split = f"copies of one line split into distinct dedup keys at {digits} digits"
     reps, maps = group.walk(
-        _canonicalize_rows((x / nx)[None], tol),
-        lambda block: _canonicalize_rows((block @ gens_t).reshape(-1, x.size), tol),
+        _canonicalize_rows((x / nx)[None]),
+        lambda block: _canonicalize_rows((block @ gens_t).reshape(-1, x.size)),
         f"orbit of {group.spec} passes max_order={group.max_order} lines: "
         f"the group is larger than that, or {split}",
         f"orbit of {group.spec} passes {order} lines: {split}")
@@ -139,16 +137,11 @@ def orbit_lines(group: FiniteMatrixGroup, seed: np.ndarray,
         seed_literal=seed_literal if seed_literal is not None else format_vector(np.asarray(seed)),
         group=group,
     )
-    out.validate(tol)
+    out.validate()
     return out
 
 
-def union_lines(
-    X: LineSet,
-    Y: LineSet,
-    beta: tuple[Rational, Rational],
-    tol: Tolerance = DEFAULT_TOL,
-) -> LineSet:
+def union_lines(X: LineSet, Y: LineSet, beta: tuple[Rational, Rational]) -> LineSet:
     """Weighted union: X's weights scaled by beta_X, Y's by beta_Y = 1 - beta_X.
 
     Weights are summed exactly: an operand without exact_weights contributes
@@ -157,21 +150,24 @@ def union_lines(
     lines whose merged weight is zero are dropped. The result has no group.
     Two orbits of one group are equal or disjoint: a partial merge of them, or
     of one orbit's own lines, means the dedup keys joined distinct lines.
+    Lines are keyed at X's group's dedup digits when X is an orbit, else at
+    DEDUP_DIGITS.
     """
     if X.dim != Y.dim or X.field != Y.field:
         raise MismatchError("union operands must share dimension and field")
     bx, by = Fraction(beta[0]), Fraction(beta[1])
     if bx + by != 1:
         raise InputError("union weighting must satisfy beta_X + beta_Y = 1")
+    digits = X.group.dedup_digits if X.group is not None else DEDUP_DIGITS
     index: dict[bytes, int] = {}
     # per operand, the union row of each of its lines
-    where = [_intern(ls.lines, index, tol.dedup_digits).tolist() for ls in (X, Y)]
+    where = [_intern(ls.lines, index, digits).tolist() for ls in (X, Y)]
     rx, ry = set(where[0]), set(where[1])
     if X.group is not None and Y.group is X.group and (
             len(rx) != X.n_lines or len(ry) != Y.n_lines or (rx & ry and rx != ry)):
         raise ConsistencyError(
             f"orbits of {X.group.spec} merge only in part in a union: dedup "
-            f"keys at {tol.dedup_digits} digits joined distinct lines"
+            f"keys at {digits} digits joined distinct lines"
         )
     rows = where[0] + where[1]
     _, first = np.unique(rows, return_index=True)
@@ -192,12 +188,13 @@ def union_lines(
         weights=np.array([float(w) for w in kept_w]),
         exact_weights=tuple(kept_w),
     )
-    out.validate(tol)
+    out.validate()
     return out
 
 
+_EXPONENT = r"(?:[eE][+-]?[0-9]+)?"
 _COMPLEX_ENTRY = re.compile(
-    r"^(?P<re>[+-]?[0-9][0-9./]*(?=[+-]))?(?P<im>[+-]?[0-9./]*)[ij]$"
+    rf"^(?P<re>[+-]?[0-9][0-9./]*{_EXPONENT}(?=[+-]))?(?P<im>[+-]?(?:[0-9./]+{_EXPONENT})?)[ij]$"
 )
 _S5_ENTRY = re.compile(
     r"^(?P<p>[+-]?[0-9][0-9./]*(?=[+-]))?(?P<q>[+-]?[0-9./]*)\*?s5$"
@@ -224,7 +221,8 @@ def _coefficient(tok: str) -> float:
 def parse_vector(text: str) -> np.ndarray:
     """Parse a comma-separated vector literal.
 
-    Entries are real (`2`, `-0.5`, `1/3`), complex (`1+2i`, `-i`, `0.5-1/3i`),
+    Entries are real (`2`, `-0.5`, `1/3`, `1e-05`), complex (`1+2i`, `-i`,
+    `0.5-1/3i`, `1e-05+2e+20i`),
     or, behind a `sqrt5:` prefix, elements of Q(sqrt 5) written `p+q*s5`.
     """
     text = text.strip()

@@ -33,7 +33,6 @@ import numpy as np
 from .designs import moments, welch_constant
 from .errors import ConsistencyError, InputError
 from .groups import FiniteMatrixGroup
-from .numerics import DEFAULT_TOL, Tolerance
 from .unions import IDENTITY_TOL, pair_identity
 
 FAILS_TOL = 1e-3  # identity residual at or above this fails; above IDENTITY_TOL, indeterminate
@@ -52,11 +51,10 @@ def _p_triple(group: FiniteMatrixGroup, x: np.ndarray, y: np.ndarray, orders):
     return _p_G(group, x, x, orders), _p_G(group, y, y, orders), _p_G(group, x, y, orders)
 
 
-def _classify(p_xx: float, p_yy: float, p_xy: float, c_t: float,
-              tol: Tolerance = DEFAULT_TOL) -> tuple[str, float | None]:
+def _classify(p_xx: float, p_yy: float, p_xy: float, c_t: float) -> tuple[str, float | None]:
     """Verdict for the pair identity at one t, with its relative residual
     (None for a degenerate pair: both orbits are designs)."""
-    residual = pair_identity(p_xx, p_yy, p_xy, c_t, tol)
+    residual = pair_identity(p_xx, p_yy, p_xy, c_t)
     if residual is None:
         return "degenerate", None
     if residual <= IDENTITY_TOL:
@@ -131,7 +129,7 @@ def _draw_unit(rng: np.random.Generator, dim: int, field: str) -> np.ndarray:
 
 
 def scan(group: FiniteMatrixGroup, t_max: int = 10, samples: int = 20,
-         seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> PairScanReport:
+         seed: int = 0) -> PairScanReport:
     """Scan of the pair identity over t = 1..t_max.
 
     With S_t invariant harmonics of bidegree up to (t,t), the verdict at t is
@@ -160,7 +158,7 @@ def scan(group: FiniteMatrixGroup, t_max: int = 10, samples: int = 20,
         x = _draw_unit(rng, group.dim, group.field)
         y = _draw_unit(rng, group.dim, group.field)
         p_xx, p_yy, p_xy = _p_triple(group, x, y, range(1, t_max + 1))
-        verdicts, residuals = zip(*(_classify(*p, tol) for p in zip(p_xx, p_yy, p_xy, targets)))
+        verdicts, residuals = zip(*(_classify(*p) for p in zip(p_xx, p_yy, p_xy, targets)))
         for t, (v, s) in enumerate(zip(verdicts, totals), start=1):
             if (v == "fails" and s <= 1) or (v != "degenerate" and s == 0):
                 raise ConsistencyError(

@@ -29,9 +29,8 @@ import numpy as np
 from .designs import DesignReport, cross_matrix, strength, welch_constant
 from .errors import CertificateError, NoSolutionError, SizeLimitError
 from .numerics import (
-    DEFAULT_TOL,
+    REL_EQ,
     Rational,
-    Tolerance,
     _json_complex,
     _json_number,
     format_rational,
@@ -104,9 +103,8 @@ def _quadratic(M: np.ndarray, c_t: Rational) -> PairQuadratic:
     return PairQuadratic(a, b, c, b_xx, b_yy, b_xy, c_t)
 
 
-def _build_root(alpha: float, q: PairQuadratic, n_x: int, n_y: int,
-                tol: Tolerance) -> RootSolution:
-    snapped = snap_to_rational(alpha, tol)
+def _build_root(alpha: float, q: PairQuadratic, n_x: int, n_y: int) -> RootSolution:
+    snapped = snap_to_rational(alpha)
     beta = w_hat = None
     a_val = alpha
     boundary = False
@@ -120,29 +118,28 @@ def _build_root(alpha: float, q: PairQuadratic, n_x: int, n_y: int,
     return RootSolution(a_val, beta, w_hat, residual, convex, boundary)
 
 
-def solve_union(X: LineSet, Y: LineSet, t: int, tol: Tolerance = DEFAULT_TOL,
-                t_max: int = 12) -> UnionSolution:
+def solve_union(X: LineSet, Y: LineSet, t: int, t_max: int = 12) -> UnionSolution:
     """Solve the union quadratic, snap its root, and verify the weighted union.
 
     The pair is degenerate when pair_identity finds both sets t-designs. It
     has a root when the identity holds within IDENTITY_TOL and A survives the
-    dust zeroing (coefficients within rel_eq of zero, relative to the
+    dust zeroing (coefficients within REL_EQ of zero, relative to the
     potential scale, count as zero); the root is then the double root -B/(2A).
     A snapped root's union is assembled and its strength certified up to
     max(t, t_max), on the potentials w^T P w with w the float beta.
     """
     P = cross_matrix([X, Y], range(1, max(t, t_max) + 1))
     q = _quadratic(P[t - 1], welch_constant(X.field, X.dim, t))
-    residual = pair_identity(q.b_xx, q.b_yy, q.b_xy, float(q.c_t), tol)
-    eps = tol.rel_eq * q.scale
+    residual = pair_identity(q.b_xx, q.b_yy, q.b_xy, float(q.c_t))
+    eps = REL_EQ * q.scale
     a, b, c = (v if abs(v) > eps else 0.0 for v in (q.a, q.b, q.c))
     root = union = verified = None
     if residual is not None and residual <= IDENTITY_TOL and a != 0.0:
-        root = _build_root(-b / (2.0 * a), q, X.n_lines, Y.n_lines, tol)
+        root = _build_root(-b / (2.0 * a), q, X.n_lines, Y.n_lines)
     if root is not None and root.beta is not None:
-        union = union_lines(X, Y, root.beta, tol)
+        union = union_lines(X, Y, root.beta)
         w = np.array(root.beta, dtype=float)
-        verified = DesignReport.build(X.field, X.dim, (w @ P @ w).tolist(), union.signed, tol)
+        verified = DesignReport.build(X.field, X.dim, (w @ P @ w).tolist(), union.signed)
     return UnionSolution(
         t=t, quad=q, discriminant=b * b - 4.0 * a * c,
         degenerate=residual is None, identity_residual=residual, root=root,
@@ -150,8 +147,7 @@ def solve_union(X: LineSet, Y: LineSet, t: int, tol: Tolerance = DEFAULT_TOL,
     )
 
 
-def pair_identity(b_xx: float, b_yy: float, b_xy: float, c_t: float,
-                  tol: Tolerance = DEFAULT_TOL) -> float | None:
+def pair_identity(b_xx: float, b_yy: float, b_xy: float, c_t: float) -> float | None:
     """Relative residual of the double-root identity b_xx b_yy - b_xy^2 = c_t A.
 
     The identity says the discriminant B^2 - 4AC of the union quadratic
@@ -162,7 +158,7 @@ def pair_identity(b_xx: float, b_yy: float, b_xy: float, c_t: float,
     when both sides are exactly zero (coinciding sets).
     """
     d_xx, d_yy, d_xy = b_xx - c_t, b_yy - c_t, b_xy - c_t
-    if abs(d_xx) <= tol.rel_eq * c_t and abs(d_yy) <= tol.rel_eq * c_t:
+    if abs(d_xx) <= REL_EQ * c_t and abs(d_yy) <= REL_EQ * c_t:
         return None
     lhs = b_xx * b_yy - b_xy * b_xy
     rhs = c_t * (b_xx + b_yy - 2.0 * b_xy)
@@ -248,7 +244,7 @@ def _load_certificate(source) -> dict:
         raise CertificateError(f"certificate is not valid JSON: {exc}") from exc
 
 
-def verify_certificate(source, tol: Tolerance = DEFAULT_TOL, t_max: int = 12) -> VerifyResult:
+def verify_certificate(source, t_max: int = 12) -> VerifyResult:
     """Re-verify a certificate from its stored lines and weights.
 
     Every order 1..t is recomputed, with any further stored order, by
@@ -304,7 +300,7 @@ def verify_certificate(source, tol: Tolerance = DEFAULT_TOL, t_max: int = 12) ->
     reasons = []
     with np.errstate(over="ignore"):  # a norm past the float range is inf
         deviation = np.abs(np.linalg.norm(lines, axis=1) - 1.0).max()
-    if deviation > tol.rel_eq:
+    if deviation > REL_EQ:
         reasons.append(f"line norms deviate from 1 by {deviation:.3e}")
     wsum = sum(weights, Fraction(0))
     if wsum != 1:
@@ -312,20 +308,20 @@ def verify_certificate(source, tol: Tolerance = DEFAULT_TOL, t_max: int = 12) ->
     if cert["signed"] != any(x < 0 for x in weights):
         reasons.append(f"signed is {str(cert['signed']).lower()}, but "
                        f"{'no' if cert['signed'] else 'some'} weight is negative")
-    if deviation > tol.rel_eq:  # potentials of lines that are not unit mean nothing
+    if deviation > REL_EQ:  # potentials of lines that are not unit mean nothing
         return VerifyResult(False, tuple(reasons), {})
     orders = sorted(held.keys() | set(range(1, cert["t"] + 1)))
-    report = strength(LineSet(cert["field"], lines, w), top, tol)
+    report = strength(LineSet(cert["field"], lines, w), top)
     residuals = {}
     for t in orders:
         recomputed = report.residual_at(t)
-        if abs(recomputed) > tol.rel_eq:
+        if abs(recomputed) > REL_EQ:
             reasons.append(f"t={t}: recomputed residual {recomputed:.3e} exceeds tolerance")
         if t not in held:
             reasons.append(f"t={t}: no stored residual")
             continue
         residuals[t] = (held[t], recomputed)
-        if abs(recomputed - held[t]) > tol.rel_eq:
+        if abs(recomputed - held[t]) > REL_EQ:
             reasons.append(f"t={t}: stored residual {held[t]:.3e} disagrees "
                            f"with recomputed {recomputed:.3e}")
     return VerifyResult(not reasons, tuple(reasons), residuals)

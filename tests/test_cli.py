@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -109,6 +110,28 @@ def test_orbit_of_a_seed_far_from_unit_norm(capsys, seed):
     assert main(["orbit", "binI", "--seed", seed, "--format", "json"]) == 0
     captured = capsys.readouterr()
     assert json.loads(captured.out)["lines"] == 30 and captured.err == ""
+
+
+def test_orbit_of_a_huge_ambient_seed(capsys):
+    # the zero-sum test reads the seed scaled to parts below 1, so it cannot overflow
+    code, payload = run_json(capsys, "orbit", "A(3)", "--seed", "1e308,1e308,-1e308,-1e308")
+    assert code == 0 and payload["lines"] == 3
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("spec,seed,err", [
+    ("A(3)", "1,2", "seed length 2 does not match A(3) (dim 3)"),
+    ("H3", "1+1i,1,0", "H3 is a real group; seed has imaginary parts"),
+    # a seed is judged at unit scale: these are 1e-14 and 1e-12 times seeds
+    # that fail the same tests
+    ("H3", "1/100000000000000+1/100000000000000i,1/100000000000000,0",
+     "H3 is a real group; seed has imaginary parts"),
+    ("A(3)", "1e-12,1e-12,-1e-12,-1.5e-12",
+     "seed for A(3) given in ambient coordinates must sum to zero"),
+])
+def test_orbit_rejects_seeds_outside_the_model(capsys, spec, seed, err):
+    assert main(["orbit", spec, "--seed", seed]) == 3
+    assert capsys.readouterr().err == f"error: {err}\n"
 
 
 def test_orbit_of_a_zero_seed(capsys):
@@ -503,7 +526,7 @@ def test_reproduce_rejects_unknown_table(capsys):
         ["union", "B(2)", "--x", "1,0", "--t", "2"],  # missing --y
         ["union", "B(2)", "--x", "1,0", "--y", "1,1", "--t", "0"],
         ["scan", "binT", "--samples", "-3"],
-        ["group", "B(2)", "--rel-eq", "-1"],
+        ["group", "B(2)", "--rel-eq", "-1"],  # no subcommand offers --rel-eq
         ["orbit", "B(2)", "--seed", "0,0"],
         ["orbit", "B(2)", "--seed", "1e400,1"],
         ["group", "rot(5 5)"],
@@ -520,13 +543,13 @@ def test_usage_errors(argv, capsys):
     assert main(argv) == 3
 
 
-_COMMON_FLAGS = ["--rel-eq", "--dedup-digits", "--max-order", "--tmax", "--format"]
+_COMMON_FLAGS = ["--dedup-digits", "--max-order", "--tmax", "--format"]
 _SUBCOMMAND_FLAGS = {
-    "group": ["--rel-eq", "--dedup-digits", "--max-order", "--format"],
+    "group": ["--dedup-digits", "--max-order", "--format"],
     "orbit": ["--seed", "--dump", *_COMMON_FLAGS],
     "union": ["--x", "--y", "--t", "--emit", *_COMMON_FLAGS],
     "scan": ["--samples", "--seed", *_COMMON_FLAGS],
-    "verify": ["--rel-eq", "--tmax", "--format"],
+    "verify": ["--tmax", "--format"],
     "reproduce": _COMMON_FLAGS,
 }
 
@@ -543,6 +566,34 @@ def test_subcommand_flags(command, capsys):
 
 def test_resource_limit_exit(capsys):
     assert main(["group", "H4", "--max-order", "100"]) == 4
+
+
+# a number in e-notation is rounding noise, which differs across BLAS builds
+_E_NUMBER = re.compile(r"[+-]?\d+(?:\.\d*)?[eE][+-]?\d+")
+
+
+def _shown_lines_match(shown: list[str], got: list[str]) -> bool:
+    """got matches shown, where a shown "..." line stands for any run of lines."""
+    if not shown:
+        return not got
+    if shown[0] == "...":
+        return any(_shown_lines_match(shown[1:], got[i:]) for i in range(len(got) + 1))
+    return bool(got) and shown[0] == got[0] and _shown_lines_match(shown[1:], got[1:])
+
+
+def test_readme_examples(capsys, tmp_path, monkeypatch):
+    # every README block that starts with "$ orbitdesigns" runs, in README order
+    # and in one directory (verify reads the certificate that union writes)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [b.splitlines() for b in re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
+              if b.startswith("$ orbitdesigns")]
+    assert len(blocks) == 6
+    monkeypatch.chdir(tmp_path)
+    for command, *shown in blocks:
+        assert main(shlex.split(command[len("$ orbitdesigns"):])) == 0, command
+        got = _E_NUMBER.sub("<e>", capsys.readouterr().out).splitlines()
+        assert _shown_lines_match([_E_NUMBER.sub("<e>", line) for line in shown], got), \
+            (command, got)
 
 
 def test_installed_entry_point(tmp_path):

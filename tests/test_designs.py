@@ -315,9 +315,8 @@ def test_potential_unitary_invariance():
     M = rng.standard_normal((3, 3))
     Q, _ = np.linalg.qr(M)
     from orbitdesigns.orbits import LineSet, _canonicalize_rows
-    from orbitdesigns import DEFAULT_TOL
 
-    rotated = LineSet(field="R", lines=_canonicalize_rows(X.lines @ Q.T, DEFAULT_TOL),
+    rotated = LineSet(field="R", lines=_canonicalize_rows(X.lines @ Q.T),
                       weights=X.weights)
     for t in (1, 2, 3, 5):
         assert abs(potential(rotated, t) - potential(X, t)) <= 1e-10

@@ -13,7 +13,6 @@ from orbitdesigns import (
     InputError,
     KeyCollisionError,
     SizeLimitError,
-    Tolerance,
     build_group,
     canonical_line,
     catalog,
@@ -66,6 +65,7 @@ def test_imprimitive_orders(spec, order):
         ("H4", 14400),
         ("heis(3)", 27),
         ("heis(4)", 64),
+        ("heis(2)", 8),  # Pauli X and Z: real, so no clock phase
     ],
 )
 def test_named_family_orders(spec, order):
@@ -90,6 +90,7 @@ def test_symmetric_hyperplane_orders(d):
         ("H4", 4, "R"),
         ("heis(3)", 3, "C"),
         ("A(3)", 3, "R"),
+        ("heis(2)", 2, "R"),
     ],
 )
 def test_dim_and_field(spec, dim, field):
@@ -287,7 +288,7 @@ def test_closure_key_collision():
     spec = parse_group_spec("rot(100)")
     gens = build_generators(spec)
     with pytest.raises(KeyCollisionError, match="collide at 1 digits"):
-        close_group(FiniteMatrixGroup(spec, tuple(gens), Tolerance(dedup_digits=1)))
+        close_group(FiniteMatrixGroup(spec, tuple(gens), dedup_digits=1))
 
 
 def test_catalog_covers_expected_families():

@@ -19,7 +19,6 @@ from orbitdesigns import (
     InputError,
     LineSet,
     MismatchError,
-    Tolerance,
     build_group,
     canonical_line,
     catalog,
@@ -123,7 +122,7 @@ def test_h4_orbits_never_close_the_group(monkeypatch):
 def test_orbit_walk_rejects_merged_keys():
     # at the group's 1 digit distinct lines of this A(4) orbit share keys, so
     # the lines the walk keeps are not permuted by the generators
-    g = build_group("A(4)", Tolerance(dedup_digits=1))
+    g = build_group("A(4)", dedup_digits=1)
     with pytest.raises(ConsistencyError, match="do not permute"):
         orbit_lines(g, catalog_entry("A(4)").seeds[0])
 
@@ -275,6 +274,12 @@ def test_validate_catches_bad_weights():
         broken.validate()
 
 
+def test_validate_catches_lines_of_other_norms():
+    broken = LineSet("R", np.array([[2.0, 0.0], [0.0, 1.0]]), np.array([0.5, 0.5]))
+    with pytest.raises(ConsistencyError, match="line representatives must have unit norm"):
+        broken.validate()
+
+
 def test_validate_catches_repeated_lines():
     X = orbit_lines(build_group("B(2)"), np.array([1.0, 0.0]))
     H = orbit_lines(build_group("H4"), catalog_entry("H4").seeds[3])
@@ -347,3 +352,6 @@ def test_parse_vector_rejects_garbage(bad):
 def test_vector_literal_round_trip():
     for v in [np.array([1.0, -0.25, 3.0]), np.array([1 + 2j, -1j, 0.5 + 0.0j])]:
         assert np.allclose(parse_vector(format_vector(v)), v)
+    # .17g writes exponents, and a complex entry takes them on either part
+    for v in [np.array([1e-5 + 1j, 1]), np.array([0.5 + 1e-7j, 1]), np.array([1e20 + 1j, 1])]:
+        assert np.array_equal(parse_vector(format_vector(v)), v)

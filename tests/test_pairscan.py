@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from orbitdesigns import (
-    DEFAULT_TOL,
     ConsistencyError,
+    InputError,
     build_group,
     orbit_lines,
     potential,
@@ -18,6 +18,7 @@ from orbitdesigns import (
     welch_constant,
 )
 from orbitdesigns.cli import _load_expectations, _resolve_seed
+from orbitdesigns.numerics import REL_EQ
 from orbitdesigns.pairscan import _classify, _harmonic_invariants, _p_G, _p_triple
 
 
@@ -117,7 +118,7 @@ def test_identity_verdicts_on_random_pairs():
     rng = np.random.default_rng(0)
     gI = build_group("binI")
     verdict, residual = _verdict(gI, _unit(rng, 2, "C"), _unit(rng, 2, "C"), 7)
-    assert verdict == "holds" and residual <= DEFAULT_TOL.rel_eq
+    assert verdict == "holds" and residual <= REL_EQ
     g224 = build_group("G(2,2,4)")
     assert _verdict(g224, _unit(rng, 4, "R"), _unit(rng, 4, "R"), 2)[0] == "indeterminate"
     gh = build_group("heis(4)")
@@ -225,7 +226,17 @@ def test_scan_report_invariants():
             if record.verdicts[t - 1] == "degenerate":
                 c_t = float(welch_constant("R", 2, t))
                 for p in (record.p_xx[t - 1], record.p_yy[t - 1]):
-                    assert abs(p - c_t) <= DEFAULT_TOL.rel_eq * c_t
+                    assert abs(p - c_t) <= REL_EQ * c_t
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"samples": 0}, "samples must be >= 1"),
+    ({"t_max": 0}, "t_max must be >= 1"),
+    ({"seed": -1}, "seed must be >= 0"),
+])
+def test_scan_rejects_bad_arguments(kwargs, message):
+    with pytest.raises(InputError, match=message):
+        scan(build_group("binT"), **kwargs)
 
 
 def _degree_series(degrees, t_max):
