@@ -23,7 +23,7 @@ from .errors import (
     SizeLimitError,
 )
 from .groups import DEFAULT_MAX_ORDER, FiniteMatrixGroup, build_group, catalog_entry
-from .numerics import DEDUP_DIGITS, format_rational, parse_rational
+from .numerics import format_rational, parse_rational
 from .orbits import LineSet, format_vector, orbit_lines, parse_vector
 from .pairscan import scan
 from .unions import emit_certificate, solve_union, verify_certificate
@@ -49,8 +49,6 @@ def _positive_int(text: str) -> int:
 
 def _add_common(p: argparse.ArgumentParser, t_max: int | None, walks: bool = True) -> None:
     if walks:
-        p.add_argument("--dedup-digits", type=_positive_int, default=DEDUP_DIGITS,
-                       help="rounding digits for projective deduplication keys")
         p.add_argument("--max-order", type=_positive_int, default=DEFAULT_MAX_ORDER,
                        help="abort a group closure or an orbit walk that passes "
                             "this many elements or lines")
@@ -139,7 +137,7 @@ def _orbit(group: FiniteMatrixGroup, label: str, text: str) -> LineSet:
 
 
 def cmd_group(args) -> int:
-    g = build_group(args.spec, args.dedup_digits, args.max_order)
+    g = build_group(args.spec, args.max_order)
     deviation = g.unitarity_deviation()
     payload = {
         "group": g.spec.label,
@@ -159,7 +157,7 @@ def cmd_group(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    g = build_group(args.spec, args.dedup_digits, args.max_order)
+    g = build_group(args.spec, args.max_order)
     X = _orbit(g, args.spec, args.seed)
     rep = strength(X, args.tmax)
     payload = {
@@ -197,7 +195,7 @@ def _root_payload(root) -> dict:
 
 
 def cmd_union(args) -> int:
-    g = build_group(args.spec, args.dedup_digits, args.max_order)
+    g = build_group(args.spec, args.max_order)
     X = _orbit(g, args.spec, args.x)
     Y = _orbit(g, args.spec, args.y)
     sol = solve_union(X, Y, args.t, args.tmax)
@@ -258,7 +256,7 @@ def cmd_union(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    g = build_group(args.spec, args.dedup_digits, args.max_order)
+    g = build_group(args.spec, args.max_order)
     rep = scan(g, args.tmax, args.samples, args.seed)
     payload = {
         "group": g.spec.label,
@@ -313,7 +311,7 @@ def _load_expectations() -> list[dict]:
 def _run_expectation(row: dict, args) -> tuple[bool, str]:
     label = row["group"]
     t = int(row["t"])
-    g = build_group(label, args.dedup_digits, args.max_order)
+    g = build_group(label, args.max_order)
     X = _orbit(g, label, row["seedX"])
     if not row["seedY"]:
         rep = strength(X, max(args.tmax, t))

@@ -17,13 +17,13 @@ from __future__ import annotations
 import json
 import math
 import re
-import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
 
+from . import numerics  # DEDUP_DIGITS is read at call time, as quantized_keys reads it
 from .errors import (
     ConsistencyError,
     DegeneracyError,
@@ -31,8 +31,7 @@ from .errors import (
     KeyCollisionError,
     SizeLimitError,
 )
-from .numerics import (DEDUP_DIGITS, REL_EQ, _json_complex, _json_number, _walk,
-                       pow2_scaled)
+from .numerics import REL_EQ, _json_complex, _json_number, _walk, pow2_scaled
 
 DEFAULT_MAX_ORDER = 200_000
 
@@ -71,24 +70,16 @@ class GroupSpec:
 class FiniteMatrixGroup:
     """A finite unitary matrix group, given by its generators.
 
-    generators    (d, d) unitary matrices, all float64 for a real group
-                  (field "R") or all complex128 (field "C")
-    dedup_digits  decimal digits of the dedup keys of closure and orbit walks,
-                  1..308
-    max_order     size limit of closure and orbit walks
+    generators  (d, d) unitary matrices, all float64 for a real group
+                (field "R") or all complex128 (field "C")
+    max_order   size limit of closure and orbit walks
 
     `elements` is enumerated by close_group on first use only.
     """
 
     spec: GroupSpec
     generators: tuple
-    dedup_digits: int = DEDUP_DIGITS
     max_order: int = DEFAULT_MAX_ORDER
-
-    def __post_init__(self) -> None:
-        # past the largest decimal exponent, np.round overflows and every key is nan
-        if not 1 <= self.dedup_digits <= sys.float_info.max_10_exp:
-            raise InputError(f"dedup_digits must be in 1..{sys.float_info.max_10_exp}")
 
     @cached_property
     def elements(self) -> np.ndarray:
@@ -113,14 +104,13 @@ class FiniteMatrixGroup:
         return "C" if np.iscomplexobj(self.generators[0]) else "R"
 
     def walk(self, start: np.ndarray, step, too_many: str, split: str):
-        """_walk from start under the group's dedup digits, up to the
-        closed-form order when that is within max_order, else max_order.
+        """_walk from start, up to the closed-form order when that is within
+        max_order, else max_order.
         Passing max_order raises SizeLimitError(too_many); passing the known
         order is a dedup-key split and raises ConsistencyError(split)."""
         known = group_order(self.spec)
         exact = known is not None and known <= self.max_order
-        rows, maps = _walk(start, step, known if exact else self.max_order,
-                           self.dedup_digits)
+        rows, maps = _walk(start, step, known if exact else self.max_order)
         if maps is None:
             raise ConsistencyError(split) if exact else SizeLimitError(too_many)
         return rows, maps
@@ -412,7 +402,7 @@ def close_group(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
     """
     if not group.generators:
         raise InputError("no generators")
-    spec, gens, digits = group.spec, group.generators, group.dedup_digits
+    spec, gens, digits = group.spec, group.generators, numerics.DEDUP_DIGITS
     expected = group_order(spec)
     too_many = f"closure of {spec} exceeds max_order={group.max_order}"
     if expected is not None and expected > group.max_order:
@@ -457,20 +447,17 @@ def unitarize(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
 
     gens, elements = (np.einsum("ij,njk,kl->nil", A, M, Ainv)
                       for M in (np.stack(group.generators), E))
-    out = _enumerated(FiniteMatrixGroup(group.spec, tuple(gens), group.dedup_digits,
-                                        group.max_order), elements)
+    out = _enumerated(FiniteMatrixGroup(group.spec, tuple(gens), group.max_order), elements)
     if not out.unitarity_deviation() <= REL_EQ:
         raise DegeneracyError("unitarization failed to reach tolerance")
     return out
 
 
-def build_group(spec: GroupSpec | str, dedup_digits: int = DEDUP_DIGITS,
-                max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixGroup:
+def build_group(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixGroup:
     """Parse (if needed) and generate. Cached per family spec.
 
-    dedup_digits (1..308, else InputError) and max_order become the group's
-    own: the dedup digits and size limit of its closure and of every orbit
-    walk over it.
+    max_order becomes the group's own: the size limit of its closure and of
+    every orbit walk over it.
 
     Unitary generators are kept as they are and the group is closed only when
     its elements are read, so max_order bounds the walks that run, not the
@@ -482,16 +469,16 @@ def build_group(spec: GroupSpec | str, dedup_digits: int = DEDUP_DIGITS,
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     if spec.kind == "explicit":
-        return _assemble(spec, dedup_digits, max_order)
-    return _build_cached(spec, dedup_digits, max_order)
+        return _assemble(spec, max_order)
+    return _build_cached(spec, max_order)
 
 
 @lru_cache(maxsize=64)
-def _build_cached(spec: GroupSpec, dedup_digits: int, max_order: int) -> FiniteMatrixGroup:
-    return _assemble(spec, dedup_digits, max_order)
+def _build_cached(spec: GroupSpec, max_order: int) -> FiniteMatrixGroup:
+    return _assemble(spec, max_order)
 
 
-def _assemble(spec: GroupSpec, dedup_digits: int, max_order: int) -> FiniteMatrixGroup:
+def _assemble(spec: GroupSpec, max_order: int) -> FiniteMatrixGroup:
     # G(m,p,n) has about d generators of d^2 entries each: with d^2 > max_order
     # they outgrow a walk of max_order lines before any walk starts
     order = group_order(spec)
@@ -500,7 +487,7 @@ def _assemble(spec: GroupSpec, dedup_digits: int, max_order: int) -> FiniteMatri
         if d * d > max_order:
             raise SizeLimitError(f"{spec} exceeds max_order={max_order}: its order "
                                  f"does, and so does its dimension {d} squared")
-    group = FiniteMatrixGroup(spec, tuple(build_generators(spec)), dedup_digits, max_order)
+    group = FiniteMatrixGroup(spec, tuple(build_generators(spec)), max_order)
     if _unitarity_deviation(np.stack(group.generators)) <= REL_EQ:
         return group
     return unitarize(group)

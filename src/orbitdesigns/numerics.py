@@ -3,10 +3,11 @@ summation, quantized dedup keys, and reconstruction of exact rationals from
 floating point values.
 
 Every equality test in the package reads one relative tolerance, REL_EQ:
-design residuals, unit norms, coincident lines, weight sums, canonical pivots,
-the rational snap, a pair's degeneracy, the union quadratic's dust zeroing and
-the unitarity of a group. Dedup keys keep DEDUP_DIGITS decimals unless a group
-sets its own.
+design residuals, unit norms, weight sums, canonical pivots, the rational
+snap, a pair's degeneracy, the union quadratic's dust zeroing and the
+unitarity of a group; it also picks the pairs of lines that might coincide.
+Every dedup key keeps DEDUP_DIGITS decimals, and two lines coincide when
+their vectors, aligned in phase, are within 10^-DEDUP_DIGITS.
 
 All heavy arithmetic in this package is binary64; exact `Fraction` values
 appear only at the reporting boundary, where a floating root or weight is
@@ -27,7 +28,7 @@ from .errors import NumericRangeError
 Rational = Fraction
 
 REL_EQ = 1e-9  # relative tolerance of every equality test
-DEDUP_DIGITS = 8  # decimal digits kept in quantized dedup keys by default
+DEDUP_DIGITS = 8  # decimal digits kept in every dedup key
 
 
 # A finite double is x = f * 2^e with 1/2 <= |f| < 1 (frexp; 0 for zero), so
@@ -119,22 +120,21 @@ def pow2_scaled(v: np.ndarray) -> np.ndarray:
     return np.ldexp(parts, -np.frexp(np.abs(parts).max(initial=0.0))[1]).view(v.dtype)
 
 
-def quantized_keys(items: np.ndarray, digits: int) -> list[bytes]:
+def quantized_keys(items: np.ndarray) -> list[bytes]:
     """Dedup key of each item along the first axis: its entries rounded to
-    `digits` decimals."""
+    DEDUP_DIGITS decimals."""
     # adding 0.0 maps -0.0 to +0.0 so signed zeros share a key
-    return [item.tobytes() for item in np.round(items, digits) + 0.0]
+    return [item.tobytes() for item in np.round(items, DEDUP_DIGITS) + 0.0]
 
 
-def _intern(rows: np.ndarray, index: dict[bytes, int], digits: int) -> np.ndarray:
+def _intern(rows: np.ndarray, index: dict[bytes, int]) -> np.ndarray:
     """Each row's position in `index`, a table from dedup key to position; a
     row whose key is new takes the next position."""
-    return np.array([index.setdefault(key, len(index)) for key in quantized_keys(rows, digits)],
+    return np.array([index.setdefault(key, len(index)) for key in quantized_keys(rows)],
                     dtype=np.intp)
 
 
-def _walk(start: np.ndarray, step, limit: int,
-          digits: int) -> tuple[np.ndarray, np.ndarray | None]:
+def _walk(start: np.ndarray, step, limit: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Breadth-first walk from the rows of `start` (distinct keys), deduplicated
     by dedup key.
 
@@ -144,12 +144,12 @@ def _walk(start: np.ndarray, step, limit: int,
     walk that finds more than `limit` rows stops there with maps None.
     """
     index: dict[bytes, int] = {}
-    _intern(start, index, digits)
+    _intern(start, index)
     found, targets, frontier = [start], [], start
     while True:
         images = step(frontier)
         n = len(index)
-        at = _intern(images, index, digits)
+        at = _intern(images, index)
         targets.append(at.reshape(-1, len(frontier)))
         if len(index) == n:
             return np.concatenate(found), np.concatenate(targets, axis=1)

@@ -14,9 +14,10 @@ from math import sqrt
 
 import numpy as np
 
+from . import numerics  # DEDUP_DIGITS is read at call time, as quantized_keys reads it
 from .errors import ConsistencyError, InputError, MismatchError
 from .groups import FiniteMatrixGroup, group_order
-from .numerics import DEDUP_DIGITS, REL_EQ, Rational, _intern, compensated_sum, pow2_scaled
+from .numerics import REL_EQ, Rational, _intern, compensated_sum, pow2_scaled
 
 VALIDATE_BLOCK_TERMS = 1 << 15  # Gram entries per block of LineSet.validate's coincidence test
 
@@ -25,7 +26,8 @@ VALIDATE_BLOCK_TERMS = 1 << 15  # Gram entries per block of LineSet.validate's c
 class LineSet:
     """A weighted set of projective lines.
 
-    lines          (L, d) canonical unit representatives
+    lines          (L, d) canonical unit representatives, float64 for a real
+                   set (field "R") or complex128 (field "C")
     weights        per-line weights summing to 1; negative entries allowed
                    for signed designs
     exact_weights  optional Fractions matching weights exactly; orbits and
@@ -35,7 +37,6 @@ class LineSet:
                    orbit_lines sets it
     """
 
-    field: str
     lines: np.ndarray
     weights: np.ndarray
     exact_weights: tuple | None = None
@@ -45,6 +46,11 @@ class LineSet:
     @property
     def dim(self) -> int:
         return self.lines.shape[1]
+
+    @property
+    def field(self) -> str:
+        """"C" when the lines are complex, else "R"."""
+        return "C" if np.iscomplexobj(self.lines) else "R"
 
     @property
     def n_lines(self) -> int:
@@ -58,13 +64,22 @@ class LineSet:
         norms = np.linalg.norm(self.lines, axis=1)
         if np.abs(norms - 1.0).max() > REL_EQ:
             raise ConsistencyError("line representatives must have unit norm")
-        # the strict upper triangle of the Gram matrix, a block of rows at a time
+        # 1 - |<a,b>| is quadratic in the angle of lines a and b, so it only
+        # picks candidates: a pair coincides when a is within the dedup grid
+        # of b times the phase <b,a>/|<b,a>|. The strict upper triangle of the
+        # Gram matrix is read a block of rows at a time.
         n = self.n_lines
         step = max(1, VALIDATE_BLOCK_TERMS // n)
         for i in range(0, n - 1, step):
-            block = np.abs(self.lines[i:i + step] @ self.lines[i + 1:].conj().T)
-            if 1.0 - np.triu(block).max() <= REL_EQ:
-                raise ConsistencyError("two lines coincide projectively")
+            gram = self.lines[i:i + step] @ self.lines[i + 1:].conj().T
+            near = np.triu(np.abs(gram))
+            if 1.0 - near.max() > REL_EQ:  # no candidate, the usual case
+                continue
+            for r, c in np.argwhere(1.0 - near <= REL_EQ):
+                phase = gram[r, c] / abs(gram[r, c])
+                gap = np.linalg.norm(self.lines[i + r] - phase * self.lines[i + 1 + c])
+                if gap <= 10.0 ** -numerics.DEDUP_DIGITS:
+                    raise ConsistencyError("two lines coincide projectively")
         if abs(compensated_sum(self.weights) - 1.0) > REL_EQ:
             raise ConsistencyError("weights must sum to 1")
 
@@ -96,8 +111,8 @@ def orbit_lines(group: FiniteMatrixGroup, seed: np.ndarray,
                 seed_literal: str | None = None) -> LineSet:
     """The projective orbit of a seed under the group, uniformly weighted.
 
-    Walks canonical lines breadth-first under the group's generators and its
-    dedup digits by group.walk, so the group's elements are never enumerated.
+    Walks canonical lines breadth-first under the group's generators by
+    group.walk, so the group's elements are never enumerated.
     Every generator must permute the lines found, and their number must divide
     the group order when that has a closed form; a dedup key that splits one
     line into several or merges two is an error.
@@ -106,7 +121,7 @@ def orbit_lines(group: FiniteMatrixGroup, seed: np.ndarray,
     nx = np.linalg.norm(x)
     if nx == 0.0:
         raise InputError("zero seed vector")
-    digits = group.dedup_digits
+    digits = numerics.DEDUP_DIGITS
     order = group_order(group.spec)
     gens_t = np.stack(group.generators).transpose(0, 2, 1)
     split = f"copies of one line split into distinct dedup keys at {digits} digits"
@@ -130,7 +145,6 @@ def orbit_lines(group: FiniteMatrixGroup, seed: np.ndarray,
         )
     w = Fraction(1, n)
     out = LineSet(
-        field=group.field,
         lines=reps,
         weights=np.full(n, 1.0 / n),
         exact_weights=(w,) * n,
@@ -150,24 +164,21 @@ def union_lines(X: LineSet, Y: LineSet, beta: tuple[Rational, Rational]) -> Line
     lines whose merged weight is zero are dropped. The result has no group.
     Two orbits of one group are equal or disjoint: a partial merge of them, or
     of one orbit's own lines, means the dedup keys joined distinct lines.
-    Lines are keyed at X's group's dedup digits when X is an orbit, else at
-    DEDUP_DIGITS.
     """
     if X.dim != Y.dim or X.field != Y.field:
         raise MismatchError("union operands must share dimension and field")
     bx, by = Fraction(beta[0]), Fraction(beta[1])
     if bx + by != 1:
         raise InputError("union weighting must satisfy beta_X + beta_Y = 1")
-    digits = X.group.dedup_digits if X.group is not None else DEDUP_DIGITS
     index: dict[bytes, int] = {}
     # per operand, the union row of each of its lines
-    where = [_intern(ls.lines, index, digits).tolist() for ls in (X, Y)]
+    where = [_intern(ls.lines, index).tolist() for ls in (X, Y)]
     rx, ry = set(where[0]), set(where[1])
     if X.group is not None and Y.group is X.group and (
             len(rx) != X.n_lines or len(ry) != Y.n_lines or (rx & ry and rx != ry)):
         raise ConsistencyError(
             f"orbits of {X.group.spec} merge only in part in a union: dedup "
-            f"keys at {digits} digits joined distinct lines"
+            f"keys at {numerics.DEDUP_DIGITS} digits joined distinct lines"
         )
     rows = where[0] + where[1]
     _, first = np.unique(rows, return_index=True)
@@ -183,7 +194,6 @@ def union_lines(X: LineSet, Y: LineSet, beta: tuple[Rational, Rational]) -> Line
         raise ConsistencyError("union has no lines with nonzero weight")
     kept_w = [weights[i] for i in keep]
     out = LineSet(
-        field=X.field,
         lines=lines[keep],
         weights=np.array([float(w) for w in kept_w]),
         exact_weights=tuple(kept_w),

@@ -286,7 +286,7 @@ def verify_certificate(source, t_max: int = 12) -> VerifyResult:
     if len(weights) != lines.shape[0]:
         raise CertificateError("one weight per line required")
     try:
-        held = {int(t): float(r) for t, r in cert["residuals"].items()}
+        held = {int(t): _json_number(r) for t, r in cert["residuals"].items()}
     except (ValueError, TypeError) as exc:
         raise CertificateError(f"malformed residuals: {exc}") from exc
     if min(held, default=1) < 1 or len(held) != len(cert["residuals"]):
@@ -311,7 +311,7 @@ def verify_certificate(source, t_max: int = 12) -> VerifyResult:
     if deviation > REL_EQ:  # potentials of lines that are not unit mean nothing
         return VerifyResult(False, tuple(reasons), {})
     orders = sorted(held.keys() | set(range(1, cert["t"] + 1)))
-    report = strength(LineSet(cert["field"], lines, w), top)
+    report = strength(LineSet(lines, w), top)
     residuals = {}
     for t in orders:
         recomputed = report.residual_at(t)

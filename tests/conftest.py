@@ -1,10 +1,27 @@
-"""Shared fixtures: an explicit-generator group file used by several suites."""
+"""Shared fixtures: an explicit-generator group file used by several suites,
+and a dedup grid other than numerics.DEDUP_DIGITS for one test."""
 from __future__ import annotations
 
 import json
 
 import numpy as np
 import pytest
+
+from orbitdesigns import groups, numerics
+
+
+@pytest.fixture
+def dedup_digits(monkeypatch):
+    """Call with k to key every walk of the test at k digits. Groups are built
+    afresh at k and dropped after the test, since a cached group keeps the
+    elements it closed at another grid."""
+
+    def set_digits(k: int) -> None:
+        monkeypatch.setattr(numerics, "DEDUP_DIGITS", k)
+        groups._build_cached.cache_clear()
+
+    yield set_digits
+    groups._build_cached.cache_clear()
 
 
 @pytest.fixture(scope="session")

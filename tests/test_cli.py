@@ -49,18 +49,20 @@ def test_group_rejects_degenerate_family(capsys):
     assert main(["group", "G(3,3,1)"]) == 3
 
 
-def test_group_closure_key_split_exit(capsys):
+def test_group_closure_key_split_exit(capsys, dedup_digits):
     # at 13 digits copies of one A(5) element round to distinct keys; the
     # closure used to report order 763 for this group of order 720
-    assert main(["group", "A(5)", "--dedup-digits", "13"]) == 3
+    dedup_digits(13)
+    assert main(["group", "A(5)"]) == 3
     err = capsys.readouterr().err
     assert "passes its order 720" in err
     assert "split into distinct dedup keys at 13 digits" in err
 
 
-def test_group_closure_key_split_at_max_order_exit(capsys):
+def test_group_closure_key_split_at_max_order_exit(capsys, dedup_digits):
     # max_order equal to |H4| must not turn the key split into a size limit
-    assert main(["group", "H4", "--dedup-digits", "15", "--max-order", "14400"]) == 3
+    dedup_digits(15)
+    assert main(["group", "H4", "--max-order", "14400"]) == 3
     err = capsys.readouterr().err
     assert "passes its order 14400" in err
     assert "split into distinct dedup keys at 15 digits" in err
@@ -112,6 +114,14 @@ def test_orbit_of_a_seed_far_from_unit_norm(capsys, seed):
     assert json.loads(captured.out)["lines"] == 30 and captured.err == ""
 
 
+def test_orbit_of_lines_closer_than_the_gram_test_resolves(capsys):
+    # the closest lines are 1e-5 rad apart, so 1 - |<a,b>| = 5e-11 is within
+    # REL_EQ; their 8-digit keys and their phase-aligned distance differ
+    code, payload = run_json(capsys, "orbit", "binI", "--seed", "1e-05+1i,1")
+    assert code == 0 and payload["lines"] == 60
+    assert capsys.readouterr().err == ""
+
+
 def test_orbit_of_a_huge_ambient_seed(capsys):
     # the zero-sum test reads the seed scaled to parts below 1, so it cannot overflow
     code, payload = run_json(capsys, "orbit", "A(3)", "--seed", "1e308,1e308,-1e308,-1e308")
@@ -139,24 +149,18 @@ def test_orbit_of_a_zero_seed(capsys):
     assert capsys.readouterr().err == "error: zero seed vector\n"
 
 
-def test_group_closure_key_collision_exit(capsys):
+def test_group_closure_key_collision_exit(capsys, dedup_digits):
     # at 1 digit neighbouring rotations of rot(100) round to one key
-    assert main(["group", "rot(100)", "--dedup-digits", "1"]) == 3
+    dedup_digits(1)
+    assert main(["group", "rot(100)"]) == 3
     assert capsys.readouterr().err == "error: distinct elements of rot(100) collide at 1 digits\n"
 
 
-def test_dedup_digits_stop_at_the_float_range(capsys):
-    # past 308 digits np.round overflows, and every line took one nan key
-    code, payload = run_json(capsys, "orbit", "B(3)", "--seed", "1,1,0", "--dedup-digits", "308")
-    assert code == 0 and payload["lines"] == 6
-    assert main(["orbit", "B(3)", "--seed", "1,1,0", "--dedup-digits", "309"]) == 3
-    assert capsys.readouterr().err == "error: dedup_digits must be in 1..308\n"
-
-
-def test_orbit_key_split_exit(capsys):
+def test_orbit_key_split_exit(capsys, dedup_digits):
     # the walk stops once it passes |H4| = 14400 lines instead of running on
+    dedup_digits(15)
     start = time.monotonic()
-    assert main(["orbit", "H4", "--seed", "@2", "--dedup-digits", "15"]) == 3
+    assert main(["orbit", "H4", "--seed", "@2"]) == 3
     assert time.monotonic() - start < 10.0
     err = capsys.readouterr().err
     assert "split" in err
@@ -400,6 +404,19 @@ def test_verify_rejects_untyped_weights_and_lines(capsys, tmp_path):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spell", [str, lambda r: False], ids=["strings", "false"])
+def test_verify_rejects_residuals_that_are_not_numbers(capsys, tmp_path, spell):
+    # float() read "8.88e-16" and false (as 0.0) as residuals, and both passed
+    stored = Path(__file__).parents[1] / "perfbench" / "certificates" / "h4_t6_x1_y2.json"
+    cert = json.loads(stored.read_text())
+    cert["residuals"] = {t: spell(r) for t, r in cert["residuals"].items()}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert main(["verify", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed residuals: ") and err.count("\n") == 1
+
+
 def test_verify_structural_error_exit(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
@@ -537,15 +554,16 @@ def test_reproduce_rejects_unknown_table(capsys):
         ["group", "B(2)", "--tmax", "3"],
         ["union", "B(2)", "--x", "1,0", "--y", "1,1", "--t", "2", "--snap-denom-max", "5"],
         ["reproduce", "all", "--snap-denom-max", "5"],
+        ["orbit", "B(2)", "--seed", "1,0", "--dedup-digits", "8"],  # the grid is a constant
     ],
 )
 def test_usage_errors(argv, capsys):
     assert main(argv) == 3
 
 
-_COMMON_FLAGS = ["--dedup-digits", "--max-order", "--tmax", "--format"]
+_COMMON_FLAGS = ["--max-order", "--tmax", "--format"]
 _SUBCOMMAND_FLAGS = {
-    "group": ["--dedup-digits", "--max-order", "--format"],
+    "group": ["--max-order", "--format"],
     "orbit": ["--seed", "--dump", *_COMMON_FLAGS],
     "union": ["--x", "--y", "--t", "--emit", *_COMMON_FLAGS],
     "scan": ["--samples", "--seed", *_COMMON_FLAGS],
@@ -594,6 +612,16 @@ def test_readme_examples(capsys, tmp_path, monkeypatch):
         got = _E_NUMBER.sub("<e>", capsys.readouterr().out).splitlines()
         assert _shown_lines_match([_E_NUMBER.sub("<e>", line) for line in shown], got), \
             (command, got)
+
+
+def test_readme_library_example(capsys):
+    # the Library block runs, and each print shows the value its comment gives
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## Library\n+```python\n(.*?)^```", readme, re.M | re.S).group(1)
+    shown = re.findall(r"^print\(.*\)\s+# (.*)$", block, re.M)
+    assert shown == ["(Fraction(5, 14), Fraction(9, 14))", "4"]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == shown
 
 
 def test_installed_entry_point(tmp_path):

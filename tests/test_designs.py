@@ -69,7 +69,7 @@ def test_potential_orthonormal_basis():
     for d in (2, 3, 4):
         from orbitdesigns.orbits import LineSet
 
-        X = LineSet(field="C", lines=np.eye(d, dtype=complex),
+        X = LineSet(lines=np.eye(d, dtype=complex),
                     weights=np.full(d, 1.0 / d))
         assert abs(potential(X, 1) - 1.0 / d) < 1e-15
 
@@ -77,7 +77,7 @@ def test_potential_orthonormal_basis():
 def test_potential_single_line():
     from orbitdesigns.orbits import LineSet
 
-    X = LineSet(field="R", lines=np.array([[0.6, 0.8]]), weights=np.array([1.0]))
+    X = LineSet(lines=np.array([[0.6, 0.8]]), weights=np.array([1.0]))
     for t in (1, 2, 5, 9):
         assert potential(X, t) == 1.0
 
@@ -101,7 +101,7 @@ def test_potential_rejects_bad_order():
 def test_cross_potential_single_lines():
     from orbitdesigns.orbits import LineSet
 
-    X = LineSet(field="R", lines=np.array([[1.0, 0.0]]), weights=np.array([1.0]))
+    X = LineSet(lines=np.array([[1.0, 0.0]]), weights=np.array([1.0]))
     assert cross_potential(X, X, 4) == 1.0
 
 
@@ -267,7 +267,7 @@ def test_solve_union_sums_one_row_per_orbit(row_counts):
 
 def test_sets_without_a_shared_group_sum_every_row(row_counts):
     X = _orbit("H3", 2)
-    potential(LineSet(field=X.field, lines=X.lines, weights=X.weights), 4)
+    potential(LineSet(lines=X.lines, weights=X.weights), 4)
     groups._build_cached.cache_clear()  # a second, distinct H3 group object
     Y = _orbit("H3", 1)
     assert Y.group is not X.group
@@ -316,7 +316,7 @@ def test_potential_unitary_invariance():
     Q, _ = np.linalg.qr(M)
     from orbitdesigns.orbits import LineSet, _canonicalize_rows
 
-    rotated = LineSet(field="R", lines=_canonicalize_rows(X.lines @ Q.T),
+    rotated = LineSet(lines=_canonicalize_rows(X.lines @ Q.T),
                       weights=X.weights)
     for t in (1, 2, 3, 5):
         assert abs(potential(rotated, t) - potential(X, t)) <= 1e-10

@@ -284,11 +284,12 @@ def test_family_too_large_to_build_is_refused():
     assert build_group("heis(60)").dim == 60  # order 216000, dimension 60
 
 
-def test_closure_key_collision():
+def test_closure_key_collision(dedup_digits):
+    dedup_digits(1)
     spec = parse_group_spec("rot(100)")
     gens = build_generators(spec)
     with pytest.raises(KeyCollisionError, match="collide at 1 digits"):
-        close_group(FiniteMatrixGroup(spec, tuple(gens), dedup_digits=1))
+        close_group(FiniteMatrixGroup(spec, tuple(gens)))
 
 
 def test_catalog_covers_expected_families():

@@ -119,10 +119,11 @@ def test_h4_orbits_never_close_the_group(monkeypatch):
     assert calls == []
 
 
-def test_orbit_walk_rejects_merged_keys():
-    # at the group's 1 digit distinct lines of this A(4) orbit share keys, so
-    # the lines the walk keeps are not permuted by the generators
-    g = build_group("A(4)", dedup_digits=1)
+def test_orbit_walk_rejects_merged_keys(dedup_digits):
+    # at 1 digit distinct lines of this A(4) orbit share keys, so the lines
+    # the walk keeps are not permuted by the generators
+    dedup_digits(1)
+    g = build_group("A(4)")
     with pytest.raises(ConsistencyError, match="do not permute"):
         orbit_lines(g, catalog_entry("A(4)").seeds[0])
 
@@ -198,7 +199,7 @@ def test_union_of_a_float_only_set_sums_exact_fractions():
     X = orbit_lines(g, catalog_entry("H3").seeds[1])
     Y = orbit_lines(g, catalog_entry("H3").seeds[0])
     w = np.linspace(1.0, 2.0, X.n_lines)
-    F = LineSet(field=X.field, lines=X.lines, weights=w / w.sum())
+    F = LineSet(lines=X.lines, weights=w / w.sum())
     bx, by = Fraction(1, 3), Fraction(2, 3)
     floats = [bx * Fraction(x) for x in F.weights.tolist()]
     disjoint = floats + [by * x for x in Y.exact_weights]
@@ -269,15 +270,28 @@ def test_union_field_mismatch():
 
 def test_validate_catches_bad_weights():
     X = orbit_lines(build_group("B(2)"), np.array([1.0, 0.0]))
-    broken = type(X)(field=X.field, lines=X.lines, weights=X.weights * 2.0)
+    broken = type(X)(lines=X.lines, weights=X.weights * 2.0)
     with pytest.raises(ConsistencyError):
         broken.validate()
 
 
 def test_validate_catches_lines_of_other_norms():
-    broken = LineSet("R", np.array([[2.0, 0.0], [0.0, 1.0]]), np.array([0.5, 0.5]))
+    broken = LineSet(np.array([[2.0, 0.0], [0.0, 1.0]]), np.array([0.5, 0.5]))
     with pytest.raises(ConsistencyError, match="line representatives must have unit norm"):
         broken.validate()
+
+
+@pytest.mark.parametrize("angle,coincide", [(1e-5, False), (1e-7, False), (1e-12, True)])
+def test_validate_judges_close_lines_by_their_distance(angle, coincide):
+    # 1 - |<a,b>| is about angle^2/2, within REL_EQ for all three; the lines
+    # coincide only when they are within the dedup grid, 1e-8, of each other
+    lines = np.array([[1.0, 0.0], [np.cos(angle), np.sin(angle)]])
+    X = LineSet(lines=lines, weights=np.array([0.5, 0.5]))
+    if coincide:
+        with pytest.raises(ConsistencyError, match="coincide projectively"):
+            X.validate()
+    else:
+        X.validate()
 
 
 def test_validate_catches_repeated_lines():
@@ -293,7 +307,7 @@ def test_validate_catches_repeated_lines():
     ]
     for lines in cases:
         n = len(lines)
-        repeated = LineSet(field=X.field, lines=lines, weights=np.full(n, 1 / n))
+        repeated = LineSet(lines=lines, weights=np.full(n, 1 / n))
         with pytest.raises(ConsistencyError, match="coincide projectively"):
             repeated.validate()
 
