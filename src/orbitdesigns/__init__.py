@@ -38,12 +38,11 @@ from .groups import (
 )
 from .numerics import (
     Rational,
-    compensated_sum,
     format_rational,
     parse_rational,
     snap_to_rational,
 )
-from .orbits import LineSet, canonical_line, format_vector, orbit_lines, parse_vector, union_lines
+from .orbits import LineSet, format_vector, orbit_lines, parse_vector, union_lines
 from .pairscan import PairSample, PairScanReport, scan
 from .unions import (
     PairQuadratic,
@@ -82,11 +81,9 @@ __all__ = [
     "UnionSolution",
     "VerifyResult",
     "build_group",
-    "canonical_line",
     "catalog",
     "catalog_entry",
     "close_group",
-    "compensated_sum",
     "cross_potential",
     "emit_certificate",
     "format_rational",

@@ -233,10 +233,8 @@ def cmd_union(args) -> int:
         _emit(payload, args.format, out)
         return 2
     r = sol.root
-    beta = ("beta = (%s, %s)" % tuple(format_rational(b) for b in r.beta)
-            if r.beta else f"alpha = {r.alpha:.12g} (no snap)")
-    what = (", w_hat = (%s, %s)" % tuple(format_rational(w) for w in r.w_hat)
-            if r.w_hat else "")
+    beta = f"beta = {_fmt_pair(r.beta)}" if r.beta else f"alpha = {r.alpha:.12g} (no snap)"
+    what = f", w_hat = {_fmt_pair(r.w_hat)}" if r.w_hat else ""
     out.append(f"root 0: {beta}{what}, residual {r.residual:.3e} (preferred)")
     if sol.verified is not None:
         payload["verified_strength"] = sol.verified.strength

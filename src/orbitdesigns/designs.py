@@ -2,14 +2,16 @@
 
 The potential of a weighted line set is sum_{x,y} w_x w_y |<x,y>|^(2t); a set
 is a (t,t)-design exactly when the potential meets the field's Welch constant
-c_t. Potentials are accumulated blockwise with exact summation and never
-materialize the full Gram matrix.
+c_t. Every potential is taken at the orders t = 1..T in one pass, accumulated
+blockwise with exact summation, without materializing the full Gram matrix;
+a single order t is row t - 1 of that pass.
 
 For a unitary group G, |<gx,gy>| = |<x,y>|, so every line of one G-orbit has
 the same Gram row sum against a G-invariant set: the cross potential of two
 orbits of one group (LineSet.group) sums one row, the first line carrying the
-orbit's weight, and any other pair sums every row. cross_matrix holds them for
-k sets, whose union weighted w has potential w^T P w.
+orbit's weight, and any other pair sums every row. cross_matrix(sets, T)
+holds them for k sets as P[t - 1, i, j]; the union weighted w has potential
+w^T P[t - 1] w at order t.
 
 A real (t,t)-design doubled to +-x, each with half its line's weight, is a
 spherical (2t+1)-design: its order-2t moment is the design's potential, and
@@ -51,48 +53,41 @@ def welch_constant(field: str, d: int, t: int) -> Rational:
 
 
 def moments(A: np.ndarray, wa: np.ndarray, B: np.ndarray, wb: np.ndarray,
-            orders) -> list[float]:
-    """[sum_{a,b} wa wb |<a,b>|^(2t) for t in orders], each correctly rounded.
+            t_max: int) -> list[float]:
+    """[sum_{a,b} wa wb |<a,b>|^(2t) for t = 1..t_max], each correctly rounded.
 
-    orders is a sequence of positive ints. One pass over the row blocks of A
-    serves every order: each block's terms for all orders go to one exact
-    accumulator (numerics.compensated_sums), and u^t is formed left to right
-    (u, u*u, (u*u)*u, ...) for every t.
+    One pass over the row blocks of A serves every order: each block's terms
+    for all orders go to one exact accumulator (numerics.compensated_sums),
+    and u^t is formed left to right (u, u*u, (u*u)*u, ...).
     """
-    orders = list(orders)
-    if any(t < 1 for t in orders):
-        raise ValueError("t >= 1 required")
-    if not orders:
-        return []
-    return compensated_sums(_terms(A, wa, B, wb, orders), len(orders))
+    if t_max < 1:
+        raise ValueError("t_max >= 1 required")
+    return compensated_sums(_terms(A, wa, B, wb, t_max), t_max)
 
 
-def _terms(A: np.ndarray, wa: np.ndarray, B: np.ndarray, wb: np.ndarray, orders: list[int]):
-    """Blocks of terms, one row per order: wa wb |<a,b>|^(2t), for a run of
-    rows a of A against every b of B."""
+def _terms(A: np.ndarray, wa: np.ndarray, B: np.ndarray, wb: np.ndarray, t_max: int):
+    """Blocks of terms, row t - 1 for order t: wa wb |<a,b>|^(2t), for a run
+    of rows a of A against every b of B."""
     n = max(1, B.shape[0])
     Bc = B.conj().T
-    by_order = sorted(range(len(orders)), key=orders.__getitem__)
     gram_rows = max(1, _GRAM_TERMS // n)
-    rows = max(1, _BLOCK_TERMS // (len(orders) * n))
+    rows = max(1, _BLOCK_TERMS // (t_max * n))
     for start in range(0, A.shape[0], gram_rows):
         gram = A[start:start + gram_rows] @ Bc
         for sub in range(0, len(gram), rows):
             M = gram[sub:sub + rows]
             u = (M * M.conj()).real if np.iscomplexobj(M) else M * M
             ww = wa[start + sub:start + sub + len(M), None] * wb[None, :]
-            block = np.empty((len(orders),) + M.shape)
-            power, t = u.copy(), 1
-            for i in by_order:
-                while t < orders[i]:
-                    power *= u
-                    t += 1
-                np.multiply(ww, power, out=block[i])
-            yield block.reshape(len(orders), -1)
+            block = np.empty((t_max,) + M.shape)
+            power = np.ones_like(u)
+            for row in block:
+                power *= u
+                np.multiply(ww, power, out=row)
+            yield block.reshape(t_max, -1)
 
 
-def _pair_moments(X: LineSet, Y: LineSet, orders) -> list[float]:
-    """[sum_{x in X, y in Y} w_x w_y |<x,y>|^(2t) for t in orders].
+def _pair_moments(X: LineSet, Y: LineSet, t_max: int) -> list[float]:
+    """[sum_{x in X, y in Y} w_x w_y |<x,y>|^(2t) for t = 1..t_max].
 
     When X and Y are orbits of one group, X gives one row, its first line with
     its total weight; otherwise every line of X is a row with its own weight.
@@ -105,26 +100,26 @@ def _pair_moments(X: LineSet, Y: LineSet, orders) -> list[float]:
             if (S.weights != S.weights[0]).any():
                 raise ConsistencyError(f"weights vary within an orbit of {S.group.spec}")
         rows, weights = X.lines[:1], X.weights[:1] * X.n_lines
-    return moments(rows, weights, Y.lines, Y.weights, orders)
+    return moments(rows, weights, Y.lines, Y.weights, t_max)
 
 
-def cross_matrix(sets, orders) -> np.ndarray:
-    """P[n, i, j], the cross potential of sets[i] and sets[j] at orders[n]:
-    one moments call per pair i <= j, mirrored."""
-    P = np.empty((len(orders), len(sets), len(sets)))
+def cross_matrix(sets, t_max: int) -> np.ndarray:
+    """P[t - 1, i, j], the cross potential of sets[i] and sets[j] at order t
+    for t = 1..t_max: one moments call per pair i <= j, mirrored."""
+    P = np.empty((t_max, len(sets), len(sets)))
     for i, j in itertools.combinations_with_replacement(range(len(sets)), 2):
-        P[:, i, j] = P[:, j, i] = _pair_moments(sets[i], sets[j], orders)
+        P[:, i, j] = P[:, j, i] = _pair_moments(sets[i], sets[j], t_max)
     return P
 
 
 def potential(X: LineSet, t: int) -> float:
     """Design potential of X at order t."""
-    return _pair_moments(X, X, [t])[0]
+    return _pair_moments(X, X, t)[t - 1]
 
 
 def cross_potential(X: LineSet, Y: LineSet, t: int) -> float:
     """Mixed potential sum_{x in X, y in Y} w_x w_y |<x,y>|^(2t)."""
-    return _pair_moments(X, Y, [t])[0]
+    return _pair_moments(X, Y, t)[t - 1]
 
 
 @dataclass(frozen=True)
@@ -158,7 +153,4 @@ class DesignReport:
 
 def strength(X: LineSet, t_max: int = 12) -> DesignReport:
     """Evaluate potentials for t = 1..t_max and certify the design strength."""
-    if t_max < 1:
-        raise ValueError("t_max >= 1 required")
-    return DesignReport.build(X.field, X.dim, _pair_moments(X, X, range(1, t_max + 1)),
-                              X.signed)
+    return DesignReport.build(X.field, X.dim, _pair_moments(X, X, t_max), X.signed)

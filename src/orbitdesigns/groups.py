@@ -338,12 +338,14 @@ def _load_explicit(path: str) -> list[np.ndarray]:
     d = gens[0].shape[0]
     if any(g.shape[0] != d for g in gens):
         raise InputError("generators must share one dimension")
-    # every element of a finite group has |det| = 1, and conjugation keeps it
+    # every element of a finite group has finite order, so its eigenvalues are
+    # roots of unity, and conjugation keeps them
     for i, g in enumerate(gens, start=1):
-        det = abs(np.linalg.det(g))
-        if not abs(det - 1.0) <= 1e-6:
-            raise InputError(f"generators must be invertible with |det| = 1, as in "
-                             f"a finite group: generator {i} has |det| = {det:.6g}")
+        moduli = np.abs(np.linalg.eigvals(g))
+        worst = float(moduli[np.abs(moduli - 1.0).argmax()])
+        if not abs(worst - 1.0) <= 1e-6:
+            raise InputError(f"generator eigenvalues must have modulus 1, as in a finite "
+                             f"group: generator {i} has an eigenvalue of modulus {worst:.6g}")
     if data["field"] == "R":
         if max(float(np.abs(g.imag).max()) for g in gens) > 1e-12:
             raise InputError("field 'R' but generators have imaginary parts")

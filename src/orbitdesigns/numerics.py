@@ -9,6 +9,13 @@ unitarity of a group; it also picks the pairs of lines that might coincide.
 Every dedup key keeps DEDUP_DIGITS decimals, and two lines coincide when
 their vectors, aligned in phase, are within 10^-DEDUP_DIGITS.
 
+A few fixed thresholds also decide outcomes, each where it is used: the
+pair identity's unions.IDENTITY_TOL and pairscan.FAILS_TOL, the Molien
+means' pairscan.MOLIEN_TOL, the rational snap's SNAP_QUALITY_MAX, the 1e-12
+cut on the imaginary parts of a real group's seed or generator file, and in
+groups the 1e-6 cuts on a closure's product gap and on the eigenvalue moduli
+of a loaded generator.
+
 All heavy arithmetic in this package is binary64; exact `Fraction` values
 appear only at the reporting boundary, where a floating root or weight is
 snapped to a rational and then re-verified. Sums are the exception: every
@@ -99,16 +106,6 @@ def _flush(pending: np.ndarray, values: list[list[float]]) -> None:
     for row, n in zip(values, kept.sum(axis=(1, 2)).tolist()):
         row += flat[start:start + n]
         start += n
-
-
-def compensated_sum(terms) -> float:
-    """The correctly rounded sum of a 1-D array or sequence of floats.
-
-    The terms are summed exactly per binary exponent bucket with numpy
-    (compensated_sums), and math.fsum of the few exact bucket sums rounds
-    once, so any order of the terms gives the same result.
-    """
-    return compensated_sums([np.asarray(terms, dtype=float).reshape(1, -1)], 1)[0]
 
 
 def pow2_scaled(v: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from . import numerics  # DEDUP_DIGITS is read at call time, as quantized_keys reads it
 from .errors import ConsistencyError, InputError, MismatchError
 from .groups import FiniteMatrixGroup, group_order
-from .numerics import REL_EQ, Rational, _intern, compensated_sum, pow2_scaled
+from .numerics import REL_EQ, Rational, _intern, compensated_sums
 
 VALIDATE_BLOCK_TERMS = 1 << 15  # Gram entries per block of LineSet.validate's coincidence test
 
@@ -80,23 +80,17 @@ class LineSet:
                 gap = np.linalg.norm(self.lines[i + r] - phase * self.lines[i + 1 + c])
                 if gap <= 10.0 ** -numerics.DEDUP_DIGITS:
                     raise ConsistencyError("two lines coincide projectively")
-        if abs(compensated_sum(self.weights) - 1.0) > REL_EQ:
+        if abs(compensated_sums([self.weights[None]], 1)[0] - 1.0) > REL_EQ:
             raise ConsistencyError("weights must sum to 1")
 
 
-def canonical_line(v: np.ndarray) -> np.ndarray:
-    """Unit representative of the line through v, with a positive real pivot.
+def _canonicalize_rows(rows: np.ndarray) -> np.ndarray:
+    """The canonical representative of the line through each nonzero row of
+    an (n, d) array: unit norm, with its first entry of magnitude above
+    REL_EQ real and positive.
 
     Idempotent: applying it to its own output changes nothing.
     """
-    v = pow2_scaled(v)  # its norm cannot overflow or underflow
-    if np.linalg.norm(v) == 0.0:
-        raise InputError("zero vector spans no line")
-    return _canonicalize_rows(v[None])[0]
-
-
-def _canonicalize_rows(rows: np.ndarray) -> np.ndarray:
-    """Vectorized canonical_line over the rows of an (n, d) array."""
     norms = np.linalg.norm(rows, axis=1)
     rows = rows / norms[:, None]
     mags = np.abs(rows)

@@ -39,16 +39,11 @@ FAILS_TOL = 1e-3  # identity residual at or above this fails; above IDENTITY_TOL
 MOLIEN_TOL = 1e-6  # a Molien mean this far from an integer is an error
 
 
-def _p_G(group: FiniteMatrixGroup, x: np.ndarray, y: np.ndarray, orders) -> list[float]:
-    """[p_G(x, y, t) for t in orders]."""
+def _p_G(group: FiniteMatrixGroup, x: np.ndarray, y: np.ndarray, t_max: int) -> list[float]:
+    """[p_G(x, y, t) for t = 1..t_max]."""
     n = group.order
-    sums = moments(x[None], np.ones(1), group.elements @ y, np.ones(n), orders)
+    sums = moments(x[None], np.ones(1), group.elements @ y, np.ones(n), t_max)
     return [m / n for m in sums]
-
-
-def _p_triple(group: FiniteMatrixGroup, x: np.ndarray, y: np.ndarray, orders):
-    """(p_G(x,x,t), p_G(y,y,t), p_G(x,y,t)) as three lists over t in orders."""
-    return _p_G(group, x, x, orders), _p_G(group, y, y, orders), _p_G(group, x, y, orders)
 
 
 def _classify(p_xx: float, p_yy: float, p_xy: float, c_t: float) -> tuple[str, float | None]:
@@ -157,7 +152,7 @@ def scan(group: FiniteMatrixGroup, t_max: int = 10, samples: int = 20,
     for j in range(samples):
         x = _draw_unit(rng, group.dim, group.field)
         y = _draw_unit(rng, group.dim, group.field)
-        p_xx, p_yy, p_xy = _p_triple(group, x, y, range(1, t_max + 1))
+        p_xx, p_yy, p_xy = (_p_G(group, a, b, t_max) for a, b in ((x, x), (y, y), (x, y)))
         verdicts, residuals = zip(*(_classify(*p) for p in zip(p_xx, p_yy, p_xy, targets)))
         for t, (v, s) in enumerate(zip(verdicts, totals), start=1):
             if (v == "fails" and s <= 1) or (v != "degenerate" and s == 0):

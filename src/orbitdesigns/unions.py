@@ -91,7 +91,7 @@ class UnionSolution:
 
 def pair_quadratic(X: LineSet, Y: LineSet, t: int) -> PairQuadratic:
     """Coefficients of the union quadratic in alpha = beta_X."""
-    return _quadratic(cross_matrix([X, Y], [t])[0], welch_constant(X.field, X.dim, t))
+    return _quadratic(cross_matrix([X, Y], t)[t - 1], welch_constant(X.field, X.dim, t))
 
 
 def _quadratic(M: np.ndarray, c_t: Rational) -> PairQuadratic:
@@ -128,7 +128,7 @@ def solve_union(X: LineSet, Y: LineSet, t: int, t_max: int = 12) -> UnionSolutio
     A snapped root's union is assembled and its strength certified up to
     max(t, t_max), on the potentials w^T P w with w the float beta.
     """
-    P = cross_matrix([X, Y], range(1, max(t, t_max) + 1))
+    P = cross_matrix([X, Y], max(t, t_max))
     q = _quadratic(P[t - 1], welch_constant(X.field, X.dim, t))
     residual = pair_identity(q.b_xx, q.b_yy, q.b_xy, float(q.c_t))
     eps = REL_EQ * q.scale

@@ -94,8 +94,13 @@ def test_potential_four_line_union_at_t3():
 
 
 def test_potential_rejects_bad_order():
-    with pytest.raises(ValueError):
-        potential(_orbit("B(2)", 1), 0)
+    X = _orbit("B(2)", 1)
+    with pytest.raises(ValueError, match="t_max >= 1"):
+        potential(X, 0)
+    with pytest.raises(ValueError, match="t_max >= 1"):
+        strength(X, 0)
+    with pytest.raises(ValueError, match="t_max >= 1"):
+        moments(X.lines, X.weights, X.lines, X.weights, -1)
 
 
 def test_cross_potential_single_lines():
@@ -162,13 +167,45 @@ def test_moments_match_exact_oracle():
         exact_orbits = [oracle.orbit(elements, tuple(int(v) for v in s)) for s in seeds]
         for i, j in itertools.combinations_with_replacement(range(len(seeds)), 2):
             X, Y = float_orbits[i], float_orbits[j]
-            got = moments(X.lines, X.weights, Y.lines, Y.weights, range(1, 9))
+            got = moments(X.lines, X.weights, Y.lines, Y.weights, 8)
             for t, value in enumerate(got, start=1):
                 exact = float(oracle.cross_potential(exact_orbits[i], exact_orbits[j], t))
                 assert abs(value - exact) <= 4 * t * EPS * exact, (label, i, j, t)
                 # the same moment from one Gram row per orbit
                 rows = potential(X, t) if i == j else cross_potential(X, Y, t)
                 assert abs(rows - exact) <= 4 * t * EPS * exact, (label, i, j, t)
+
+
+def _det(rows):
+    """Exact determinant by expansion along the first row."""
+    if not rows:
+        return Fraction(1)
+    return sum((-1) ** j * a * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, a in enumerate(rows[0]))
+
+
+@pytest.mark.parametrize("label,seeds", [
+    ("A(3)", [(1, 1, -1, -1), (3, -1, -1, -1), (1, -1, 0, 0)]),
+    ("B(3)", [(1, 0, 0), (1, 1, 0), (1, 1, 1)]),
+    ("D(3)", [(1, 0, 0), (1, 1, 0), (1, 1, 1)]),
+])
+def test_cross_matrix_of_three_orbits_matches_exact_oracle(label, seeds):
+    elements, d = oracle.oracle_group(label)
+    g = build_group(label)
+    exact_orbits = [oracle.orbit(elements, s) for s in seeds]
+    P = designs.cross_matrix([orbit_lines(g, np.array(s, dtype=float)) for s in seeds], 5)
+    assert P.shape == (5, 3, 3)
+    for t in range(1, 6):
+        M = [[oracle.cross_potential(X, Y, t) for Y in exact_orbits] for X in exact_orbits]
+        assert np.abs(P[t - 1] - np.array(M, dtype=float)).max() <= 1e-12, (label, t)
+        # the variational characterisation: w^T M_t w >= c_t (sum w)^2 for every
+        # real w, so D_t = M_t - c_t J is positive semidefinite
+        c_t = oracle.welch("R", d, t)
+        D = [[m - c_t for m in row] for row in M]
+        for k in range(1, 4):
+            for keep in itertools.combinations(range(3), k):
+                minor = _det([[D[i][j] for j in keep] for i in keep])
+                assert minor >= 0, (label, t, keep)
 
 
 def _exact_sum_rounded_once(terms):
@@ -192,23 +229,16 @@ def test_moments_equal_the_exact_sum_of_their_terms():
         for t in ts:
             power = power * u if t > 1 else u
             exact.append(_exact_sum_rounded_once((ww * power).ravel().tolist()))
-        got = moments(X.lines, X.weights, Y.lines, Y.weights, ts)
+        got = moments(X.lines, X.weights, Y.lines, Y.weights, len(ts))
         assert [x.hex() for x in got] == [x.hex() for x in exact], entry.spec.label
 
 
-def test_moments_keep_the_order_asked():
-    X = _orbit("H3", 2)
-    by_order = dict(zip([1, 3], moments(X.lines, X.weights, X.lines, X.weights, [1, 3])))
-    got = moments(X.lines, X.weights, X.lines, X.weights, [3, 1, 3])
-    assert got == [by_order[3], by_order[1], by_order[3]]
-    assert moments(X.lines, X.weights, X.lines, X.weights, []) == []
-
-
-def _full_sum(X, ts):
-    """X's potentials from every Gram row, and the scale of their rounding error."""
+def _full_sum(X, t_max):
+    """X's potentials at t = 1..t_max from every Gram row, and the scale of
+    their rounding error."""
     w = np.abs(X.weights)
-    return (moments(X.lines, X.weights, X.lines, X.weights, ts),
-            moments(X.lines, w, X.lines, w, ts))
+    return (moments(X.lines, X.weights, X.lines, X.weights, t_max),
+            moments(X.lines, w, X.lines, w, t_max))
 
 
 # Each route is within 4t ulp of the exact potential (see the oracle test), so
@@ -221,7 +251,7 @@ def test_orbit_rows_match_full_sum():
         for k, seed in enumerate(entry.seeds, start=1):
             X = orbit_lines(g, seed)
             rep = strength(X, 12)
-            full, _ = _full_sum(X, ts)
+            full, _ = _full_sum(X, 12)
             for t, f, p in zip(ts, full, rep.potentials):
                 assert p == potential(X, t)
                 assert abs(p - f) <= 8 * t * EPS * f, (entry.spec.label, k, t)
@@ -239,7 +269,7 @@ def test_union_rows_match_full_sum():
                 for k in ("seedX", "seedY"))
         sol = solve_union(X, Y, int(row["t"]))
         assert sol.union.group is None
-        full, scale = _full_sum(sol.union, ts)
+        full, scale = _full_sum(sol.union, 12)
         for t, p, f, s in zip(ts, sol.verified.potentials, full, scale):
             assert abs(p - f) <= 8 * t * EPS * s, (row["group"], row["betaX"], t)
 
@@ -287,7 +317,7 @@ def test_union_of_an_orbit_with_itself_is_one_block():
     U = union_lines(X, X, (Fraction(1, 3), Fraction(2, 3)))
     assert U.group is None and np.array_equal(U.lines, X.lines)
     assert U.exact_weights == X.exact_weights
-    assert potential(U, 6) == _full_sum(X, [6])[0][0]
+    assert potential(U, 6) == _full_sum(X, 6)[0][5]
 
 
 def test_unequal_weights_within_an_orbit_raise():

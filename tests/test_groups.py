@@ -14,7 +14,6 @@ from orbitdesigns import (
     KeyCollisionError,
     SizeLimitError,
     build_group,
-    canonical_line,
     catalog,
     catalog_entry,
     close_group,
@@ -29,6 +28,7 @@ from orbitdesigns.groups import (
     _unitarity_deviation,
     build_generators,
 )
+from orbitdesigns.orbits import _canonicalize_rows
 
 
 @pytest.mark.parametrize(
@@ -192,7 +192,7 @@ def test_explicit_non_unitary_generators_are_conjugated(tmp_path):
     for gen in g.generators:
         assert np.abs(gen.T @ gen - np.eye(2)).max() <= 1e-9
     seed = np.array([1.0, 0.0])
-    images = {tuple(np.round(canonical_line(e @ seed), 8)) for e in g.elements}
+    images = {tuple(row) for row in np.round(_canonicalize_rows(g.elements @ seed), 8)}
     assert orbit_lines(g, seed).n_lines == len(images)
 
 
@@ -348,19 +348,27 @@ _EXPLICIT_REJECTIONS = {
     json.dumps({"field": "Q", "generators": [[[1, 0], [0, 1]]]}): "field must be 'R' or 'C'",
     json.dumps({"field": "R", "generators": []}): "generator list is empty",
     json.dumps({"field": "R", "generators": [[[1, 0, 0], [0, 1, 0]]]}): "must be square",
-    json.dumps({"field": "R", "generators": [[[0, 0], [0, 0]]]}): "must be invertible",
+    json.dumps({"field": "R", "generators": [[[0, 0], [0, 0]]]}):
+        "generator 1 has an eigenvalue of modulus 0",
     json.dumps({"field": "R", "generators": [[[[0, 1], 0], [0, [0, 1]]]]}):
         "field 'R' but generators have imaginary parts",
     # json reads 1e400 as inf and NaN as nan
     '{"field": "R", "generators": [[[1e400, 0], [0, 1]]]}': "entries must be finite",
     '{"field": "R", "generators": [[[NaN, 0], [0, 1]]]}': "entries must be finite",
-    # finite, but no element of a finite group has |det| != 1
-    json.dumps({"field": "R", "generators": [[[1e200, 0], [0, 1]]]}): "generator 1 has |det| = 1e+200",
-    json.dumps({"field": "R", "generators": [[[2, 0], [0, 1]]]}): "generator 1 has |det| = 2",
+    # finite, but every eigenvalue of an element of a finite group has modulus 1
+    json.dumps({"field": "R", "generators": [[[1e200, 0], [0, 1]]]}):
+        "generator 1 has an eigenvalue of modulus 1e+200",
+    json.dumps({"field": "R", "generators": [[[2, 0], [0, 1]]]}):
+        "generator 1 has an eigenvalue of modulus 2",
     json.dumps({"field": "R", "generators": [[[1, 0], [0, 1]], [[1.001, 0], [0, 1]]]}):
-        "generator 2 has |det| = 1.001",
-    # |det| = 1, but its powers overflow
-    json.dumps({"field": "R", "generators": [[[1e200, 0], [0, 1e-200]]]}): "leave the floating range",
+        "generator 2 has an eigenvalue of modulus 1.001",
+    # |det| = 1 does not make the eigenvalues unit
+    json.dumps({"field": "R", "generators": [[[2, 0], [0, 0.5]]]}):
+        "generator 1 has an eigenvalue of modulus 2",
+    json.dumps({"field": "R", "generators": [[[1e200, 0], [0, 1e-200]]]}):
+        "generator 1 has an eigenvalue of modulus 1e+200",
+    # unit eigenvalues, but its powers overflow
+    json.dumps({"field": "R", "generators": [[[1, 1e308], [0, 1]]]}): "leave the floating range",
     json.dumps({"field": "R", "generators": [[[["a", 0], 0], [0, 1]]]}): "malformed generator entry",
     json.dumps({"field": "R", "generators": [[[1, 0], [0]]]}): "malformed generator entry",
     # JSON booleans are not numbers, and a complex entry is exactly [re, im]

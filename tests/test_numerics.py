@@ -13,7 +13,6 @@ from orbitdesigns import (
     NumericRangeError,
     build_group,
     catalog_entry,
-    compensated_sum,
     format_rational,
     parse_rational,
     snap_to_rational,
@@ -28,48 +27,53 @@ def test_tolerance_defaults():
     assert numerics.DEDUP_DIGITS == 8
 
 
+def _row_sum(terms):
+    """The correctly rounded sum of one row of terms."""
+    return compensated_sums([np.asarray(terms, dtype=float).reshape(1, -1)], 1)[0]
+
+
 def test_compensated_sum_small_integers():
-    assert compensated_sum([1.0, 2.0, 3.0]) == 6.0
+    assert _row_sum([1.0, 2.0, 3.0]) == 6.0
 
 
 def test_compensated_sum_empty():
-    assert compensated_sum([]) == 0.0
+    assert _row_sum([]) == 0.0
 
 
 def test_compensated_sum_tenth_million_times():
     # reference: 10^6 * (1/10) evaluated exactly
     exact = Fraction(10**6, 10)
-    got = compensated_sum([0.1] * 10**6)
+    got = _row_sum([0.1] * 10**6)
     assert abs(got - float(exact)) <= 1e-9 * float(exact)
 
 
 def test_compensated_sum_order_invariance():
     terms = [((-1.0) ** k) / (k + 1) for k in range(10001)]
-    forward = compensated_sum(terms)
-    backward = compensated_sum(terms[::-1])
+    forward = _row_sum(terms)
+    backward = _row_sum(terms[::-1])
     assert abs(forward - backward) <= 1e-12 * max(1.0, abs(forward))
 
 
 def test_compensated_sum_overflow_reported():
     with pytest.raises(NumericRangeError):
-        compensated_sum([1e308, 1e308])
+        _row_sum([1e308, 1e308])
 
 
 @pytest.mark.parametrize("bad", [[1e308, 1e308], [float("nan")], [float("inf"), 1.0],
                                  [float("-inf"), float("inf")], [2.0, float("nan"), -2.0]])
 def test_compensated_sum_rejects_non_finite(bad):
     with pytest.raises(NumericRangeError):
-        compensated_sum(bad)
+        _row_sum(bad)
     with pytest.raises(NumericRangeError):
         compensated_sums([np.array([[1.0] * len(bad), bad])], 2)
 
 
 def test_compensated_sum_cancels_across_the_range():
     # a row whose buckets overflow apart but not together still sums
-    assert compensated_sum([1.5e308, 1.5e308, -1e308, -1e308]) == 1e308
+    assert _row_sum([1.5e308, 1.5e308, -1e308, -1e308]) == 1e308
     # three terms of one bucket whose sum needs 60 bits
-    assert compensated_sum([64.0, 0.5 + 2.0**-53, -64.5]) == 2.0**-53
-    assert compensated_sum([2.0**-1074] * 3 + [2.0**-1022, -(2.0**-1022)]) == 3 * 2.0**-1074
+    assert _row_sum([64.0, 0.5 + 2.0**-53, -64.5]) == 2.0**-53
+    assert _row_sum([2.0**-1074] * 3 + [2.0**-1022, -(2.0**-1022)]) == 3 * 2.0**-1074
 
 
 # x = m * 2^e with |m| < 2^53: e = -1074 gives the subnormals, and every

@@ -1,6 +1,7 @@
 """Package surface: the public names exported by orbitdesigns."""
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -30,3 +31,20 @@ def test_every_traced_function_resolves():
                if not callable(getattr(importlib.import_module(f"orbitdesigns.{module}"),
                                        attr, None))]
     assert missing == []
+
+
+def test_no_module_keeps_an_unused_import():
+    # __init__.py imports to re-export, so it is the one module left out
+    unused = []
+    for path in sorted(Path(orbitdesigns.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []

@@ -19,7 +19,7 @@ from orbitdesigns import (
 )
 from orbitdesigns.cli import _load_expectations, _resolve_seed
 from orbitdesigns.numerics import REL_EQ
-from orbitdesigns.pairscan import _classify, _harmonic_invariants, _p_G, _p_triple
+from orbitdesigns.pairscan import _classify, _harmonic_invariants, _p_G
 
 
 def _unit(rng, dim, field):
@@ -30,17 +30,17 @@ def _unit(rng, dim, field):
 
 
 def p_G(group, x, y, t):
-    return _p_G(group, x, y, [t])[0]
+    return _p_G(group, x, y, t)[t - 1]
 
 
 def f_G(group, x, y, t):
     """p_G(x,x,t) p_G(y,y,t) - p_G(x,y,t)^2, the identity's left side."""
-    (p_xx,), (p_yy,), (p_xy,) = _p_triple(group, x, y, [t])
+    p_xx, p_yy, p_xy = p_G(group, x, x, t), p_G(group, y, y, t), p_G(group, x, y, t)
     return p_xx * p_yy - p_xy * p_xy
 
 
 def _verdict(group, x, y, t):
-    (p_xx,), (p_yy,), (p_xy,) = _p_triple(group, x, y, [t])
+    p_xx, p_yy, p_xy = p_G(group, x, x, t), p_G(group, y, y, t), p_G(group, x, y, t)
     return _classify(p_xx, p_yy, p_xy, float(welch_constant(group.field, group.dim, t)))
 
 
