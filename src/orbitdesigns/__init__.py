@@ -17,7 +17,6 @@ from .errors import (
     ConsistencyError,
     DegeneracyError,
     InputError,
-    KeyCollisionError,
     MismatchError,
     NoSolutionError,
     NumericRangeError,
@@ -36,12 +35,7 @@ from .groups import (
     parse_group_spec,
     unitarize,
 )
-from .numerics import (
-    Rational,
-    format_rational,
-    parse_rational,
-    snap_to_rational,
-)
+from .numerics import snap_to_rational
 from .orbits import LineSet, format_vector, orbit_lines, parse_vector, union_lines
 from .pairscan import PairSample, PairScanReport, scan
 from .unions import (
@@ -66,7 +60,6 @@ __all__ = [
     "FiniteMatrixGroup",
     "GroupSpec",
     "InputError",
-    "KeyCollisionError",
     "LineSet",
     "MismatchError",
     "NoSolutionError",
@@ -75,7 +68,6 @@ __all__ = [
     "PairQuadratic",
     "PairSample",
     "PairScanReport",
-    "Rational",
     "RootSolution",
     "SizeLimitError",
     "UnionSolution",
@@ -86,13 +78,11 @@ __all__ = [
     "close_group",
     "cross_potential",
     "emit_certificate",
-    "format_rational",
     "format_vector",
     "group_order",
     "orbit_lines",
     "pair_quadratic",
     "parse_group_spec",
-    "parse_rational",
     "parse_vector",
     "potential",
     "scan",

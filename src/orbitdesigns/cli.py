@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -23,7 +24,6 @@ from .errors import (
     SizeLimitError,
 )
 from .groups import DEFAULT_MAX_ORDER, FiniteMatrixGroup, build_group, catalog_entry
-from .numerics import format_rational, parse_rational
 from .orbits import LineSet, format_vector, orbit_lines, parse_vector
 from .pairscan import scan
 from .unions import emit_certificate, solve_union, verify_certificate
@@ -100,7 +100,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reproduce", help="re-derive tabulated weightings")
-    p.add_argument("table", choices=("A", "B", "D", "C2", "H", "all"))
+    p.add_argument("table", help="a table of expectations.csv, or 'all'")
     _add_common(p, 12)
     p.set_defaults(func=cmd_reproduce)
 
@@ -185,8 +185,8 @@ def cmd_orbit(args) -> int:
 def _root_payload(root) -> dict:
     return {
         "alpha": root.alpha,
-        "beta": [format_rational(b) for b in root.beta] if root.beta else None,
-        "w_hat": [format_rational(w) for w in root.w_hat] if root.w_hat else None,
+        "beta": [str(b) for b in root.beta] if root.beta else None,
+        "w_hat": [str(w) for w in root.w_hat] if root.w_hat else None,
         "residual": root.residual,
         "convex": root.convex,
         "boundary": root.boundary,
@@ -206,7 +206,7 @@ def cmd_union(args) -> int:
         "lines": [X.n_lines, Y.n_lines],
         "coefficients": {"A": q.a, "B": q.b, "C": q.c},
         "potentials": {"b_xx": q.b_xx, "b_yy": q.b_yy, "b_xy": q.b_xy},
-        "c_t": format_rational(q.c_t),
+        "c_t": str(q.c_t),
         "discriminant": sol.discriminant,
         "degenerate": sol.degenerate,
         "roots": [_root_payload(sol.root)] if sol.root else [],
@@ -218,7 +218,7 @@ def cmd_union(args) -> int:
         f"Y: {Y.n_lines} lines (seed {Y.seed_literal})",
         f"coefficients: A = {q.a:.12g}, B = {q.b:.12g}, C = {q.c:.12g}",
         f"potentials: b_xx = {q.b_xx:.12g}, b_yy = {q.b_yy:.12g}, "
-        f"b_xy = {q.b_xy:.12g}, c_t = {format_rational(q.c_t)}",
+        f"b_xy = {q.b_xy:.12g}, c_t = {q.c_t}",
         f"discriminant: {sol.discriminant:.12g}",
     ]
     if sol.degenerate:
@@ -320,14 +320,14 @@ def _run_expectation(row: dict, args) -> tuple[bool, str]:
     shape = f"{label} ({X.n_lines}+{Y.n_lines} lines, t={t})"
     if not row["betaX"]:
         return sol.empty, f"{shape}: expected no real root"
-    expect_beta = (parse_rational(row["betaX"]), parse_rational(row["betaY"]))
+    expect_beta = (Fraction(row["betaX"]), Fraction(row["betaY"]))
     best = sol.root
     got_beta = best.beta if best is not None else None
     if got_beta != expect_beta:
         return False, (f"{shape}: beta {_fmt_pair(got_beta)} != expected "
                        f"{_fmt_pair(expect_beta)}")
     if row["whatX"]:
-        expect_what = (parse_rational(row["whatX"]), parse_rational(row["whatY"]))
+        expect_what = (Fraction(row["whatX"]), Fraction(row["whatY"]))
         if best.w_hat != expect_what:
             return False, (f"{shape}: w_hat {_fmt_pair(best.w_hat)} != expected "
                            f"{_fmt_pair(expect_what)}")
@@ -339,7 +339,7 @@ def _run_expectation(row: dict, args) -> tuple[bool, str]:
 def _fmt_pair(pair) -> str:
     if pair is None:
         return "(none)"
-    return "(%s, %s)" % tuple(format_rational(p) for p in pair)
+    return "(%s, %s)" % tuple(pair)
 
 
 def cmd_reproduce(args) -> int:

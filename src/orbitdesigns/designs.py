@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConsistencyError, MismatchError
-from .numerics import REL_EQ, Rational, compensated_sums
+from .numerics import REL_EQ, compensated_sums
 from .orbits import LineSet
 
 # The bits of a Gram entry depend on the rows in its matrix product, so the
@@ -36,7 +36,7 @@ _GRAM_TERMS = 1 << 18  # Gram entries per matrix product
 _BLOCK_TERMS = 1 << 15  # soft cap on terms per block handed to the accumulator
 
 
-def welch_constant(field: str, d: int, t: int) -> Rational:
+def welch_constant(field: str, d: int, t: int) -> Fraction:
     """c_t over R^d or C^d as an exact rational."""
     if d < 1 or t < 1:
         raise ValueError("need d >= 1 and t >= 1")

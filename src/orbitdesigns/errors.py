@@ -20,10 +20,6 @@ class SizeLimitError(OrbitDesignsError):
     order passes t_max."""
 
 
-class KeyCollisionError(OrbitDesignsError):
-    """Two distinct matrices hashed to the same quantized dedup key."""
-
-
 class DegeneracyError(OrbitDesignsError):
     """The averaged Hermitian form is numerically singular; cannot unitarize."""
 

@@ -24,13 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import numerics  # DEDUP_DIGITS is read at call time, as quantized_keys reads it
-from .errors import (
-    ConsistencyError,
-    DegeneracyError,
-    InputError,
-    KeyCollisionError,
-    SizeLimitError,
-)
+from .errors import ConsistencyError, DegeneracyError, InputError, SizeLimitError
 from .numerics import REL_EQ, _json_complex, _json_number, _walk, pow2_scaled
 
 DEFAULT_MAX_ORDER = 200_000
@@ -398,9 +392,9 @@ def close_group(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
     A closed-form order above max_order raises SizeLimitError before the walk,
     as does a closure that passes max_order. When the family has a closed-form
     order, a closure that passes it or ends short of it is a dedup-key failure
-    and raises ConsistencyError. A product whose key matches a different
-    element raises KeyCollisionError; a product that is not finite (generators
-    of no finite group, or overflowing ones) raises InputError.
+    and raises ConsistencyError, as does a product whose key matches a
+    different element; a product that is not finite (generators of no finite
+    group, or overflowing ones) raises InputError.
     """
     if not group.generators:
         raise InputError("no generators")
@@ -420,7 +414,7 @@ def close_group(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
             if not math.isfinite(gap):
                 raise InputError(f"products of the generators of {spec} leave the floating range")
             if gap > 1e-6:
-                raise KeyCollisionError(f"distinct elements of {spec} collide at {digits} digits")
+                raise ConsistencyError(f"distinct elements of {spec} collide at {digits} digits")
     if expected is not None and len(elements) < expected:
         raise ConsistencyError(
             f"closure of {spec} ends at {len(elements)} of its {expected} elements: "

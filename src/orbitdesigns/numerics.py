@@ -16,11 +16,12 @@ cut on the imaginary parts of a real group's seed or generator file, and in
 groups the 1e-6 cuts on a closure's product gap and on the eigenvalue moduli
 of a loaded generator.
 
-All heavy arithmetic in this package is binary64; exact `Fraction` values
-appear only at the reporting boundary, where a floating root or weight is
-snapped to a rational and then re-verified. Sums are the exception: every
-sum is correctly rounded, by exact bucket accumulation over numpy arrays
-(compensated_sums).
+All heavy arithmetic in this package is binary64. Weights are exact: a
+LineSet holds one `Fraction` per line and reads its float weights from them,
+a floating root is snapped to a `Fraction` and re-verified, and a certificate
+stores each Fraction as str(w), "p" or "p/q", which Fraction(s) reads back.
+Every sum is correctly rounded: a potential by exact bucket accumulation over
+numpy arrays (compensated_sums), a weight sum by math.fsum.
 """
 from __future__ import annotations
 
@@ -31,8 +32,6 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NumericRangeError
-
-Rational = Fraction
 
 REL_EQ = 1e-9  # relative tolerance of every equality test
 DEDUP_DIGITS = 8  # decimal digits kept in every dedup key
@@ -159,12 +158,12 @@ def _walk(start: np.ndarray, step, limit: int) -> tuple[np.ndarray, np.ndarray |
 
 # Some p/q is within 1/q^2 of any real x, so with q up to 10^6 nearly any x
 # meets REL_EQ; a rounded rational x scores q^2 |x - p/q| ~ |pq| 2^-53.
-# Rational roots of catalog pairs score <= 7e-6, irrational ones >= 4e-3.
+# The rational roots of catalog pairs score <= 7e-6, irrational ones >= 4e-3.
 SNAP_DENOM_MAX = 10 ** 6
 SNAP_QUALITY_MAX = 1e-4
 
 
-def snap_to_rational(x: float) -> Rational | None:
+def snap_to_rational(x: float) -> Fraction | None:
     """Best rational p/q with q <= SNAP_DENOM_MAX, or None if none is close.
 
     Uses the continued-fraction convergent and accepts it only when
@@ -192,13 +191,3 @@ def _json_complex(e) -> complex:
     if not isinstance(e, list) or len(e) != 2:
         raise TypeError(f"entry {e!r} is not a [re, im] pair")
     return complex(_json_number(e[0]), _json_number(e[1]))
-
-
-def format_rational(r: Rational) -> str:
-    """Render p/q (or plain p when q = 1)."""
-    return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
-
-
-def parse_rational(s: str) -> Rational:
-    """Parse 'p/q', an integer, or a decimal literal into a Fraction."""
-    return Fraction(s.strip())

@@ -10,14 +10,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from functools import cached_property
+from math import fsum, sqrt
 
 import numpy as np
 
 from . import numerics  # DEDUP_DIGITS is read at call time, as quantized_keys reads it
 from .errors import ConsistencyError, InputError, MismatchError
 from .groups import FiniteMatrixGroup, group_order
-from .numerics import REL_EQ, Rational, _intern, compensated_sums
+from .numerics import REL_EQ, _intern
 
 VALIDATE_BLOCK_TERMS = 1 << 15  # Gram entries per block of LineSet.validate's coincidence test
 
@@ -28,20 +29,23 @@ class LineSet:
 
     lines          (L, d) canonical unit representatives, float64 for a real
                    set (field "R") or complex128 (field "C")
-    weights        per-line weights summing to 1; negative entries allowed
-                   for signed designs
-    exact_weights  optional Fractions matching weights exactly; orbits and
-                   unions always carry them
+    exact_weights  one Fraction per line, summing to 1; negative entries
+                   allowed for signed designs
     seed_literal   provenance: the seed vector literal, if any
     group          the group when the set is one orbit of it, else None; only
                    orbit_lines sets it
     """
 
     lines: np.ndarray
-    weights: np.ndarray
-    exact_weights: tuple | None = None
+    exact_weights: tuple
     seed_literal: str | None = None
     group: FiniteMatrixGroup | None = None
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """float(w) of each exact weight: the weights the potentials read.
+        Raises OverflowError for a weight past the floating range."""
+        return np.array([float(w) for w in self.exact_weights])
 
     @property
     def dim(self) -> int:
@@ -80,7 +84,7 @@ class LineSet:
                 gap = np.linalg.norm(self.lines[i + r] - phase * self.lines[i + 1 + c])
                 if gap <= 10.0 ** -numerics.DEDUP_DIGITS:
                     raise ConsistencyError("two lines coincide projectively")
-        if abs(compensated_sums([self.weights[None]], 1)[0] - 1.0) > REL_EQ:
+        if not abs(fsum(self.weights.tolist()) - 1.0) <= REL_EQ:  # fails on nan too
             raise ConsistencyError("weights must sum to 1")
 
 
@@ -137,11 +141,9 @@ def orbit_lines(group: FiniteMatrixGroup, seed: np.ndarray,
             f"orbit of {group.spec} has {n} lines, which does not divide the group "
             f"order {order}: dedup keys at {digits} digits split or merge lines"
         )
-    w = Fraction(1, n)
     out = LineSet(
         lines=reps,
-        weights=np.full(n, 1.0 / n),
-        exact_weights=(w,) * n,
+        exact_weights=(Fraction(1, n),) * n,
         seed_literal=seed_literal if seed_literal is not None else format_vector(np.asarray(seed)),
         group=group,
     )
@@ -149,13 +151,12 @@ def orbit_lines(group: FiniteMatrixGroup, seed: np.ndarray,
     return out
 
 
-def union_lines(X: LineSet, Y: LineSet, beta: tuple[Rational, Rational]) -> LineSet:
+def union_lines(X: LineSet, Y: LineSet, beta: tuple[Fraction, Fraction]) -> LineSet:
     """Weighted union: X's weights scaled by beta_X, Y's by beta_Y = 1 - beta_X.
 
-    Weights are summed exactly: an operand without exact_weights contributes
-    the Fraction of each float weight, so the union always carries
-    exact_weights. Lines shared by X and Y are merged with summed weight;
-    lines whose merged weight is zero are dropped. The result has no group.
+    Weights are summed exactly, as Fractions. Lines shared by X and Y are
+    merged with summed weight; lines whose merged weight is zero are dropped.
+    The result has no group.
     Two orbits of one group are equal or disjoint: a partial merge of them, or
     of one orbit's own lines, means the dedup keys joined distinct lines.
     """
@@ -177,21 +178,14 @@ def union_lines(X: LineSet, Y: LineSet, beta: tuple[Rational, Rational]) -> Line
     rows = where[0] + where[1]
     _, first = np.unique(rows, return_index=True)
     lines = np.concatenate([X.lines, Y.lines])[first]
-    # Fraction * float is a float, so float weights become Fractions first
-    scaled = [b * w for b, ls in ((bx, X), (by, Y))
-              for w in ls.exact_weights or map(Fraction, ls.weights.tolist())]
+    scaled = [b * w for b, ls in ((bx, X), (by, Y)) for w in ls.exact_weights]
     weights: list = [None] * len(index)
     for i, w in zip(rows, scaled):
         weights[i] = w if weights[i] is None else weights[i] + w
     keep = [i for i, w in enumerate(weights) if w != 0]
     if not keep:
         raise ConsistencyError("union has no lines with nonzero weight")
-    kept_w = [weights[i] for i in keep]
-    out = LineSet(
-        lines=lines[keep],
-        weights=np.array([float(w) for w in kept_w]),
-        exact_weights=tuple(kept_w),
-    )
+    out = LineSet(lines=lines[keep], exact_weights=tuple(weights[i] for i in keep))
     out.validate()
     return out
 

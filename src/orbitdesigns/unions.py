@@ -28,15 +28,7 @@ import numpy as np
 
 from .designs import DesignReport, cross_matrix, strength, welch_constant
 from .errors import CertificateError, NoSolutionError, SizeLimitError
-from .numerics import (
-    REL_EQ,
-    Rational,
-    _json_complex,
-    _json_number,
-    format_rational,
-    parse_rational,
-    snap_to_rational,
-)
+from .numerics import REL_EQ, _json_complex, _json_number, snap_to_rational
 from .orbits import LineSet, union_lines
 
 IDENTITY_TOL = 1e-7  # pair_identity residual at or below this is a double root
@@ -52,7 +44,7 @@ class PairQuadratic:
     b_xx: float
     b_yy: float
     b_xy: float
-    c_t: Rational
+    c_t: Fraction
 
     @property
     def scale(self) -> float:
@@ -94,7 +86,7 @@ def pair_quadratic(X: LineSet, Y: LineSet, t: int) -> PairQuadratic:
     return _quadratic(cross_matrix([X, Y], t)[t - 1], welch_constant(X.field, X.dim, t))
 
 
-def _quadratic(M: np.ndarray, c_t: Rational) -> PairQuadratic:
+def _quadratic(M: np.ndarray, c_t: Fraction) -> PairQuadratic:
     """The quadratic from the 2x2 cross matrix M of X and Y at one order."""
     (b_xx, b_xy), (_, b_yy) = M.tolist()
     a = b_xx + b_yy - 2.0 * b_xy
@@ -202,9 +194,9 @@ def emit_certificate(sol: UnionSolution, X: LineSet, Y: LineSet,
         "t": sol.t,
         "seeds": [X.seed_literal or "", Y.seed_literal or ""],
         "lines": _serialize_lines(sol.union.lines),
-        "weights": [format_rational(w) for w in sol.union.exact_weights],
-        "beta": [format_rational(b) for b in best.beta],
-        "w_hat": [format_rational(w) for w in best.w_hat],
+        "weights": [str(w) for w in sol.union.exact_weights],
+        "beta": [str(b) for b in best.beta],
+        "w_hat": [str(w) for w in best.w_hat],
         "residuals": residuals,
         "signed": bool(sol.union.signed),
     }
@@ -275,8 +267,9 @@ def verify_certificate(source, t_max: int = 12) -> VerifyResult:
         lines = _parse_lines(cert["lines"], cert["field"])
         if not all(isinstance(x, str) for x in cert["weights"]):
             raise TypeError("weights must be rational strings")
-        weights = [parse_rational(x) for x in cert["weights"]]
-        w = np.array([float(x) for x in weights])
+        weights = [Fraction(x) for x in cert["weights"]]
+        X = LineSet(lines, tuple(weights))
+        X.weights  # float(w) of each weight, so one past the floating range is malformed
     except (ValueError, TypeError, IndexError, ZeroDivisionError, OverflowError) as exc:
         raise CertificateError(f"malformed lines or weights: {exc}") from exc
     if lines.ndim != 2 or lines.shape[1] != cert["dim"]:
@@ -311,7 +304,7 @@ def verify_certificate(source, t_max: int = 12) -> VerifyResult:
     if deviation > REL_EQ:  # potentials of lines that are not unit mean nothing
         return VerifyResult(False, tuple(reasons), {})
     orders = sorted(held.keys() | set(range(1, cert["t"] + 1)))
-    report = strength(LineSet(lines, w), top)
+    report = strength(X, top)
     residuals = {}
     for t in orders:
         recomputed = report.residual_at(t)

@@ -12,6 +12,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from orbitdesigns import cli
@@ -387,21 +388,59 @@ def test_verify_rejects_boolean_integers(capsys, tmp_path, key):
 
 
 def test_verify_rejects_untyped_weights_and_lines(capsys, tmp_path):
-    # JSON number weights used to crash in parse_rational, and a line entry
-    # true was read as 1.0 and passed
+    # JSON number weights used to crash the weight parser, and a line entry
+    # true was read as 1.0 and passed; Fraction("1e400") is exact, but its
+    # float overflows
     path = tmp_path / "cert.json"
     assert main(["union", "B(2)", "--x", "@1", "--y", "@2", "--t", "2",
                  "--emit", str(path)]) == 0
     cert = json.loads(path.read_text())
     assert cert["weights"] == ["1/4"] * 4 and cert["lines"][0][0] == 1.0
     lines = [[True if e == 1.0 else e for e in row] for row in cert["lines"]]
-    for damaged in ({**cert, "weights": [0.25] * 4}, {**cert, "lines": lines}):
+    for damaged in ({**cert, "weights": [0.25] * 4}, {**cert, "lines": lines},
+                    {**cert, "weights": ["1e400"] + ["1/4"] * 3},
+                    {**cert, "weights": ["1/0"] + ["1/4"] * 3}):
         path.write_text(json.dumps(damaged))
         capsys.readouterr()
         assert main(["verify", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: malformed lines or weights: ")
         assert err.count("\n") == 1
+
+
+def test_verify_reads_decimal_and_spaced_weights(capsys, tmp_path):
+    # a weight is read by Fraction(s), which strips spaces and reads decimals
+    path = tmp_path / "cert.json"
+    assert main(["union", "B(2)", "--x", "@1", "--y", "@2", "--t", "2",
+                 "--emit", str(path)]) == 0
+    cert = json.loads(path.read_text())
+    assert cert["weights"] == ["1/4"] * 4
+    for spelling in ("0.25", " 1/4 "):
+        path.write_text(json.dumps({**cert, "weights": [spelling] * 4}))
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 0
+        assert capsys.readouterr().out.endswith("\nPASS\n")
+
+
+@pytest.mark.parametrize("x,y", [(1, 2), (1, 3), (1, 4), (2, 3)])
+def test_reemitted_h4_certificates_match_the_stored_files(capsys, tmp_path, x, y):
+    # each stored benchmark certificate is `union H4 --x @x --y @y --t 6 --emit`;
+    # its weights, beta and w_hat pin the str(Fraction) spelling
+    name = f"h4_t6_x{x}_y{y}.json"
+    stored = json.loads((Path(__file__).parents[1] / "perfbench" / "certificates" / name)
+                        .read_text())
+    path = tmp_path / name
+    assert main(["union", "H4", "--x", f"@{x}", "--y", f"@{y}", "--t", "6",
+                 "--emit", str(path)]) == 0
+    fresh = json.loads(path.read_text())
+    for key in ("weights", "beta", "w_hat", "seeds", "group", "t", "signed"):
+        assert fresh[key] == stored[key], key
+    # the stored lines are the same, each with the same weight, in an older order
+    lines, held = np.array(fresh["lines"]), np.array(stored["lines"])
+    match = np.abs(lines @ held.T).argmax(axis=1)
+    assert sorted(match.tolist()) == list(range(len(held)))
+    assert np.allclose(lines, held[match])
+    assert fresh["weights"] == [stored["weights"][i] for i in match]
 
 
 @pytest.mark.parametrize("spell", [str, lambda r: False], ids=["strings", "false"])
@@ -531,7 +570,9 @@ def test_reproduce_all_tmax_below_row_orders(capsys):
 
 
 def test_reproduce_rejects_unknown_table(capsys):
+    # table names are read from expectations.csv, not from a fixed list
     assert main(["reproduce", "Z"]) == 3
+    assert capsys.readouterr().err == "error: no expectation rows for table 'Z'\n"
 
 
 @pytest.mark.parametrize(

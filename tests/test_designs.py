@@ -70,14 +70,14 @@ def test_potential_orthonormal_basis():
         from orbitdesigns.orbits import LineSet
 
         X = LineSet(lines=np.eye(d, dtype=complex),
-                    weights=np.full(d, 1.0 / d))
+                    exact_weights=(Fraction(1, d),) * d)
         assert abs(potential(X, 1) - 1.0 / d) < 1e-15
 
 
 def test_potential_single_line():
     from orbitdesigns.orbits import LineSet
 
-    X = LineSet(lines=np.array([[0.6, 0.8]]), weights=np.array([1.0]))
+    X = LineSet(lines=np.array([[0.6, 0.8]]), exact_weights=(Fraction(1),))
     for t in (1, 2, 5, 9):
         assert potential(X, t) == 1.0
 
@@ -106,7 +106,7 @@ def test_potential_rejects_bad_order():
 def test_cross_potential_single_lines():
     from orbitdesigns.orbits import LineSet
 
-    X = LineSet(lines=np.array([[1.0, 0.0]]), weights=np.array([1.0]))
+    X = LineSet(lines=np.array([[1.0, 0.0]]), exact_weights=(Fraction(1),))
     assert cross_potential(X, X, 4) == 1.0
 
 
@@ -297,7 +297,7 @@ def test_solve_union_sums_one_row_per_orbit(row_counts):
 
 def test_sets_without_a_shared_group_sum_every_row(row_counts):
     X = _orbit("H3", 2)
-    potential(LineSet(lines=X.lines, weights=X.weights), 4)
+    potential(LineSet(lines=X.lines, exact_weights=X.exact_weights), 4)
     groups._build_cached.cache_clear()  # a second, distinct H3 group object
     Y = _orbit("H3", 1)
     assert Y.group is not X.group
@@ -322,9 +322,10 @@ def test_union_of_an_orbit_with_itself_is_one_block():
 
 def test_unequal_weights_within_an_orbit_raise():
     X = _orbit("H3", 1)
-    w = X.weights.copy()
-    w[:2] += [1e-3, -1e-3]
-    bad = dataclasses.replace(X, weights=w)
+    w = list(X.exact_weights)
+    w[0] += Fraction(1, 1000)
+    w[1] -= Fraction(1, 1000)
+    bad = dataclasses.replace(X, exact_weights=tuple(w))
     with pytest.raises(ConsistencyError, match="weights vary within an orbit"):
         potential(bad, 2)
     with pytest.raises(ConsistencyError, match="weights vary within an orbit"):
@@ -347,7 +348,7 @@ def test_potential_unitary_invariance():
     from orbitdesigns.orbits import LineSet, _canonicalize_rows
 
     rotated = LineSet(lines=_canonicalize_rows(X.lines @ Q.T),
-                      weights=X.weights)
+                      exact_weights=X.exact_weights)
     for t in (1, 2, 3, 5):
         assert abs(potential(rotated, t) - potential(X, t)) <= 1e-10
 

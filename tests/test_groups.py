@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from orbitdesigns import (
+    ConsistencyError,
     FiniteMatrixGroup,
     InputError,
-    KeyCollisionError,
     SizeLimitError,
     build_group,
     catalog,
@@ -288,7 +288,7 @@ def test_closure_key_collision(dedup_digits):
     dedup_digits(1)
     spec = parse_group_spec("rot(100)")
     gens = build_generators(spec)
-    with pytest.raises(KeyCollisionError, match="collide at 1 digits"):
+    with pytest.raises(ConsistencyError, match="collide at 1 digits"):
         close_group(FiniteMatrixGroup(spec, tuple(gens)))
 
 

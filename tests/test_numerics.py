@@ -13,8 +13,6 @@ from orbitdesigns import (
     NumericRangeError,
     build_group,
     catalog_entry,
-    format_rational,
-    parse_rational,
     snap_to_rational,
 )
 from orbitdesigns import numerics
@@ -149,27 +147,6 @@ def test_snap_respects_denominator_cap():
 @settings(max_examples=300)
 def test_snap_recovers_small_rationals(p, q):
     assert snap_to_rational(p / q) == Fraction(p, q)
-
-
-def test_format_rational():
-    assert format_rational(Fraction(3, 4)) == "3/4"
-    assert format_rational(Fraction(-5, 14)) == "-5/14"
-    assert format_rational(Fraction(7, 1)) == "7"
-
-
-@given(
-    p=st.integers(min_value=-(10**6), max_value=10**6),
-    q=st.integers(min_value=1, max_value=10**6),
-)
-@settings(max_examples=200)
-def test_rational_round_trip(p, q):
-    r = Fraction(p, q)
-    assert parse_rational(format_rational(r)) == r
-
-
-def test_parse_rational_accepts_decimals():
-    assert parse_rational("0.25") == Fraction(1, 4)
-    assert parse_rational(" -3/5 ") == Fraction(-3, 5)
 
 
 def test_walk_returns_rows_in_discovery_order():

@@ -192,13 +192,13 @@ def test_union_of_a_two_orbit_union_drops_the_group():
 
 
 def test_union_of_a_float_only_set_sums_exact_fractions():
-    # a set without exact_weights enters as the Fraction of each float
-    # weight; Fraction * float would be a float
+    # a set weighted by floats holds the exact Fraction of each, and the
+    # union sums those Fractions exactly
     g = build_group("H3")
     X = orbit_lines(g, catalog_entry("H3").seeds[1])
     Y = orbit_lines(g, catalog_entry("H3").seeds[0])
     w = np.linspace(1.0, 2.0, X.n_lines)
-    F = LineSet(lines=X.lines, weights=w / w.sum())
+    F = LineSet(lines=X.lines, exact_weights=tuple(map(Fraction, (w / w.sum()).tolist())))
     bx, by = Fraction(1, 3), Fraction(2, 3)
     floats = [bx * Fraction(x) for x in F.weights.tolist()]
     disjoint = floats + [by * x for x in Y.exact_weights]
@@ -269,13 +269,13 @@ def test_union_field_mismatch():
 
 def test_validate_catches_bad_weights():
     X = orbit_lines(build_group("B(2)"), np.array([1.0, 0.0]))
-    broken = type(X)(lines=X.lines, weights=X.weights * 2.0)
+    broken = type(X)(lines=X.lines, exact_weights=tuple(2 * w for w in X.exact_weights))
     with pytest.raises(ConsistencyError):
         broken.validate()
 
 
 def test_validate_catches_lines_of_other_norms():
-    broken = LineSet(np.array([[2.0, 0.0], [0.0, 1.0]]), np.array([0.5, 0.5]))
+    broken = LineSet(np.array([[2.0, 0.0], [0.0, 1.0]]), (Fraction(1, 2),) * 2)
     with pytest.raises(ConsistencyError, match="line representatives must have unit norm"):
         broken.validate()
 
@@ -285,7 +285,7 @@ def test_validate_judges_close_lines_by_their_distance(angle, coincide):
     # 1 - |<a,b>| is about angle^2/2, within REL_EQ for all three; the lines
     # coincide only when they are within the dedup grid, 1e-8, of each other
     lines = np.array([[1.0, 0.0], [np.cos(angle), np.sin(angle)]])
-    X = LineSet(lines=lines, weights=np.array([0.5, 0.5]))
+    X = LineSet(lines=lines, exact_weights=(Fraction(1, 2),) * 2)
     if coincide:
         with pytest.raises(ConsistencyError, match="coincide projectively"):
             X.validate()
@@ -306,7 +306,7 @@ def test_validate_catches_repeated_lines():
     ]
     for lines in cases:
         n = len(lines)
-        repeated = LineSet(lines=lines, weights=np.full(n, 1 / n))
+        repeated = LineSet(lines=lines, exact_weights=(Fraction(1, n),) * n)
         with pytest.raises(ConsistencyError, match="coincide projectively"):
             repeated.validate()
 

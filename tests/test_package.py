@@ -48,3 +48,13 @@ def test_no_module_keeps_an_unused_import():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_init_imports_exactly_the_exports():
+    # the unused-import check leaves __init__.py out, so a name imported there
+    # but dropped from __all__ would go unnoticed
+    tree = ast.parse(Path(orbitdesigns.__file__).read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names]
+    assert sorted(imported) == sorted(orbitdesigns.__all__)

@@ -20,10 +20,11 @@ from orbitdesigns import (
     pair_quadratic,
     parse_vector,
     solve_union,
+    strength,
     verify_certificate,
     welch_constant,
 )
-from orbitdesigns import numerics
+from orbitdesigns import numerics, unions
 from orbitdesigns.cli import _load_expectations, _resolve_seed
 from orbitdesigns.unions import IDENTITY_TOL
 
@@ -348,6 +349,20 @@ def _fresh_cert():
 def _fresh_complex_cert():
     X, Y = _orbit("binO", 1), _orbit("binO", 3)
     return emit_certificate(solve_union(X, Y, 4), X, Y)
+
+
+def test_float_weights_are_the_exact_weights_rounded(monkeypatch):
+    # an orbit, a union and a verified certificate's set each read their
+    # float weights from their Fractions
+    X, Y = _orbit("binO", 2), _orbit("binO", 3)
+    sol = solve_union(X, Y, 4)
+    verified = []
+    monkeypatch.setattr(unions, "strength",
+                        lambda S, t_max: verified.append(S) or strength(S, t_max))
+    assert verify_certificate(emit_certificate(sol, X, Y)).passed
+    assert len(verified) == 1 and min(sol.union.exact_weights) < 0
+    for S in (X, sol.union, verified[0]):
+        assert S.weights.tolist() == [float(w) for w in S.exact_weights]
 
 
 def test_verify_flags_perturbed_weight():
