@@ -4,93 +4,43 @@ Build a finite unitary group, orbit seed vectors into weighted line sets,
 solve the two-orbit weighting quadratic for exact rational weights, certify
 design strength against the Welch bounds, and read off the group's invariant
 harmonics where two generic orbits pair into a design (the double-root identity).
+
+Importing the package loads no submodule: each public name imports the
+module that defines it on first use.
 """
-from .designs import (
-    DesignReport,
-    cross_potential,
-    potential,
-    strength,
-    welch_constant,
-)
-from .errors import (
-    CertificateError,
-    ConsistencyError,
-    DegeneracyError,
-    InputError,
-    MismatchError,
-    NoSolutionError,
-    NumericRangeError,
-    OrbitDesignsError,
-    SizeLimitError,
-)
-from .groups import (
-    CatalogEntry,
-    FiniteMatrixGroup,
-    GroupSpec,
-    build_group,
-    catalog,
-    catalog_entry,
-    close_group,
-    group_order,
-    parse_group_spec,
-    unitarize,
-)
-from .numerics import snap_to_rational
-from .orbits import LineSet, format_vector, orbit_lines, parse_vector, union_lines
-from .pairscan import PairSample, PairScanReport, scan
-from .unions import (
-    PairQuadratic,
-    RootSolution,
-    UnionSolution,
-    VerifyResult,
-    emit_certificate,
-    pair_quadratic,
-    solve_union,
-    verify_certificate,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CatalogEntry",
-    "CertificateError",
-    "ConsistencyError",
-    "DegeneracyError",
-    "DesignReport",
-    "FiniteMatrixGroup",
-    "GroupSpec",
-    "InputError",
-    "LineSet",
-    "MismatchError",
-    "NoSolutionError",
-    "NumericRangeError",
-    "OrbitDesignsError",
-    "PairQuadratic",
-    "PairSample",
-    "PairScanReport",
-    "RootSolution",
-    "SizeLimitError",
-    "UnionSolution",
-    "VerifyResult",
-    "build_group",
-    "catalog",
-    "catalog_entry",
-    "close_group",
-    "cross_potential",
-    "emit_certificate",
-    "format_vector",
-    "group_order",
-    "orbit_lines",
-    "pair_quadratic",
-    "parse_group_spec",
-    "parse_vector",
-    "potential",
-    "scan",
-    "snap_to_rational",
-    "solve_union",
-    "strength",
-    "union_lines",
-    "unitarize",
-    "verify_certificate",
-    "welch_constant",
-]
+_EXPORTS = {  # public name -> the module that defines it
+    **dict.fromkeys(["DesignReport", "cross_potential", "potential", "strength",
+                     "welch_constant"], "designs"),
+    **dict.fromkeys(["CertificateError", "ConsistencyError", "DegeneracyError", "InputError",
+                     "MismatchError", "NoSolutionError", "NumericRangeError",
+                     "OrbitDesignsError", "SizeLimitError"], "errors"),
+    **dict.fromkeys(["CatalogEntry", "FiniteMatrixGroup", "GroupSpec", "build_group", "catalog",
+                     "catalog_entry", "close_group", "group_order", "parse_group_spec",
+                     "unitarize"], "groups"),
+    "snap_to_rational": "numerics",
+    **dict.fromkeys(["LineSet", "format_vector", "orbit_lines", "parse_vector",
+                     "union_lines"], "orbits"),
+    **dict.fromkeys(["PairSample", "PairScanReport", "scan"], "pairscan"),
+    **dict.fromkeys(["PairQuadratic", "RootSolution", "UnionSolution", "VerifyResult",
+                     "emit_certificate", "pair_quadratic", "solve_union",
+                     "verify_certificate"], "unions"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    # PEP 562: called only for names not yet in the module's namespace
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

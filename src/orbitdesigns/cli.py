@@ -23,9 +23,8 @@ from .errors import (
     OrbitDesignsError,
     SizeLimitError,
 )
-from .groups import DEFAULT_MAX_ORDER, FiniteMatrixGroup, build_group, catalog_entry
+from .numerics import DEFAULT_MAX_ORDER
 from .orbits import LineSet, format_vector, orbit_lines, parse_vector
-from .pairscan import scan
 from .unions import emit_certificate, solve_union, verify_certificate
 
 
@@ -121,6 +120,7 @@ def _resolve_seed(group_label: str, text: str) -> tuple[np.ndarray, str]:
             k = int(text[1:])
         except ValueError:
             raise InputError(f"bad catalog reference {text!r}") from None
+        from .groups import catalog_entry
         entry = catalog_entry(group_label)
         if not 1 <= k <= len(entry.seeds):
             raise InputError(
@@ -137,6 +137,7 @@ def _orbit(group: FiniteMatrixGroup, label: str, text: str) -> LineSet:
 
 
 def cmd_group(args) -> int:
+    from .groups import build_group
     g = build_group(args.spec, args.max_order)
     deviation = g.unitarity_deviation()
     payload = {
@@ -157,6 +158,7 @@ def cmd_group(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    from .groups import build_group
     g = build_group(args.spec, args.max_order)
     X = _orbit(g, args.spec, args.seed)
     rep = strength(X, args.tmax)
@@ -195,6 +197,7 @@ def _root_payload(root) -> dict:
 
 
 def cmd_union(args) -> int:
+    from .groups import build_group
     g = build_group(args.spec, args.max_order)
     X = _orbit(g, args.spec, args.x)
     Y = _orbit(g, args.spec, args.y)
@@ -254,6 +257,8 @@ def cmd_union(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from .groups import build_group
+    from .pairscan import scan
     g = build_group(args.spec, args.max_order)
     rep = scan(g, args.tmax, args.samples, args.seed)
     payload = {
@@ -307,6 +312,7 @@ def _load_expectations() -> list[dict]:
 
 
 def _run_expectation(row: dict, args) -> tuple[bool, str]:
+    from .groups import build_group
     label = row["group"]
     t = int(row["t"])
     g = build_group(label, args.max_order)

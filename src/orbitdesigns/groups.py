@@ -25,9 +25,7 @@ import numpy as np
 
 from . import numerics  # DEDUP_DIGITS is read at call time, as quantized_keys reads it
 from .errors import ConsistencyError, DegeneracyError, InputError, SizeLimitError
-from .numerics import REL_EQ, _json_complex, _json_number, _walk, pow2_scaled
-
-DEFAULT_MAX_ORDER = 200_000
+from .numerics import DEFAULT_MAX_ORDER, REL_EQ, _json_complex, _json_number, _walk, pow2_scaled
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -516,6 +514,12 @@ def _ones(k: int, n: int) -> np.ndarray:
 
 def catalog() -> list[CatalogEntry]:
     """Built-in groups with seed vectors; order is stable (CLI @k references)."""
+    return list(_catalog())
+
+
+@lru_cache(maxsize=None)
+def _catalog() -> tuple[CatalogEntry, ...]:
+    """The catalog, built once per process; its seed arrays are read-only."""
     entries: list[CatalogEntry] = []
 
     a_seeds = {
@@ -614,13 +618,16 @@ def catalog() -> list[CatalogEntry]:
             (np.eye(d, dtype=complex)[0], np.arange(1, d + 1).astype(complex)),
             (d, d * d),
         ))
-    return entries
+    for entry in entries:
+        for seed in entry.seeds:
+            seed.setflags(write=False)
+    return tuple(entries)
 
 
 def catalog_entry(label: str) -> CatalogEntry:
     """Look up a catalog entry by spec string."""
     spec = parse_group_spec(label)
-    for entry in catalog():
+    for entry in _catalog():
         if entry.spec.kind == spec.kind and entry.spec.params == spec.params:
             return entry
     raise InputError(f"no catalog entry for {label!r}")

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import numerics  # DEDUP_DIGITS is read at call time, as quantized_keys reads it
 from .errors import ConsistencyError, InputError, MismatchError
-from .groups import FiniteMatrixGroup, group_order
 from .numerics import REL_EQ, _intern
 
 VALIDATE_BLOCK_TERMS = 1 << 15  # Gram entries per block of LineSet.validate's coincidence test
@@ -115,6 +114,7 @@ def orbit_lines(group: FiniteMatrixGroup, seed: np.ndarray,
     the group order when that has a closed form; a dedup key that splits one
     line into several or merges two is an error.
     """
+    from .groups import group_order  # not at module level: verify loads orbits, not groups
     x = group.embed_seed(np.asarray(seed))  # scaled: its norm cannot overflow
     nx = np.linalg.norm(x)
     if nx == 0.0:

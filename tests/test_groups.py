@@ -306,6 +306,15 @@ def test_catalog_seed_orbit_sizes():
         assert sizes == tuple(entry.expected_lines), str(entry.spec)
 
 
+def test_the_cached_catalog_cannot_be_corrupted():
+    # the catalog is built once per process and shared by every caller
+    with pytest.raises(ValueError, match="read-only"):
+        catalog_entry("H4").seeds[0][0] = 0.0
+    catalog().append(catalog_entry("H4"))
+    assert len(catalog()) == 22
+    assert catalog_entry("binI") is catalog_entry("binI")
+
+
 def test_catalog_entry_lookup_accepts_aliases():
     assert catalog_entry("G(2,1,2)").spec == catalog_entry("B(2)").spec
     with pytest.raises(InputError):

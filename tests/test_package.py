@@ -4,7 +4,13 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import orbitdesigns
 
@@ -51,10 +57,57 @@ def test_no_module_keeps_an_unused_import():
 
 
 def test_init_imports_exactly_the_exports():
-    # the unused-import check leaves __init__.py out, so a name imported there
-    # but dropped from __all__ would go unnoticed
-    tree = ast.parse(Path(orbitdesigns.__file__).read_text())
-    imported = [alias.asname or alias.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
-                for alias in node.names]
-    assert sorted(imported) == sorted(orbitdesigns.__all__)
+    # __init__.py re-exports through its _EXPORTS table, so a stale entry or
+    # a name dropped from __all__ would otherwise go unnoticed
+    assert orbitdesigns._EXPORTS.keys() == set(orbitdesigns.__all__)
+    for name, module in orbitdesigns._EXPORTS.items():
+        assert getattr(orbitdesigns, name) is getattr(
+            importlib.import_module(f"orbitdesigns.{module}"), name)
+    assert set(orbitdesigns.__all__) <= set(dir(orbitdesigns))
+    with pytest.raises(AttributeError, match="'orbitdesigns' has no attribute 'nope'"):
+        orbitdesigns.nope
+    from orbitdesigns import groups
+    assert groups is importlib.import_module("orbitdesigns.groups")
+
+
+def _modules_after(*commands: list[str]) -> list[set[str]]:
+    """sys.modules of a fresh process after `import orbitdesigns`, then after
+    each CLI command in turn (each must exit 0)."""
+    src = str(Path(__file__).parents[1] / "src")
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import orbitdesigns\n"
+        "loaded = [sorted(sys.modules)]\n"
+        "from orbitdesigns import cli\n"
+        f"for argv in {list(commands)!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    loaded.append(sorted(sys.modules))\n"
+        "print(json.dumps(loaded))\n")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return [set(names) for names in json.loads(run.stdout)]
+
+
+def test_bare_import_loads_no_submodule_and_no_numpy():
+    (loaded,) = _modules_after()
+    assert "numpy" not in loaded
+    assert sorted(m for m in loaded if m.startswith("orbitdesigns.")) == []
+
+
+def test_verify_loads_neither_groups_nor_pairscan():
+    cert = Path(__file__).parents[1] / "perfbench" / "certificates" / "h4_t6_x1_y2.json"
+    _, loaded = _modules_after(["verify", str(cert)])
+    assert "orbitdesigns.unions" in loaded
+    assert {"orbitdesigns.groups", "orbitdesigns.pairscan"} & loaded == set()
+
+
+def test_only_scan_loads_pairscan():
+    _, after_union, after_reproduce, after_scan = _modules_after(
+        ["union", "H4", "--x", "@1", "--y", "@2", "--t", "6"], ["reproduce", "A"],
+        ["scan", "binI"])
+    assert "orbitdesigns.groups" in after_union
+    assert "orbitdesigns.pairscan" not in after_reproduce  # after_union is a subset
+    assert "orbitdesigns.pairscan" in after_scan
