@@ -4,7 +4,9 @@ The potential of a weighted line set is sum_{x,y} w_x w_y |<x,y>|^(2t); a set
 is a (t,t)-design exactly when the potential meets the field's Welch constant
 c_t. Every potential is taken at the orders t = 1..T in one pass, accumulated
 blockwise with exact summation, without materializing the full Gram matrix;
-a single order t is row t - 1 of that pass.
+a single order t is row t - 1 of that pass. Since |<x,y>| = |<y,x>|, a set
+summed against itself takes each unordered pair once and doubles the term of
+a pair of distinct lines, half the terms of the full sum.
 
 For a unitary group G, |<gx,gy>| = |<x,y>|, so every line of one G-orbit has
 the same Gram row sum against a G-invariant set: the cross potential of two
@@ -30,10 +32,12 @@ from .errors import ConsistencyError, MismatchError
 from .numerics import REL_EQ, compensated_sums
 from .orbits import LineSet
 
-# The bits of a Gram entry depend on the rows in its matrix product, so the
-# product keeps fixed blocks; the terms are cut finer to stay in cache.
-_GRAM_TERMS = 1 << 18  # Gram entries per matrix product
-_BLOCK_TERMS = 1 << 15  # soft cap on terms per block handed to the accumulator
+# The bits of a Gram entry depend on the rows and columns of its matrix
+# product, so the Gram tiles are cut by the row count alone, never by t_max,
+# each at most _BLOCK_TERMS entries; a tile's terms are cut finer by t_max,
+# which moves no bits, into blocks of at most _BLOCK_TERMS terms (a soft cap:
+# one row at every order is the least a block holds).
+_BLOCK_TERMS = 1 << 15
 
 
 def welch_constant(field: str, d: int, t: int) -> Fraction:
@@ -67,23 +71,36 @@ def moments(A: np.ndarray, wa: np.ndarray, B: np.ndarray, wb: np.ndarray,
 
 def _terms(A: np.ndarray, wa: np.ndarray, B: np.ndarray, wb: np.ndarray, t_max: int):
     """Blocks of terms, row t - 1 for order t: wa wb |<a,b>|^(2t), for a run
-    of rows a of A against every b of B."""
-    n = max(1, B.shape[0])
+    of rows a of A against the columns b of B.
+
+    A set against itself (A is B and wa is wb) meets each unordered pair
+    once: a run of rows meets only the columns from its own first row on, the
+    term of a pair a < b is doubled, which is exact, (a, a) counts once, and a
+    pair below the diagonal, in the run's square part, counts zero times.
+    """
+    same = A is B and wa is wb
     Bc = B.conj().T
-    gram_rows = max(1, _GRAM_TERMS // n)
-    rows = max(1, _BLOCK_TERMS // (t_max * n))
-    for start in range(0, A.shape[0], gram_rows):
-        gram = A[start:start + gram_rows] @ Bc
-        for sub in range(0, len(gram), rows):
-            M = gram[sub:sub + rows]
-            u = (M * M.conj()).real if np.iscomplexobj(M) else M * M
-            ww = wa[start + sub:start + sub + len(M), None] * wb[None, :]
-            block = np.empty((t_max,) + M.shape)
-            power = np.ones_like(u)
+    start = 0
+    while start < A.shape[0]:
+        first = start if same else 0  # the tile's first column
+        cols = max(1, B.shape[0] - first)
+        stop = start + max(1, _BLOCK_TERMS // cols)
+        gram = A[start:stop] @ Bc[:, first:]
+        u = np.multiply(gram, gram.conj(), out=gram).real  # |<a,b>|^2; the tile is not read again
+        rows = max(1, _BLOCK_TERMS // (t_max * cols))
+        for sub in range(0, len(u), rows):
+            skip = sub if same else 0
+            U = u[sub:sub + rows, skip:]
+            ww = wa[start + sub:start + sub + len(U), None] * wb[None, first + skip:]
+            block = np.empty((t_max,) + U.shape)
+            power = np.ones_like(U)
             for row in block:
-                power *= u
+                power *= U
                 np.multiply(ww, power, out=row)
+            if same:  # 0 below the diagonal, 1 on it, 2 above
+                block *= 2.0 - np.tri(*U.shape) - np.tri(*U.shape, -1)
             yield block.reshape(t_max, -1)
+        start = stop
 
 
 def _pair_moments(X: LineSet, Y: LineSet, t_max: int) -> list[float]:

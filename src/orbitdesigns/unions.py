@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -267,7 +268,9 @@ def verify_certificate(source, t_max: int = 12) -> VerifyResult:
         lines = _parse_lines(cert["lines"], cert["field"])
         if not all(isinstance(x, str) for x in cert["weights"]):
             raise TypeError("weights must be rational strings")
-        weights = [Fraction(x) for x in cert["weights"]]
+        counts = Counter(cert["weights"])  # in file order: the first bad string is named
+        parsed = {s: Fraction(s) for s in counts}
+        weights = [parsed[s] for s in cert["weights"]]
         X = LineSet(lines, tuple(weights))
         X.weights  # float(w) of each weight, so one past the floating range is malformed
     except (ValueError, TypeError, IndexError, ZeroDivisionError, OverflowError) as exc:
@@ -295,10 +298,10 @@ def verify_certificate(source, t_max: int = 12) -> VerifyResult:
         deviation = np.abs(np.linalg.norm(lines, axis=1) - 1.0).max()
     if deviation > REL_EQ:
         reasons.append(f"line norms deviate from 1 by {deviation:.3e}")
-    wsum = sum(weights, Fraction(0))
+    wsum = sum((n * parsed[s] for s, n in counts.items()), Fraction(0))
     if wsum != 1:
         reasons.append(f"weights sum to {wsum}, not 1")
-    if cert["signed"] != any(x < 0 for x in weights):
+    if cert["signed"] != any(x < 0 for x in parsed.values()):
         reasons.append(f"signed is {str(cert['signed']).lower()}, but "
                        f"{'no' if cert['signed'] else 'some'} weight is negative")
     if deviation > REL_EQ:  # potentials of lines that are not unit mean nothing

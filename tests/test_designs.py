@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -32,6 +33,7 @@ from orbitdesigns.designs import moments
 from orbitdesigns.orbits import LineSet
 
 EPS = np.finfo(float).eps
+CERTIFICATES = sorted((Path(__file__).parents[1] / "perfbench" / "certificates").glob("*.json"))
 
 
 def _orbit(label, k):
@@ -233,9 +235,62 @@ def test_moments_equal_the_exact_sum_of_their_terms():
         assert [x.hex() for x in got] == [x.hex() for x in exact], entry.spec.label
 
 
+def test_self_moments_equal_the_exact_sum_of_each_pair_once():
+    # a set against itself: each diagonal term once and each upper term
+    # twice, formed from one full Gram product, the sum correctly rounded
+    ts = list(range(1, 13))
+    fields = set()
+    for entry in catalog():
+        g = build_group(entry.spec)
+        for seed in entry.seeds:
+            X = orbit_lines(g, seed)
+            if X.n_lines ** 2 > designs._BLOCK_TERMS:  # more than one Gram tile
+                continue
+            stripped = LineSet(lines=X.lines, exact_weights=X.exact_weights)
+            L, w = stripped.lines, stripped.weights
+            M = L @ L.conj().T
+            u = (M * M.conj()).real
+            ww = w[:, None] * w[None, :]
+            upper = np.triu_indices(len(L), 1)
+            power, exact = u, []
+            for t in ts:
+                power = power * u if t > 1 else u
+                term = ww * power
+                exact.append(_exact_sum_rounded_once(
+                    np.diag(term).tolist() + (2.0 * term[upper]).tolist()))
+            hexes = [x.hex() for x in exact]
+            assert [x.hex() for x in moments(L, w, L, w, len(ts))] == hexes, entry.spec.label
+            assert [x.hex() for x in strength(stripped, len(ts)).potentials] == hexes
+            fields.add(X.field)
+    assert fields == {"R", "C"}
+
+
+def _stored_set(path):
+    cert = json.loads(path.read_text())
+    return LineSet(lines=np.array(cert["lines"]),
+                   exact_weights=tuple(map(Fraction, cert["weights"])))
+
+
+def _complex_union():
+    return union_lines(_orbit("binI", 1), _orbit("binI", 2), (Fraction(5, 14), Fraction(9, 14)))
+
+
+# Each route is within 4t ulp of the exact potential, so the two are within
+# 8t ulp of each other, in units of the sum with every weight made positive.
+@pytest.mark.parametrize("name", [p.name for p in CERTIFICATES] + ["binI @1 + @2"])
+def test_self_path_agrees_with_the_full_sum(name):
+    X = _complex_union() if name.startswith("binI") else _stored_set(CERTIFICATES[0].parent / name)
+    L, w, a = X.lines, X.weights, np.abs(X.weights)
+    self_path = moments(L, w, L, w, 12)
+    full = moments(L, w, L.copy(), w.copy(), 12)  # distinct arrays: every ordered pair
+    scale = moments(L, a, L.copy(), a.copy(), 12)
+    for t, (p, f, s) in enumerate(zip(self_path, full, scale), start=1):
+        assert abs(p - f) <= 8 * t * EPS * s, (name, t)
+
+
 def _full_sum(X, t_max):
-    """X's potentials at t = 1..t_max from every Gram row, and the scale of
-    their rounding error."""
+    """X's potentials at t = 1..t_max from every pair of lines, and the scale
+    of their rounding error."""
     w = np.abs(X.weights)
     return (moments(X.lines, X.weights, X.lines, X.weights, t_max),
             moments(X.lines, w, X.lines, w, t_max))
@@ -306,10 +361,48 @@ def test_sets_without_a_shared_group_sum_every_row(row_counts):
 
 
 def test_verify_sums_every_certificate_row(row_counts):
-    # a certificate's lines carry no group, so strength sums all 660 Gram rows
+    # a certificate's lines carry no group, so strength sums every pair of
+    # its 660 lines, each unordered pair once
     path = Path(__file__).parents[1] / "perfbench" / "certificates" / "h4_t6_x1_y4.json"
     assert verify_certificate(str(path)).passed
     assert row_counts == [660]
+
+
+def test_verify_blocks_are_small_and_meet_each_pair_once(monkeypatch):
+    path = Path(__file__).parents[1] / "perfbench" / "certificates" / "h4_t6_x1_y4.json"
+    shapes = []
+    sums = designs.compensated_sums
+
+    def recorded(blocks, k):
+        def each():
+            for block in blocks:
+                shapes.append(block.shape)
+                yield block
+        return sums(each(), k)
+
+    monkeypatch.setattr(designs, "compensated_sums", recorded)
+    assert verify_certificate(str(path)).passed
+    # each block holds a run of rows against the columns from its own first
+    # row on; its square part adds the pairs below the diagonal, weighted 0
+    n, first, square = 660, 0, 0
+    for k, columns in shapes:
+        assert k * columns <= 1 << 15
+        rows, rest = divmod(columns, n - first)
+        assert rows >= 1 and rest == 0
+        square += rows * (rows - 1) // 2
+        first += rows
+    assert first == n
+    total = sum(columns for _, columns in shapes)
+    assert total == n * (n + 1) // 2 + square  # the full sum takes n * n = 435,600
+    assert square < 0.02 * (n * (n + 1) // 2)
+
+
+@pytest.mark.parametrize("path", CERTIFICATES, ids=lambda p: p.name)
+def test_potential_bits_do_not_depend_on_t_max(path):
+    X = _stored_set(path)
+    top = strength(X, 12).potentials
+    for k in range(1, 12):
+        assert strength(X, k).potentials == top[:k], k
 
 
 def test_union_of_an_orbit_with_itself_is_one_block():

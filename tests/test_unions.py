@@ -324,7 +324,7 @@ def test_stored_benchmark_certificates_verify():
 
 
 def test_verify_hands_fsum_bucket_sums_not_terms(monkeypatch):
-    # 660 lines make 435,600 terms per order; math.fsum must see only the
+    # 660 lines make 218,130 pairs per order; math.fsum must see only the
     # nonzero bucket sums of each order
     path = Path(__file__).parents[1] / "perfbench" / "certificates" / "h4_t6_x1_y4.json"
     seen = []
@@ -438,6 +438,18 @@ def test_verify_rejects_structural_damage(mutate):
     mutate(cert)
     with pytest.raises(CertificateError):
         verify_certificate(cert)
+
+
+def test_verify_parses_each_weight_string_once():
+    # the weights are read per distinct string: the first bad one in file
+    # order is named, and a repeated weight counts once per line in the sum
+    cert = _fresh_cert()
+    assert cert["weights"] == ["1/4"] * 4
+    cert["weights"][1], cert["weights"][3] = "x/4", "y/4"
+    with pytest.raises(CertificateError, match="'x/4'"):
+        verify_certificate(cert)
+    cert["weights"][1], cert["weights"][3] = "1/4", "1/5"
+    assert "weights sum to 19/20, not 1" in verify_certificate(cert).reasons
 
 
 def test_verify_rejects_unreadable_files(tmp_path):
