@@ -15,12 +15,12 @@ __version__ = "0.1.0"
 _EXPORTS = {  # public name -> the module that defines it
     **dict.fromkeys(["DesignReport", "cross_potential", "potential", "strength",
                      "welch_constant"], "designs"),
-    **dict.fromkeys(["CertificateError", "ConsistencyError", "DegeneracyError", "InputError",
-                     "MismatchError", "NoSolutionError", "NumericRangeError",
-                     "OrbitDesignsError", "SizeLimitError"], "errors"),
+    **dict.fromkeys(["CertificateError", "ConsistencyError", "InputError", "MismatchError",
+                     "NoSolutionError", "NumericRangeError", "OrbitDesignsError",
+                     "SizeLimitError"], "errors"),
     **dict.fromkeys(["CatalogEntry", "FiniteMatrixGroup", "GroupSpec", "build_group", "catalog",
-                     "catalog_entry", "close_group", "group_order", "parse_group_spec",
-                     "unitarize"], "groups"),
+                     "catalog_entry", "close_group", "group_order", "parse_group_spec"],
+                    "groups"),
     "snap_to_rational": "numerics",
     **dict.fromkeys(["LineSet", "format_vector", "orbit_lines", "parse_vector",
                      "union_lines"], "orbits"),

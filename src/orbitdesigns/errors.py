@@ -20,10 +20,6 @@ class SizeLimitError(OrbitDesignsError):
     order passes t_max."""
 
 
-class DegeneracyError(OrbitDesignsError):
-    """The averaged Hermitian form is numerically singular; cannot unitarize."""
-
-
 class ConsistencyError(OrbitDesignsError):
     """Internal invariant violated: dedup keys split or merge group elements or
     orbit lines, weights vary within an orbit, orbits merge only in part

@@ -1,4 +1,4 @@
-"""Finite unitary matrix groups: family generators, closure, unitarization, catalog.
+"""Finite unitary matrix groups: family generators, closure, catalog.
 
 A group is its generator matrices, whose dtype is its field. Each family is
 one row of the table _FAMILIES, keyed by the head of its spec, that holds its
@@ -10,7 +10,9 @@ H3/H4 and discrete Heisenberg groups; G(m,p,n), H3 and H4 are generated by
 _reflection in their roots. A(d), B(d) and D(d) are aliases that check their
 own parameter and name G(1,1,d+1), G(2,1,d) and G(2,2,d); G(1,1,n) is
 realized on the sum-zero hyperplane. Explicit generator files
-(explicit:<path>) have their own loader and no closed-form order.
+(explicit:<path>) have their own loader and no closed-form order. Every
+group, family or explicit, is built only from generators that are unitary
+within REL_EQ.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import numerics  # DEDUP_DIGITS is read at call time, as quantized_keys reads it
-from .errors import ConsistencyError, DegeneracyError, InputError, SizeLimitError
+from .errors import ConsistencyError, InputError, SizeLimitError
 from .numerics import DEFAULT_MAX_ORDER, REL_EQ, _json_complex, _json_number, _walk, pow2_scaled
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -146,21 +148,16 @@ class FiniteMatrixGroup:
 
 
 def _unitarity_deviation(mats: np.ndarray) -> float:
-    """max over the (n, d, d) stack of the max-norm of M*M - I; nan when any
-    entry of M*M is nan."""
+    """max over the (n, d, d) stack of the max-norm of M*M - I; inf when an
+    entry of M*M overflows, nan when one is nan."""
     eye = np.eye(mats.shape[1])
     dev = 0.0
-    for start in range(0, len(mats), 4096):
-        block = mats[start:start + 4096]
-        grams = np.einsum("nji,njk->nik", block.conj(), block)
-        dev = np.maximum(dev, np.abs(grams - eye).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # callers refuse inf and nan
+        for start in range(0, len(mats), 4096):
+            block = mats[start:start + 4096]
+            grams = np.einsum("nji,njk->nik", block.conj(), block)
+            dev = np.maximum(dev, np.abs(grams - eye).max())
     return float(dev)
-
-
-def _enumerated(group: FiniteMatrixGroup, elements: np.ndarray) -> FiniteMatrixGroup:
-    """The group with its `elements` already filled in."""
-    group.__dict__["elements"] = elements  # the slot cached_property fills
-    return group
 
 
 def _su2(a: float, b: float, c: float, d: float) -> np.ndarray:
@@ -330,14 +327,6 @@ def _load_explicit(path: str) -> list[np.ndarray]:
     d = gens[0].shape[0]
     if any(g.shape[0] != d for g in gens):
         raise InputError("generators must share one dimension")
-    # every element of a finite group has finite order, so its eigenvalues are
-    # roots of unity, and conjugation keeps them
-    for i, g in enumerate(gens, start=1):
-        moduli = np.abs(np.linalg.eigvals(g))
-        worst = float(moduli[np.abs(moduli - 1.0).argmax()])
-        if not abs(worst - 1.0) <= 1e-6:
-            raise InputError(f"generator eigenvalues must have modulus 1, as in a finite "
-                             f"group: generator {i} has an eigenvalue of modulus {worst:.6g}")
     if data["field"] == "R":
         if max(float(np.abs(g.imag).max()) for g in gens) > 1e-12:
             raise InputError("field 'R' but generators have imaginary parts")
@@ -391,8 +380,8 @@ def close_group(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
     as does a closure that passes max_order. When the family has a closed-form
     order, a closure that passes it or ends short of it is a dedup-key failure
     and raises ConsistencyError, as does a product whose key matches a
-    different element; a product that is not finite (generators of no finite
-    group, or overflowing ones) raises InputError.
+    different element; a product that is not finite raises InputError (only a
+    group made directly from generators that are not unitary can have one).
     """
     if not group.generators:
         raise InputError("no generators")
@@ -418,33 +407,8 @@ def close_group(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
             f"closure of {spec} ends at {len(elements)} of its {expected} elements: "
             f"distinct elements share a dedup key at {digits} digits"
         )
-    return _enumerated(group, elements)
-
-
-def unitarize(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
-    """Conjugate the representation so every element is unitary.
-
-    Averages H = (1/|G|) sum_g g*g, factors H = L L*, and maps every element
-    and generator g to L* g L*^-1. Returns the input unchanged when it is
-    already unitary within REL_EQ.
-    """
-    if group.unitarity_deviation() <= REL_EQ:
-        return group
-    E = group.elements
-    H = np.einsum("nji,njk->ik", E.conj(), E) / len(E)
-    try:
-        L = np.linalg.cholesky(H)
-        A = L.conj().T
-        Ainv = np.linalg.inv(A)
-    except np.linalg.LinAlgError as exc:
-        raise DegeneracyError("averaged Hermitian form is singular") from exc
-
-    gens, elements = (np.einsum("ij,njk,kl->nil", A, M, Ainv)
-                      for M in (np.stack(group.generators), E))
-    out = _enumerated(FiniteMatrixGroup(group.spec, tuple(gens), group.max_order), elements)
-    if not out.unitarity_deviation() <= REL_EQ:
-        raise DegeneracyError("unitarization failed to reach tolerance")
-    return out
+    group.__dict__["elements"] = elements  # the slot cached_property fills
+    return group
 
 
 def build_group(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixGroup:
@@ -453,12 +417,11 @@ def build_group(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> Fi
     max_order becomes the group's own: the size limit of its closure and of
     every orbit walk over it.
 
-    Unitary generators are kept as they are and the group is closed only when
-    its elements are read, so max_order bounds the walks that run, not the
-    family's order. Otherwise (only explicit files can fail the test) the
-    group is closed and unitarized at once. A family whose order and whose
-    squared dimension both pass max_order raises SizeLimitError before its
-    generators are built.
+    The group is closed only when its elements are read, so max_order bounds
+    the walks that run, not the family's order. A family whose order and
+    whose squared dimension both pass max_order raises SizeLimitError before
+    its generators are built. Generators that are not unitary within REL_EQ
+    (only an explicit file can give them) raise InputError.
     """
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
@@ -481,10 +444,13 @@ def _assemble(spec: GroupSpec, max_order: int) -> FiniteMatrixGroup:
         if d * d > max_order:
             raise SizeLimitError(f"{spec} exceeds max_order={max_order}: its order "
                                  f"does, and so does its dimension {d} squared")
-    group = FiniteMatrixGroup(spec, tuple(build_generators(spec)), max_order)
-    if _unitarity_deviation(np.stack(group.generators)) <= REL_EQ:
-        return group
-    return unitarize(group)
+    gens = build_generators(spec)
+    for i, g in enumerate(gens, start=1):
+        dev = _unitarity_deviation(g[None])
+        if not dev <= REL_EQ:  # also refuses inf and nan
+            raise InputError(f"generators of {spec} must be unitary: generator {i} "
+                             f"deviates from unitary by {dev:.3e}")
+    return FiniteMatrixGroup(spec, tuple(gens), max_order)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,7 @@ A few fixed thresholds also decide outcomes, each where it is used: the
 pair identity's unions.IDENTITY_TOL and pairscan.FAILS_TOL, the Molien
 means' pairscan.MOLIEN_TOL, the rational snap's SNAP_QUALITY_MAX, the 1e-12
 cut on the imaginary parts of a real group's seed or generator file, and in
-groups the 1e-6 cuts on a closure's product gap and on the eigenvalue moduli
-of a loaded generator.
+groups the 1e-6 cut on a closure's product gap.
 
 All heavy arithmetic in this package is binary64. Weights are exact: a
 LineSet holds one `Fraction` per line and reads its float weights from them,
@@ -162,7 +161,9 @@ def _walk(start: np.ndarray, step, limit: int) -> tuple[np.ndarray, np.ndarray |
 # Some p/q is within 1/q^2 of any real x, so with q up to 10^6 nearly any x
 # meets REL_EQ; a rounded rational x scores q^2 |x - p/q| ~ |pq| 2^-53.
 # The rational roots of catalog pairs score <= 7e-6, irrational ones >= 4e-3.
-SNAP_DENOM_MAX = 10 ** 6
+# Neither test depends on the scale of x, so |p| is bounded too: without
+# it most floats above 1e4 snap (1e5 sqrt 2 to 135189341332/955933).
+SNAP_DENOM_MAX = 10 ** 6  # the bound on q and on |p|
 SNAP_QUALITY_MAX = 1e-4
 
 
@@ -170,13 +171,15 @@ def snap_to_rational(x: float) -> Fraction | None:
     """Best rational p/q with q <= SNAP_DENOM_MAX, or None if none is close.
 
     Uses the continued-fraction convergent and accepts it only when
-    |x - p/q| <= REL_EQ * max(1, |x|) and q^2 |x - p/q| <= SNAP_QUALITY_MAX.
+    |p| <= SNAP_DENOM_MAX, |x - p/q| <= REL_EQ * max(1, |x|) and
+    q^2 |x - p/q| <= SNAP_QUALITY_MAX.
     """
     if not math.isfinite(x):
         return None
     cand = Fraction(x).limit_denominator(SNAP_DENOM_MAX)
     err = abs(x - cand)
-    if err <= REL_EQ * max(1.0, abs(x)) and cand.denominator ** 2 * err <= SNAP_QUALITY_MAX:
+    if (abs(cand.numerator) <= SNAP_DENOM_MAX and err <= REL_EQ * max(1.0, abs(x))
+            and cand.denominator ** 2 * err <= SNAP_QUALITY_MAX):
         return cand
     return None
 

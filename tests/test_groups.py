@@ -1,4 +1,4 @@
-"""Group construction: spec grammar, closure, unitarization, catalog."""
+"""Group construction: spec grammar, unitary generators, closure, catalog."""
 from __future__ import annotations
 
 import json
@@ -19,16 +19,16 @@ from orbitdesigns import (
     close_group,
     orbit_lines,
     parse_group_spec,
-    unitarize,
 )
 from orbitdesigns.groups import (
     H3_SIMPLE_ROOTS,
     H4_SIMPLE_ROOTS,
+    _FAMILIES,
     _helmert_basis,
     _unitarity_deviation,
     build_generators,
 )
-from orbitdesigns.orbits import _canonicalize_rows
+from orbitdesigns.numerics import REL_EQ
 
 
 @pytest.mark.parametrize(
@@ -165,46 +165,54 @@ def test_heisenberg_contains_shift_and_clock():
         assert min(np.abs(e - target).max() for e in g.elements) < 1e-9
 
 
-def test_unitarize_conjugated_copy():
-    # conjugate dihedral(3) by a fixed well-conditioned matrix, then restore
-    spec = parse_group_spec("dihedral(3)")
-    M = np.array([[1.0, 0.3], [-0.2, 1.1]])
-    Minv = np.linalg.inv(M)
-    skew = [Minv @ g @ M for g in build_generators(spec)]
-    group = close_group(FiniteMatrixGroup(spec, tuple(skew)))
-    assert group.order == 6
-    assert group.unitarity_deviation() > 1e-6
-    fixed = unitarize(group)
-    assert fixed.unitarity_deviation() <= 1e-9
-    assert fixed.order == 6
+# one or two parameter choices per family head, real and complex G(m,p,n) among them
+_FAMILY_SPECS = ["G(3,1,2)", "G(4,2,3)", "G(1,1,5)", "G(2,1,4)", "G(6,3,2)", "A(3)", "B(4)",
+                 "D(4)", "dihedral(3)", "dihedral(10)", "rot(7)", "binD(4)", "binD(10)",
+                 "binT", "binO", "binI", "H3", "H4", "heis(2)", "heis(5)"]
 
 
-def test_explicit_non_unitary_generators_are_conjugated(tmp_path):
-    # skewed dihedral(3) generators: the group is closed and unitarized when it
-    # is built, and its generators are conjugated with its elements
+def test_the_family_specs_cover_every_family():
+    assert {spec.split("(")[0] for spec in _FAMILY_SPECS} == _FAMILIES.keys()
+
+
+@pytest.mark.parametrize("spec", _FAMILY_SPECS)
+def test_every_family_has_unitary_generators(spec):
+    # generators only, no closure: a family with an off generator is refused at build
+    devs = [_unitarity_deviation(g[None]) for g in build_generators(parse_group_spec(spec))]
+    assert all(dev <= REL_EQ for dev in devs), devs
+
+
+def test_explicit_non_unitary_generators_are_refused(tmp_path):
+    # skewed dihedral(3) generators: a finite group, but not unitary, so the
+    # file is refused when the group is built and nothing is closed
     M = np.array([[1.0, 0.3], [-0.2, 1.1]])
     skew = [np.linalg.inv(M) @ g @ M for g in build_generators(parse_group_spec("dihedral(3)"))]
     path = tmp_path / "skew.json"
     path.write_text(json.dumps({"field": "R", "generators": [g.tolist() for g in skew]}))
-    g = build_group(f"explicit:{path}")
-    assert g.order == 6
-    assert g.unitarity_deviation() <= 1e-9
-    for gen in g.generators:
-        assert np.abs(gen.T @ gen - np.eye(2)).max() <= 1e-9
-    seed = np.array([1.0, 0.0])
-    images = {tuple(row) for row in np.round(_canonicalize_rows(g.elements @ seed), 8)}
-    assert orbit_lines(g, seed).n_lines == len(images)
+    with pytest.raises(InputError, match=re.escape(
+            f"generators of explicit:{path} must be unitary: "
+            "generator 1 deviates from unitary by 2.014e-01")):
+        build_group(f"explicit:{path}")
 
 
 def test_unitarity_deviation_propagates_nan():
     # a nan deviation must not pass as unitary (max(0.0, nan) is 0.0)
     mats = np.stack([np.eye(2), np.full((2, 2), np.nan)])
     assert math.isnan(_unitarity_deviation(mats))
+    # an M*M that overflows reads inf, and inf - inf in it nan, with no
+    # RuntimeWarning (the suite turns those into errors)
+    assert _unitarity_deviation(np.array([[[1e200, 0.0], [0.0, 1.0]]])) == math.inf
+    assert math.isnan(_unitarity_deviation(np.array([[[1e200, 1e200], [1e200, -1e200]]])))
 
 
-def test_unitarize_leaves_unitary_groups_alone():
-    g = build_group("heis(3)")
-    assert unitarize(g) is g
+def test_closure_of_overflowing_generators_is_refused():
+    # build_group refuses such a generator as not unitary; a group made
+    # directly from it still meets close_group's overflow check
+    spec = parse_group_spec("explicit:overflow.json")
+    group = FiniteMatrixGroup(spec, (np.array([[1.0, 1e308], [0.0, 1.0]]),))
+    with pytest.raises(InputError, match=re.escape(
+            "products of the generators of explicit:overflow.json leave the floating range")):
+        close_group(group)
 
 
 def test_size_limit():
@@ -358,26 +366,27 @@ _EXPLICIT_REJECTIONS = {
     json.dumps({"field": "R", "generators": []}): "generator list is empty",
     json.dumps({"field": "R", "generators": [[[1, 0, 0], [0, 1, 0]]]}): "must be square",
     json.dumps({"field": "R", "generators": [[[0, 0], [0, 0]]]}):
-        "generator 1 has an eigenvalue of modulus 0",
+        "must be unitary: generator 1 deviates from unitary by 1.000e+00",
     json.dumps({"field": "R", "generators": [[[[0, 1], 0], [0, [0, 1]]]]}):
         "field 'R' but generators have imaginary parts",
     # json reads 1e400 as inf and NaN as nan
     '{"field": "R", "generators": [[[1e400, 0], [0, 1]]]}': "entries must be finite",
     '{"field": "R", "generators": [[[NaN, 0], [0, 1]]]}': "entries must be finite",
-    # finite, but every eigenvalue of an element of a finite group has modulus 1
+    # finite, but not unitary; M*M overflows to an inf deviation
     json.dumps({"field": "R", "generators": [[[1e200, 0], [0, 1]]]}):
-        "generator 1 has an eigenvalue of modulus 1e+200",
+        "must be unitary: generator 1 deviates from unitary by inf",
     json.dumps({"field": "R", "generators": [[[2, 0], [0, 1]]]}):
-        "generator 1 has an eigenvalue of modulus 2",
+        "must be unitary: generator 1 deviates from unitary by 3.000e+00",
     json.dumps({"field": "R", "generators": [[[1, 0], [0, 1]], [[1.001, 0], [0, 1]]]}):
-        "generator 2 has an eigenvalue of modulus 1.001",
-    # |det| = 1 does not make the eigenvalues unit
+        "must be unitary: generator 2 deviates from unitary by 2.001e-03",
+    # |det| = 1 does not make a matrix unitary
     json.dumps({"field": "R", "generators": [[[2, 0], [0, 0.5]]]}):
-        "generator 1 has an eigenvalue of modulus 2",
+        "must be unitary: generator 1 deviates from unitary by 3.000e+00",
     json.dumps({"field": "R", "generators": [[[1e200, 0], [0, 1e-200]]]}):
-        "generator 1 has an eigenvalue of modulus 1e+200",
-    # unit eigenvalues, but its powers overflow
-    json.dumps({"field": "R", "generators": [[[1, 1e308], [0, 1]]]}): "leave the floating range",
+        "must be unitary: generator 1 deviates from unitary by inf",
+    # unit eigenvalues, but not unitary: refused before its powers overflow
+    json.dumps({"field": "R", "generators": [[[1, 1e308], [0, 1]]]}):
+        "must be unitary: generator 1 deviates from unitary by inf",
     json.dumps({"field": "R", "generators": [[[["a", 0], 0], [0, 1]]]}): "malformed generator entry",
     json.dumps({"field": "R", "generators": [[[1, 0], [0]]]}): "malformed generator entry",
     # JSON booleans are not numbers, and a complex entry is exactly [re, im]
