@@ -29,15 +29,14 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConsistencyError, MismatchError
-from .numerics import REL_EQ, compensated_sums
+from .numerics import GRAM_TILE, REL_EQ, compensated_sums
 from .orbits import LineSet
 
 # The bits of a Gram entry depend on the rows and columns of its matrix
 # product, so the Gram tiles are cut by the row count alone, never by t_max,
-# each at most _BLOCK_TERMS entries; a tile's terms are cut finer by t_max,
-# which moves no bits, into blocks of at most _BLOCK_TERMS terms (a soft cap:
+# each at most GRAM_TILE entries; a tile's terms are cut finer by t_max,
+# which moves no bits, into blocks of at most GRAM_TILE terms (a soft cap:
 # one row at every order is the least a block holds).
-_BLOCK_TERMS = 1 << 15
 
 
 def welch_constant(field: str, d: int, t: int) -> Fraction:
@@ -84,10 +83,10 @@ def _terms(A: np.ndarray, wa: np.ndarray, B: np.ndarray, wb: np.ndarray, t_max: 
     while start < A.shape[0]:
         first = start if same else 0  # the tile's first column
         cols = max(1, B.shape[0] - first)
-        stop = start + max(1, _BLOCK_TERMS // cols)
+        stop = start + max(1, GRAM_TILE // cols)
         gram = A[start:stop] @ Bc[:, first:]
         u = np.multiply(gram, gram.conj(), out=gram).real  # |<a,b>|^2; the tile is not read again
-        rows = max(1, _BLOCK_TERMS // (t_max * cols))
+        rows = max(1, GRAM_TILE // (t_max * cols))
         for sub in range(0, len(u), rows):
             skip = sub if same else 0
             U = u[sub:sub + rows, skip:]

@@ -445,9 +445,12 @@ def _assemble(spec: GroupSpec, max_order: int) -> FiniteMatrixGroup:
             raise SizeLimitError(f"{spec} exceeds max_order={max_order}: its order "
                                  f"does, and so does its dimension {d} squared")
     gens = build_generators(spec)
+    eye = np.eye(len(gens[0]))
     for i, g in enumerate(gens, start=1):
-        dev = _unitarity_deviation(g[None])
-        if not dev <= REL_EQ:  # also refuses inf and nan
+        # a 2-D product goes to BLAS; _unitarity_deviation's einsum is O(d^3) without it
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused below
+            dev = float(np.abs(g.conj().T @ g - eye).max())
+        if not dev <= REL_EQ:
             raise InputError(f"generators of {spec} must be unitary: generator {i} "
                              f"deviates from unitary by {dev:.3e}")
     return FiniteMatrixGroup(spec, tuple(gens), max_order)

@@ -46,6 +46,14 @@ _BUCKETS = 264  # g + 135 runs over 0..263 for every double (nan and inf have e 
 _SHIFTS = 8 * np.arange(-135, 129, dtype=np.int32)  # bucket g counts in units of 2^(8g)
 _SPLIT = 1.5 * 2.0 ** 29  # M + _SPLIT - _SPLIT rounds M to a multiple of 2^-23
 _PENDING_MAX = 1 << 22  # columns summed into the buckets before they are flushed
+# glibc serves an allocation above 128 KiB by mmap, so its pages are faulted
+# in afresh and the peak RSS depends on what the process freed before. Of the
+# working arrays of an O(n^2) pass over a line set, only a Gram tile of
+# GRAM_TILE entries and the block of terms cut from it outgrow that; each step
+# of the exact sum takes at most _CHUNK_TERMS terms, so its five temporaries
+# stay at or below 64 KiB.
+GRAM_TILE = 1 << 15  # entries of a Gram tile: designs._terms and LineSet.validate
+_CHUNK_TERMS = 1 << 13  # terms compensated_sums takes from a block at a time
 
 
 def compensated_sums(blocks: Iterable[np.ndarray], k: int) -> list[float]:
@@ -53,9 +61,10 @@ def compensated_sums(blocks: Iterable[np.ndarray], k: int) -> list[float]:
 
     Each term M * 2^(8g) is split exactly into T, M rounded to a multiple of
     2^-23, and M - T, an integer multiple of 2^-53 of at most 2^-24; each part
-    is summed per (row, bucket g) with one np.bincount per block. While at
-    most 2^22 columns are pending, these sums stay below 2^53 units of 2^-23
-    and of 2^-53, so every bucket sum is exact; the buckets are flushed at
+    is summed per (row, bucket g) with one np.bincount per chunk of a block,
+    its k rows by at most _CHUNK_TERMS // k columns. While at most 2^22
+    columns are pending, these sums stay below 2^53 units of 2^-23 and of
+    2^-53, so every bucket sum is exact; the buckets are flushed at
     _PENDING_MAX columns. Scaled back by 2^(8g), each bucket sum is an exact
     double (the terms are multiples of 2^-1074), so math.fsum of a row's
     nonzero buckets is its correctly rounded sum, whatever the order of the
@@ -68,10 +77,11 @@ def compensated_sums(blocks: Iterable[np.ndarray], k: int) -> list[float]:
     pending = np.zeros((2, k * _BUCKETS))  # per part, (row, bucket) flattened
     values = [[] for _ in range(k)]  # flushed bucket sums, scaled back, per row
     columns = 0
+    width = max(1, min(_CHUNK_TERMS // k, _PENDING_MAX))  # columns per chunk
     with np.errstate(invalid="ignore", over="ignore"):  # nan and inf are caught below
         for block in blocks:
-            for start in range(0, block.shape[1], _PENDING_MAX):
-                part = block[:, start:start + _PENDING_MAX]
+            for start in range(0, block.shape[1], width):
+                part = block[:, start:start + width]
                 if columns + part.shape[1] > _PENDING_MAX:
                     _flush(pending, values)
                     pending[:] = 0.0
@@ -86,6 +96,7 @@ def compensated_sums(blocks: Iterable[np.ndarray], k: int) -> list[float]:
                 m -= top
                 pending[0] += np.bincount(at, top.ravel(), pending.shape[1])
                 pending[1] += np.bincount(at, m.ravel(), pending.shape[1])
+                del m, e, at, top  # else they outlive the making of the next chunk's
         _flush(pending, values)
     try:
         totals = [math.fsum(row) for row in values]

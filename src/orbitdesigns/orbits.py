@@ -17,9 +17,7 @@ import numpy as np
 
 from . import numerics  # DEDUP_DIGITS is read at call time, as quantized_keys reads it
 from .errors import ConsistencyError, InputError, MismatchError
-from .numerics import REL_EQ, _intern
-
-VALIDATE_BLOCK_TERMS = 1 << 15  # Gram entries per block of LineSet.validate's coincidence test
+from .numerics import GRAM_TILE, REL_EQ, _intern
 
 
 @dataclass(frozen=True, eq=False)  # equal only to itself: == on arrays has no truth value
@@ -70,19 +68,21 @@ class LineSet:
         # 1 - |<a,b>| is quadratic in the angle of lines a and b, so it only
         # picks candidates: a pair coincides when a is within the dedup grid
         # of b times the phase <b,a>/|<b,a>|. The strict upper triangle of the
-        # Gram matrix is read a block of rows at a time.
+        # Gram matrix is read a tile of rows at a time; its part on or below
+        # the diagonal is zeroed in place.
         n = self.n_lines
-        step = max(1, VALIDATE_BLOCK_TERMS // n)
+        step = max(1, GRAM_TILE // n)
         for i in range(0, n - 1, step):
             gram = self.lines[i:i + step] @ self.lines[i + 1:].conj().T
-            near = np.triu(np.abs(gram))
-            if 1.0 - near.max() > REL_EQ:  # no candidate, the usual case
-                continue
-            for r, c in np.argwhere(1.0 - near <= REL_EQ):
-                phase = gram[r, c] / abs(gram[r, c])
-                gap = np.linalg.norm(self.lines[i + r] - phase * self.lines[i + 1 + c])
-                if gap <= 10.0 ** -numerics.DEDUP_DIGITS:
-                    raise ConsistencyError("two lines coincide projectively")
+            near = np.abs(gram)
+            near[np.tri(*near.shape, -1, dtype=bool)] = 0.0
+            if not 1.0 - near.max() > REL_EQ:  # a candidate, which is rare, or a nan
+                for r, c in np.argwhere(1.0 - near <= REL_EQ):
+                    phase = gram[r, c] / abs(gram[r, c])
+                    gap = np.linalg.norm(self.lines[i + r] - phase * self.lines[i + 1 + c])
+                    if gap <= 10.0 ** -numerics.DEDUP_DIGITS:
+                        raise ConsistencyError("two lines coincide projectively")
+            del gram, near  # else they outlive the making of the next tile
         if not abs(fsum(self.weights.tolist()) - 1.0) <= REL_EQ:  # fails on nan too
             raise ConsistencyError("weights must sum to 1")
 

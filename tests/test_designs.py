@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from orbitdesigns import (
 from orbitdesigns import designs, groups
 from orbitdesigns.cli import _load_expectations, _resolve_seed
 from orbitdesigns.designs import moments
+from orbitdesigns.numerics import GRAM_TILE
 from orbitdesigns.orbits import LineSet
 
 EPS = np.finfo(float).eps
@@ -244,7 +246,7 @@ def test_self_moments_equal_the_exact_sum_of_each_pair_once():
         g = build_group(entry.spec)
         for seed in entry.seeds:
             X = orbit_lines(g, seed)
-            if X.n_lines ** 2 > designs._BLOCK_TERMS:  # more than one Gram tile
+            if X.n_lines ** 2 > GRAM_TILE:  # more than one Gram tile
                 continue
             stripped = LineSet(lines=X.lines, exact_weights=X.exact_weights)
             L, w = stripped.lines, stripped.weights
@@ -395,6 +397,25 @@ def test_verify_blocks_are_small_and_meet_each_pair_once(monkeypatch):
     total = sum(columns for _, columns in shapes)
     assert total == n * (n + 1) // 2 + square  # the full sum takes n * n = 435,600
     assert square < 0.02 * (n * (n + 1) // 2)
+
+
+def test_passes_over_a_union_keep_a_small_working_set():
+    # a Gram tile and its block of terms, each at most 2^15 doubles, are the
+    # only working arrays above 64 KiB: the exact sum takes chunks of 2^13
+    # terms, and validate zeroes its one |gram| tile in place
+    U = union_lines(_orbit("H4", 1), _orbit("H4", 4), (Fraction(1, 2), Fraction(1, 2)))
+    assert U.n_lines == 660
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: strength(U, 12)) < 1.25 * 2**20
+    assert peak(U.validate) < 0.75 * 2**20
 
 
 @pytest.mark.parametrize("path", CERTIFICATES, ids=lambda p: p.name)

@@ -105,8 +105,12 @@ def test_compensated_sums_match_fsum_bit_for_bit(k, terms, cancel, crowd, order,
     assert [x.hex() for x in got] == [math.fsum(row).hex() for row in rows.tolist()]
 
 
-def test_compensated_sums_flush_pending_columns(monkeypatch):
-    # flushing every 3 columns splits each row's buckets into many partial sums
+@pytest.mark.parametrize("chunk_terms", [numerics._CHUNK_TERMS, 2, 6])
+def test_compensated_sums_flush_pending_columns(monkeypatch, chunk_terms):
+    # flushing every 3 columns splits each row's buckets into many partial sums;
+    # 2 and 6 chunk terms over 3 rows take 1 and 2 columns at a time, so chunk
+    # cuts fall inside each block, between the flushes
+    monkeypatch.setattr(numerics, "_CHUNK_TERMS", chunk_terms)
     rng = np.random.default_rng(5)
     rows = rng.standard_normal((3, 200)) * np.exp2(rng.integers(-1074, 900, (3, 200)))
     rows[:, 100:] = -rows[:, :100] * (1 + 2.0**-52)

@@ -29,7 +29,8 @@ from orbitdesigns import (
     union_lines,
 )
 from orbitdesigns import groups
-from orbitdesigns.orbits import VALIDATE_BLOCK_TERMS, _canonicalize_rows
+from orbitdesigns.numerics import GRAM_TILE
+from orbitdesigns.orbits import _canonicalize_rows
 
 
 def _canonical(v):
@@ -296,7 +297,7 @@ def test_validate_judges_close_lines_by_their_distance(angle, coincide):
 def test_validate_catches_repeated_lines():
     X = orbit_lines(build_group("B(2)"), np.array([1.0, 0.0]))
     H = orbit_lines(build_group("H4"), catalog_entry("H4").seeds[3])
-    assert VALIDATE_BLOCK_TERMS // H.n_lines < H.n_lines  # H spans several row blocks
+    assert GRAM_TILE // H.n_lines < H.n_lines  # H spans several row blocks
     C = orbit_lines(build_group("binT"), catalog_entry("binT").seeds[0])
     cases = [
         np.vstack([X.lines, -X.lines[:1]]),  # -x spans the line of x
