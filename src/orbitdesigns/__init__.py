@@ -13,8 +13,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {  # public name -> the module that defines it
-    **dict.fromkeys(["DesignReport", "cross_potential", "potential", "strength",
-                     "welch_constant"], "designs"),
+    **dict.fromkeys(["DesignReport", "cross_matrix", "strength", "welch_constant"], "designs"),
     **dict.fromkeys(["CertificateError", "ConsistencyError", "InputError", "MismatchError",
                      "NoSolutionError", "NumericRangeError", "OrbitDesignsError",
                      "SizeLimitError"], "errors"),
@@ -26,8 +25,7 @@ _EXPORTS = {  # public name -> the module that defines it
                      "union_lines"], "orbits"),
     **dict.fromkeys(["PairSample", "PairScanReport", "scan"], "pairscan"),
     **dict.fromkeys(["PairQuadratic", "RootSolution", "UnionSolution", "VerifyResult",
-                     "emit_certificate", "pair_quadratic", "solve_union",
-                     "verify_certificate"], "unions"),
+                     "emit_certificate", "solve_union", "verify_certificate"], "unions"),
 }
 
 __all__ = sorted(_EXPORTS)

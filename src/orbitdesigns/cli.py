@@ -167,7 +167,7 @@ def cmd_orbit(args) -> int:
         "seed": X.seed_literal,
         "lines": X.n_lines,
         "strength": rep.strength,
-        "residuals": {str(t): rep.residual_at(t) for t in rep.t_values},
+        "residuals": {str(t): r for t, r in enumerate(rep.residuals, start=1)},
     }
     out = [
         f"group: {g.spec.label}",
@@ -176,7 +176,7 @@ def cmd_orbit(args) -> int:
         f"strength: {rep.strength}",
         "t  residual",
     ]
-    out += [f"{t:<2d} {rep.residual_at(t):+.3e}" for t in rep.t_values]
+    out += [f"{t:<2d} {r:+.3e}" for t, r in enumerate(rep.residuals, start=1)]
     if args.dump:
         payload["line_vectors"] = [format_vector(row) for row in X.lines]
         out += ["lines:"] + [f"  {format_vector(row)}" for row in X.lines]

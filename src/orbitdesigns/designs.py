@@ -11,9 +11,10 @@ a pair of distinct lines, half the terms of the full sum.
 For a unitary group G, |<gx,gy>| = |<x,y>|, so every line of one G-orbit has
 the same Gram row sum against a G-invariant set: the cross potential of two
 orbits of one group (LineSet.group) sums one row, the first line carrying the
-orbit's weight, and any other pair sums every row. cross_matrix(sets, T)
-holds them for k sets as P[t - 1, i, j]; the union weighted w has potential
-w^T P[t - 1] w at order t.
+orbit's weight, and any other pair sums every row. cross_matrix(sets, T),
+the one entry point to the potentials, holds them for k sets as
+P[t - 1, i, j]; the union weighted w has potential w^T P[t - 1] w at order t,
+and strength(X, T) reports on P[:, 0, 0] of cross_matrix([X], T).
 
 A real (t,t)-design doubled to +-x, each with half its line's weight, is a
 spherical (2t+1)-design: its order-2t moment is the design's potential, and
@@ -102,71 +103,56 @@ def _terms(A: np.ndarray, wa: np.ndarray, B: np.ndarray, wb: np.ndarray, t_max: 
         start = stop
 
 
-def _pair_moments(X: LineSet, Y: LineSet, t_max: int) -> list[float]:
-    """[sum_{x in X, y in Y} w_x w_y |<x,y>|^(2t) for t = 1..t_max].
-
-    When X and Y are orbits of one group, X gives one row, its first line with
-    its total weight; otherwise every line of X is a row with its own weight.
-    """
-    if X.dim != Y.dim or X.field != Y.field:
-        raise MismatchError("potentials need matching dimension and field")
-    rows, weights = X.lines, X.weights
-    if X.group is not None and Y.group is X.group:
-        for S in (Y, X):
-            if (S.weights != S.weights[0]).any():
-                raise ConsistencyError(f"weights vary within an orbit of {S.group.spec}")
-        rows, weights = X.lines[:1], X.weights[:1] * X.n_lines
-    return moments(rows, weights, Y.lines, Y.weights, t_max)
-
-
 def cross_matrix(sets, t_max: int) -> np.ndarray:
     """P[t - 1, i, j], the cross potential of sets[i] and sets[j] at order t
-    for t = 1..t_max: one moments call per pair i <= j, mirrored."""
-    P = np.empty((t_max, len(sets), len(sets)))
+    for t = 1..t_max: one moments call per pair i <= j, mirrored.
+
+    When sets[i] and sets[j] are orbits of one group, sets[i] gives one row,
+    its first line with its total weight; otherwise every line is a row with
+    its own weight.
+    """
+    P = np.empty((max(t_max, 0), len(sets), len(sets)))  # moments rejects t_max < 1
     for i, j in itertools.combinations_with_replacement(range(len(sets)), 2):
-        P[:, i, j] = P[:, j, i] = _pair_moments(sets[i], sets[j], t_max)
+        X, Y = sets[i], sets[j]
+        if X.dim != Y.dim or X.field != Y.field:
+            raise MismatchError("potentials need matching dimension and field")
+        rows, weights = X.lines, X.weights
+        if X.group is not None and Y.group is X.group:
+            for S in (Y, X):
+                if (S.weights != S.weights[0]).any():
+                    raise ConsistencyError(f"weights vary within an orbit of {S.group.spec}")
+            rows, weights = X.lines[:1], X.weights[:1] * X.n_lines
+        P[:, i, j] = P[:, j, i] = moments(rows, weights, Y.lines, Y.weights, t_max)
     return P
-
-
-def potential(X: LineSet, t: int) -> float:
-    """Design potential of X at order t."""
-    return _pair_moments(X, X, t)[t - 1]
-
-
-def cross_potential(X: LineSet, Y: LineSet, t: int) -> float:
-    """Mixed potential sum_{x in X, y in Y} w_x w_y |<x,y>|^(2t)."""
-    return _pair_moments(X, Y, t)[t - 1]
 
 
 @dataclass(frozen=True)
 class DesignReport:
     """Per-order potentials against Welch targets and the certified strength.
 
-    strength is the largest t with |residual| <= REL_EQ for every order up to
-    t; residuals are (potential - c_t)/c_t.
+    potentials and residuals are indexed by t - 1 for t = 1..T; residuals are
+    (potential - c_t)/c_t, and strength is the largest t with |residual| <=
+    REL_EQ for every order up to t.
     """
 
-    t_values: tuple
     potentials: tuple
-    targets: tuple  # exact Fractions
     residuals: tuple
     strength: int
-    signed: bool
 
     def residual_at(self, t: int) -> float:
-        return self.residuals[self.t_values.index(t)]
+        if not 1 <= t <= len(self.residuals):
+            raise ValueError(f"t={t} is outside the report's orders 1..{len(self.residuals)}")
+        return self.residuals[t - 1]
 
     @classmethod
-    def build(cls, field: str, dim: int, potentials, signed: bool) -> DesignReport:
+    def build(cls, field: str, dim: int, potentials) -> DesignReport:
         """The report on potentials for t = 1..len(potentials) over field^dim."""
-        ts = tuple(range(1, len(potentials) + 1))
-        targets = tuple(welch_constant(field, dim, t) for t in ts)
-        residuals = tuple((p - float(c)) / float(c) for p, c in zip(potentials, targets))
-        missed = [t for t, r in zip(ts, residuals) if abs(r) > REL_EQ]
-        return cls(ts, tuple(potentials), targets, residuals,
-                   min(missed, default=len(ts) + 1) - 1, signed)
+        targets = [float(welch_constant(field, dim, t)) for t in range(1, len(potentials) + 1)]
+        residuals = tuple((p - c) / c for p, c in zip(potentials, targets))
+        missed = [t for t, r in enumerate(residuals, start=1) if abs(r) > REL_EQ]
+        return cls(tuple(potentials), residuals, min(missed, default=len(residuals) + 1) - 1)
 
 
 def strength(X: LineSet, t_max: int = 12) -> DesignReport:
     """Evaluate potentials for t = 1..t_max and certify the design strength."""
-    return DesignReport.build(X.field, X.dim, _pair_moments(X, X, t_max), X.signed)
+    return DesignReport.build(X.field, X.dim, cross_matrix([X], t_max)[:, 0, 0].tolist())

@@ -12,7 +12,8 @@ own parameter and name G(1,1,d+1), G(2,1,d) and G(2,2,d); G(1,1,n) is
 realized on the sum-zero hyperplane. Explicit generator files
 (explicit:<path>) have their own loader and no closed-form order. Every
 group, family or explicit, is built only from generators that are unitary
-within REL_EQ.
+within REL_EQ. catalog() returns the built-in groups with their seed vectors
+as one tuple, built once per process.
 """
 from __future__ import annotations
 
@@ -481,14 +482,13 @@ def _ones(k: int, n: int) -> np.ndarray:
     return v
 
 
-def catalog() -> list[CatalogEntry]:
-    """Built-in groups with seed vectors; order is stable (CLI @k references)."""
-    return list(_catalog())
-
-
 @lru_cache(maxsize=None)
-def _catalog() -> tuple[CatalogEntry, ...]:
-    """The catalog, built once per process; its seed arrays are read-only."""
+def catalog() -> tuple[CatalogEntry, ...]:
+    """Built-in groups with seed vectors, in a stable order (CLI @k references).
+
+    The tuple is built once per process and shared by every caller; its seed
+    arrays are read-only.
+    """
     entries: list[CatalogEntry] = []
 
     a_seeds = {
@@ -596,7 +596,7 @@ def _catalog() -> tuple[CatalogEntry, ...]:
 def catalog_entry(label: str) -> CatalogEntry:
     """Look up a catalog entry by spec string."""
     spec = parse_group_spec(label)
-    for entry in _catalog():
+    for entry in catalog():
         if entry.spec.kind == spec.kind and entry.spec.params == spec.params:
             return entry
     raise InputError(f"no catalog entry for {label!r}")

@@ -13,9 +13,11 @@ real alpha: A >= 0 and B^2 - 4AC <= 0. A real root is therefore a double root,
 alpha = (b_yy - b_xy)/A, and it exists exactly when the pair identity
 b_xx b_yy - b_xy^2 = c_t A holds; pair_identity is the one test for it.
 
+The coefficients come from P[t - 1], P the pair's designs.cross_matrix, and
+solve_union(X, Y, t).quad holds them with the potentials b_xx, b_yy, b_xy.
 Roots are snapped to rationals, re-verified by substitution and by a strength
-report on the union's potentials w^T P w, P the pair's designs.cross_matrix,
-and can be serialized as a JSON certificate.
+report on the union's potentials w^T P w, and can be serialized as a JSON
+certificate.
 """
 from __future__ import annotations
 
@@ -82,20 +84,6 @@ class UnionSolution:
         return self.root is None and not self.degenerate
 
 
-def pair_quadratic(X: LineSet, Y: LineSet, t: int) -> PairQuadratic:
-    """Coefficients of the union quadratic in alpha = beta_X."""
-    return _quadratic(cross_matrix([X, Y], t)[t - 1], welch_constant(X.field, X.dim, t))
-
-
-def _quadratic(M: np.ndarray, c_t: Fraction) -> PairQuadratic:
-    """The quadratic from the 2x2 cross matrix M of X and Y at one order."""
-    (b_xx, b_xy), (_, b_yy) = M.tolist()
-    a = b_xx + b_yy - 2.0 * b_xy
-    b = 2.0 * b_xy - 2.0 * b_yy
-    c = b_yy - float(c_t)
-    return PairQuadratic(a, b, c, b_xx, b_yy, b_xy, c_t)
-
-
 def _build_root(alpha: float, q: PairQuadratic, n_x: int, n_y: int) -> RootSolution:
     snapped = snap_to_rational(alpha)
     beta = w_hat = None
@@ -122,8 +110,11 @@ def solve_union(X: LineSet, Y: LineSet, t: int, t_max: int = 12) -> UnionSolutio
     max(t, t_max), on the potentials w^T P w with w the float beta.
     """
     P = cross_matrix([X, Y], max(t, t_max))
-    q = _quadratic(P[t - 1], welch_constant(X.field, X.dim, t))
-    residual = pair_identity(q.b_xx, q.b_yy, q.b_xy, float(q.c_t))
+    (b_xx, b_xy), (_, b_yy) = P[t - 1].tolist()
+    c_t = welch_constant(X.field, X.dim, t)
+    q = PairQuadratic(b_xx + b_yy - 2.0 * b_xy, 2.0 * b_xy - 2.0 * b_yy, b_yy - float(c_t),
+                      b_xx, b_yy, b_xy, c_t)
+    residual = pair_identity(b_xx, b_yy, b_xy, float(c_t))
     eps = REL_EQ * q.scale
     a, b, c = (v if abs(v) > eps else 0.0 for v in (q.a, q.b, q.c))
     root = union = verified = None
@@ -132,7 +123,7 @@ def solve_union(X: LineSet, Y: LineSet, t: int, t_max: int = 12) -> UnionSolutio
     if root is not None and root.beta is not None:
         union = union_lines(X, Y, root.beta)
         w = np.array(root.beta, dtype=float)
-        verified = DesignReport.build(X.field, X.dim, (w @ P @ w).tolist(), union.signed)
+        verified = DesignReport.build(X.field, X.dim, (w @ P @ w).tolist())
     return UnionSolution(
         t=t, quad=q, discriminant=b * b - 4.0 * a * c,
         degenerate=residual is None, identity_residual=residual, root=root,

@@ -15,9 +15,8 @@ import exact_oracle as oracle
 from orbitdesigns import (
     build_group,
     catalog_entry,
-    cross_potential,
+    cross_matrix,
     orbit_lines,
-    pair_quadratic,
     parse_vector,
     scan,
     solve_union,
@@ -211,7 +210,7 @@ def test_criterion_08_cross_orbit_identity():
             assert strength(X, t_max=t).strength >= t, (label, sx)
             assert strength(Y, t_max=t).strength >= t, (label, sy)
             c_t = float(welch_constant(X.field, X.dim, t))
-            assert abs(cross_potential(X, Y, t) - c_t) <= 1e-9 * c_t, label
+            assert abs(cross_matrix([X, Y], t)[t - 1, 0, 1] - c_t) <= 1e-9 * c_t, label
 
 
 def test_criterion_09_exact_oracle_equivalence():
@@ -238,7 +237,7 @@ def test_criterion_09_exact_oracle_equivalence():
             for i in range(len(group_seeds)):
                 for j in range(i + 1, len(group_seeds)):
                     for t in range(1, 5):
-                        q = pair_quadratic(float_orbits[i], float_orbits[j], t)
+                        q = solve_union(float_orbits[i], float_orbits[j], t, t_max=t).quad
                         ea, eb, ec, exx, eyy, exy = oracle.quadratic(
                             exact_orbits[i], exact_orbits[j], d, t)
                         assert close(q.b_xx, exx), (label, i, j, t)

@@ -19,9 +19,8 @@ from orbitdesigns import (
     build_group,
     catalog,
     catalog_entry,
-    cross_potential,
+    cross_matrix,
     orbit_lines,
-    potential,
     solve_union,
     strength,
     union_lines,
@@ -75,15 +74,16 @@ def test_potential_orthonormal_basis():
 
         X = LineSet(lines=np.eye(d, dtype=complex),
                     exact_weights=(Fraction(1, d),) * d)
-        assert abs(potential(X, 1) - 1.0 / d) < 1e-15
+        assert abs(strength(X, 1).potentials[0] - 1.0 / d) < 1e-15
 
 
 def test_potential_single_line():
     from orbitdesigns.orbits import LineSet
 
     X = LineSet(lines=np.array([[0.6, 0.8]]), exact_weights=(Fraction(1),))
+    potentials = strength(X, 9).potentials
     for t in (1, 2, 5, 9):
-        assert potential(X, t) == 1.0
+        assert potentials[t - 1] == 1.0
 
 
 def test_potential_four_line_union_at_t3():
@@ -92,17 +92,19 @@ def test_potential_four_line_union_at_t3():
                     (Fraction(1, 2), Fraction(1, 2)))
     c3 = welch_constant("R", 2, 3)
     assert c3 == Fraction(5, 16)
-    assert abs(potential(U, 3) - float(c3)) <= 1e-15
-    assert strength(U, t_max=4).strength == 3
+    rep = strength(U, t_max=4)
+    assert abs(rep.potentials[2] - float(c3)) <= 1e-15
+    assert rep.strength == 3
     assert g.order == 8
 
 
 def test_potential_rejects_bad_order():
     X = _orbit("B(2)", 1)
     with pytest.raises(ValueError, match="t_max >= 1"):
-        potential(X, 0)
-    with pytest.raises(ValueError, match="t_max >= 1"):
-        strength(X, 0)
+        cross_matrix([X], 0)
+    for t_max in (0, -1):
+        with pytest.raises(ValueError, match="t_max >= 1"):
+            strength(X, t_max)
     with pytest.raises(ValueError, match="t_max >= 1"):
         moments(X.lines, X.weights, X.lines, X.weights, -1)
 
@@ -111,7 +113,7 @@ def test_cross_potential_single_lines():
     from orbitdesigns.orbits import LineSet
 
     X = LineSet(lines=np.array([[1.0, 0.0]]), exact_weights=(Fraction(1),))
-    assert cross_potential(X, X, 4) == 1.0
+    assert cross_matrix([X, X], 4)[3, 0, 1] == 1.0
 
 
 def test_cross_potential_of_two_designs_hits_welch():
@@ -119,17 +121,17 @@ def test_cross_potential_of_two_designs_hits_welch():
     X = _orbit("dihedral(3)", 1)
     Y = _orbit("dihedral(3)", 2)
     c2 = float(welch_constant("R", 2, 2))
-    assert abs(cross_potential(X, Y, 2) - c2) <= 1e-9 * c2
+    assert abs(cross_matrix([X, Y], 2)[1, 0, 1] - c2) <= 1e-9 * c2
 
 
 def test_cross_potential_seed_orbits_t1():
     X, Y = _orbit("B(2)", 1), _orbit("B(2)", 2)
-    assert abs(cross_potential(X, Y, 1) - 0.5) <= 1e-12
+    assert abs(cross_matrix([X, Y], 1)[0, 0, 1] - 0.5) <= 1e-12
 
 
 def test_cross_potential_mismatch():
     with pytest.raises(MismatchError):
-        cross_potential(_orbit("B(2)", 1), _orbit("B(3)", 1), 2)
+        cross_matrix([_orbit("B(2)", 1), _orbit("B(3)", 1)], 2)
 
 
 def test_strength_of_binary_icosahedral_orbit():
@@ -152,12 +154,23 @@ def test_orbits_are_tight_frames(label):
 def test_strength_report_shape_and_closure():
     X = _orbit("H3", 1)
     rep = strength(X, t_max=6)
-    assert rep.t_values == (1, 2, 3, 4, 5, 6)
-    assert rep.potentials == tuple(potential(X, t) for t in rep.t_values)
-    assert len(rep.potentials) == len(rep.targets) == len(rep.residuals) == 6
+    assert [f.name for f in dataclasses.fields(rep)] == ["potentials", "residuals", "strength"]
+    assert rep.potentials == tuple(cross_matrix([X], 6)[:, 0, 0])
+    assert len(rep.potentials) == len(rep.residuals) == 6
+    for t, (p, r) in enumerate(zip(rep.potentials, rep.residuals), start=1):
+        c_t = float(welch_constant("R", 3, t))
+        assert rep.residual_at(t) == r == (p - c_t) / c_t
     for t in range(1, rep.strength + 1):
         assert abs(rep.residual_at(t)) <= 1e-9
     assert abs(rep.residual_at(rep.strength + 1)) > 1e-9
+
+
+@pytest.mark.parametrize("t", [0, 7])
+def test_residual_at_rejects_orders_outside_the_report(t):
+    # residuals[t - 1] would read order 6 at t = 0
+    rep = strength(_orbit("H3", 1), t_max=6)
+    with pytest.raises(ValueError, match=rf"t={t} is outside the report's orders 1\.\.6"):
+        rep.residual_at(t)
 
 
 def test_moments_match_exact_oracle():
@@ -172,12 +185,11 @@ def test_moments_match_exact_oracle():
         for i, j in itertools.combinations_with_replacement(range(len(seeds)), 2):
             X, Y = float_orbits[i], float_orbits[j]
             got = moments(X.lines, X.weights, Y.lines, Y.weights, 8)
+            P = cross_matrix([X, Y], 8)  # the same moments from one Gram row per orbit
             for t, value in enumerate(got, start=1):
                 exact = float(oracle.cross_potential(exact_orbits[i], exact_orbits[j], t))
                 assert abs(value - exact) <= 4 * t * EPS * exact, (label, i, j, t)
-                # the same moment from one Gram row per orbit
-                rows = potential(X, t) if i == j else cross_potential(X, Y, t)
-                assert abs(rows - exact) <= 4 * t * EPS * exact, (label, i, j, t)
+                assert abs(P[t - 1, 0, 1] - exact) <= 4 * t * EPS * exact, (label, i, j, t)
 
 
 def _det(rows):
@@ -310,7 +322,7 @@ def test_orbit_rows_match_full_sum():
             rep = strength(X, 12)
             full, _ = _full_sum(X, 12)
             for t, f, p in zip(ts, full, rep.potentials):
-                assert p == potential(X, t)
+                assert p == cross_matrix([X], t)[t - 1, 0, 0]
                 assert abs(p - f) <= 8 * t * EPS * f, (entry.spec.label, k, t)
 
 
@@ -354,12 +366,14 @@ def test_solve_union_sums_one_row_per_orbit(row_counts):
 
 def test_sets_without_a_shared_group_sum_every_row(row_counts):
     X = _orbit("H3", 2)
-    potential(LineSet(lines=X.lines, exact_weights=X.exact_weights), 4)
+    strength(LineSet(lines=X.lines, exact_weights=X.exact_weights), 4)
     groups._build_cached.cache_clear()  # a second, distinct H3 group object
     Y = _orbit("H3", 1)
     assert Y.group is not X.group
-    cross_potential(X, Y, 4)
-    assert row_counts == [X.n_lines, X.n_lines]
+    cross_matrix([X, Y], 4)
+    # X and Y are each an orbit of its own group, one row apiece; X against Y
+    # has no shared group
+    assert row_counts == [X.n_lines, 1, X.n_lines, 1]
 
 
 def test_verify_sums_every_certificate_row(row_counts):
@@ -431,7 +445,7 @@ def test_union_of_an_orbit_with_itself_is_one_block():
     U = union_lines(X, X, (Fraction(1, 3), Fraction(2, 3)))
     assert U.group is None and np.array_equal(U.lines, X.lines)
     assert U.exact_weights == X.exact_weights
-    assert potential(U, 6) == _full_sum(X, 6)[0][5]
+    assert strength(U, 6).potentials[5] == _full_sum(X, 6)[0][5]
 
 
 def test_unequal_weights_within_an_orbit_raise():
@@ -441,17 +455,17 @@ def test_unequal_weights_within_an_orbit_raise():
     w[1] -= Fraction(1, 1000)
     bad = dataclasses.replace(X, exact_weights=tuple(w))
     with pytest.raises(ConsistencyError, match="weights vary within an orbit"):
-        potential(bad, 2)
+        strength(bad, 2)
     with pytest.raises(ConsistencyError, match="weights vary within an orbit"):
-        cross_potential(X, bad, 2)
+        cross_matrix([X, bad], 2)
 
 
 def test_welch_lower_bound_on_positive_sets():
     for label, k in [("binT", 1), ("B(3)", 2), ("H3", 2), ("dihedral(5)", 1)]:
         X = _orbit(label, k)
-        for t in range(1, 9):
+        for t, p in enumerate(strength(X, 8).potentials, start=1):
             target = float(welch_constant(X.field, X.dim, t))
-            assert potential(X, t) >= target - 1e-9
+            assert p >= target - 1e-9
 
 
 def test_potential_unitary_invariance():
@@ -463,8 +477,8 @@ def test_potential_unitary_invariance():
 
     rotated = LineSet(lines=_canonicalize_rows(X.lines @ Q.T),
                       exact_weights=X.exact_weights)
-    for t in (1, 2, 3, 5):
-        assert abs(potential(rotated, t) - potential(X, t)) <= 1e-10
+    for p, q in zip(strength(rotated, 5).potentials, strength(X, 5).potentials):
+        assert abs(p - q) <= 1e-10
 
 
 def test_signed_union_reports_signed_strength():
@@ -472,6 +486,5 @@ def test_signed_union_reports_signed_strength():
     X = orbit_lines(g, np.array([1.0, 1.0, 1.0]))
     Y = orbit_lines(g, np.array([1.0, 1.0, 0.0]))
     U = union_lines(X, Y, (Fraction(-3, 5), Fraction(8, 5)))
-    rep = strength(U, t_max=4)
-    assert rep.signed
-    assert rep.strength >= 2
+    assert U.signed
+    assert strength(U, t_max=4).strength >= 2

@@ -318,7 +318,9 @@ def test_the_cached_catalog_cannot_be_corrupted():
     # the catalog is built once per process and shared by every caller
     with pytest.raises(ValueError, match="read-only"):
         catalog_entry("H4").seeds[0][0] = 0.0
-    catalog().append(catalog_entry("H4"))
+    assert isinstance(catalog(), tuple) and catalog() is catalog()
+    with pytest.raises(AttributeError):
+        catalog().append(catalog_entry("H4"))
     assert len(catalog()) == 22
     assert catalog_entry("binI") is catalog_entry("binI")
 

@@ -38,8 +38,22 @@ def test_every_traced_function_resolves():
                                        attr, None))]
     # groups.unitarize is gone (generators are checked unitary at build); no
     # benchmark job ever reached it, since every workload builds family groups
-    # or none, so its stale span blanks nothing
-    assert missing == ["groups.unitarize"]
+    # or none, so its stale span blanks nothing. designs.potential,
+    # designs.cross_potential and unions.pair_quadratic are gone too (every
+    # potential comes from designs.cross_matrix); no workload called them, so
+    # the designs.potential and unions.quadratic spans were already absent
+    assert sorted(missing) == ["designs.cross_potential", "designs.potential",
+                               "groups.unitarize", "unions.pair_quadratic"]
+
+
+def test_potentials_have_one_entry_point():
+    for name in ("potential", "cross_potential", "pair_quadratic"):
+        with pytest.raises(AttributeError):
+            getattr(orbitdesigns, name)
+    from orbitdesigns import designs
+    assert orbitdesigns.cross_matrix is designs.cross_matrix
+    assert isinstance(orbitdesigns.catalog(), tuple)
+    assert orbitdesigns.catalog() is orbitdesigns.catalog()
 
 
 def test_no_module_keeps_an_unused_import():

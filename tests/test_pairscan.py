@@ -12,9 +12,9 @@ from orbitdesigns import (
     InputError,
     build_group,
     orbit_lines,
-    potential,
     scan,
     solve_union,
+    strength,
     welch_constant,
 )
 from orbitdesigns.cli import _load_expectations, _resolve_seed
@@ -84,8 +84,7 @@ def test_p_diagonal_is_orbit_potential(label):
     g = build_group(label)
     x = _unit(np.random.default_rng(3), g.dim, g.field)
     X = orbit_lines(g, x)
-    for t in range(1, 9):
-        expect = potential(X, t)
+    for t, expect in enumerate(strength(X, 8).potentials, start=1):
         assert abs(p_G(g, x, x, t) - expect) <= 4 * t * np.finfo(float).eps * expect
 
 

@@ -15,9 +15,9 @@ from orbitdesigns import (
     NoSolutionError,
     build_group,
     catalog_entry,
+    cross_matrix,
     emit_certificate,
     orbit_lines,
-    pair_quadratic,
     parse_vector,
     solve_union,
     strength,
@@ -37,7 +37,7 @@ def _orbit(label, ref):
 
 def test_pair_quadratic_identical_inputs():
     X = _orbit("B(3)", 2)
-    q = pair_quadratic(X, X, 3)
+    q = solve_union(X, X, 3).quad
     assert abs(q.a) <= 1e-12
     assert abs(q.b) <= 1e-12
     assert abs(q.c - (q.b_xx - float(q.c_t))) <= 1e-15
@@ -46,11 +46,11 @@ def test_pair_quadratic_identical_inputs():
 def test_pair_quadratic_two_designs_degenerate():
     # both dihedral(3) orbits integrate t = 2, so A and C vanish
     X, Y = _orbit("dihedral(3)", 1), _orbit("dihedral(3)", 2)
-    q = pair_quadratic(X, Y, 2)
+    sol = solve_union(X, Y, 2)
+    q = sol.quad
     scale = q.scale
     assert abs(q.a) <= 1e-12 * scale
     assert abs(q.c) <= 1e-12 * scale
-    sol = solve_union(X, Y, 2)
     assert sol.degenerate
     assert not sol.empty
     assert sol.root is None
@@ -59,7 +59,7 @@ def test_pair_quadratic_two_designs_degenerate():
 
 def test_pair_quadratic_mismatch():
     with pytest.raises(MismatchError):
-        pair_quadratic(_orbit("B(2)", 1), _orbit("B(3)", 1), 2)
+        solve_union(_orbit("B(2)", 1), _orbit("B(3)", 1), 2)
 
 
 def test_four_line_cross_root():
@@ -298,6 +298,8 @@ def test_certificate_requires_a_root():
 _H4_PAIRS = [("H4", f"@{x}", f"@{y}", 6) for x, y in [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]]
 _ROOT_ROWS = [(r["group"], r["seedX"], r["seedY"], int(r["t"]))
               for r in _load_expectations() if r["seedY"] and r["betaX"]]
+_UNION_ROWS = [(r["group"], r["seedX"], r["seedY"], int(r["t"]))
+               for r in _load_expectations() if r["seedY"]]
 
 
 @pytest.mark.parametrize("pair", _H4_PAIRS + [r for r in _ROOT_ROWS if r not in _H4_PAIRS])
@@ -313,6 +315,24 @@ def test_orbit_row_residuals_match_full_gram_sum(pair):
     assert len(result.residuals) >= t
     for stored, recomputed in result.residuals.values():
         assert abs(stored - recomputed) <= 1e-12
+
+
+def _bits(q):
+    return [float(v).hex() for v in (q.a, q.b, q.c, q.b_xx, q.b_yy, q.b_xy)] + [q.c_t]
+
+
+@pytest.mark.parametrize("pair", _H4_PAIRS + [r for r in _UNION_ROWS if r not in _H4_PAIRS])
+def test_quadratic_bits_do_not_depend_on_t_max(pair):
+    # solve_union reads its coefficients off a cross matrix taken up to
+    # max(t, t_max), the orbit-row path for two orbits of one group
+    label, seed_x, seed_y, t = pair
+    g = build_group(label)
+    X, Y = (orbit_lines(g, _resolve_seed(label, s)[0]) for s in (seed_x, seed_y))
+    quads = [_bits(solve_union(X, Y, t, t_max).quad) for t_max in (t, 12, 15)]
+    assert quads[0] == quads[1] == quads[2]
+    (b_xx, b_xy), (b_yx, b_yy) = cross_matrix([X, Y], t)[t - 1]
+    assert b_xy == b_yx
+    assert quads[0][3:6] == [float(v).hex() for v in (b_xx, b_yy, b_xy)]
 
 
 def test_stored_benchmark_certificates_verify():
