@@ -240,14 +240,13 @@ def cmd_union(args) -> int:
     what = f", w_hat = {_fmt_pair(r.w_hat)}" if r.w_hat else ""
     out.append(f"root 0: {beta}{what}, residual {r.residual:.3e} (preferred)")
     if sol.verified is not None:
+        cert = emit_certificate(sol, X, Y, path=args.emit)
         payload["verified_strength"] = sol.verified.strength
-        payload["union_lines"] = sol.union.n_lines
+        payload["union_lines"] = len(cert["lines"])
+        payload["certificate"] = cert
         out.append(f"verified strength: {sol.t}-{sol.verified.strength}"
                    if sol.verified.strength > sol.t
                    else f"verified strength: {sol.verified.strength}")
-    if r.beta is not None:
-        cert = emit_certificate(sol, X, Y, path=args.emit)
-        payload["certificate"] = cert
         if args.emit:
             out.append(f"certificate written: {args.emit}")
     elif args.emit:
@@ -322,7 +321,7 @@ def _run_expectation(row: dict, args) -> tuple[bool, str]:
         desc = f"{label} single orbit {X.n_lines} lines: strength {rep.strength}"
         return rep.strength >= t, desc
     Y = _orbit(g, label, row["seedY"])
-    sol = solve_union(X, Y, t, args.tmax)
+    sol = solve_union(X, Y, t, t)
     shape = f"{label} ({X.n_lines}+{Y.n_lines} lines, t={t})"
     if not row["betaX"]:
         return sol.empty, f"{shape}: expected no real root"

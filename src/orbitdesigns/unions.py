@@ -15,9 +15,9 @@ b_xx b_yy - b_xy^2 = c_t A holds; pair_identity is the one test for it.
 
 The coefficients come from P[t - 1], P the pair's designs.cross_matrix, and
 solve_union(X, Y, t).quad holds them with the potentials b_xx, b_yy, b_xy.
-Roots are snapped to rationals, re-verified by substitution and by a strength
-report on the union's potentials w^T P w, and can be serialized as a JSON
-certificate.
+Roots are snapped to rationals and re-verified by substitution and by a
+strength report on the union's potentials w^T P w; only emit_certificate
+assembles the union's lines (union_lines), for a JSON certificate.
 """
 from __future__ import annotations
 
@@ -76,8 +76,7 @@ class UnionSolution:
     degenerate: bool  # both sets are t-designs: any weighting works
     identity_residual: float | None  # pair_identity; None when degenerate
     root: RootSolution | None  # the double root, when the identity holds
-    union: LineSet | None
-    verified: DesignReport | None
+    verified: DesignReport | None  # set exactly when the root snapped
 
     @property
     def empty(self) -> bool:
@@ -106,8 +105,8 @@ def solve_union(X: LineSet, Y: LineSet, t: int, t_max: int = 12) -> UnionSolutio
     has a root when the identity holds within IDENTITY_TOL and A survives the
     dust zeroing (coefficients within REL_EQ of zero, relative to the
     potential scale, count as zero); the root is then the double root -B/(2A).
-    A snapped root's union is assembled and its strength certified up to
-    max(t, t_max), on the potentials w^T P w with w the float beta.
+    A snapped root's strength is certified up to max(t, t_max) on w^T P w,
+    with w the float beta; emit_certificate builds the union's lines.
     """
     P = cross_matrix([X, Y], max(t, t_max))
     (b_xx, b_xy), (_, b_yy) = P[t - 1].tolist()
@@ -117,17 +116,16 @@ def solve_union(X: LineSet, Y: LineSet, t: int, t_max: int = 12) -> UnionSolutio
     residual = pair_identity(b_xx, b_yy, b_xy, float(c_t))
     eps = REL_EQ * q.scale
     a, b, c = (v if abs(v) > eps else 0.0 for v in (q.a, q.b, q.c))
-    root = union = verified = None
+    root = verified = None
     if residual is not None and residual <= IDENTITY_TOL and a != 0.0:
         root = _build_root(-b / (2.0 * a), q, X.n_lines, Y.n_lines)
     if root is not None and root.beta is not None:
-        union = union_lines(X, Y, root.beta)
         w = np.array(root.beta, dtype=float)
         verified = DesignReport.build(X.field, X.dim, (w @ P @ w).tolist())
     return UnionSolution(
         t=t, quad=q, discriminant=b * b - 4.0 * a * c,
         degenerate=residual is None, identity_residual=residual, root=root,
-        union=union, verified=verified,
+        verified=verified,
     )
 
 
@@ -164,15 +162,16 @@ def _parse_lines(data: list, field: str) -> np.ndarray:
 
 def emit_certificate(sol: UnionSolution, X: LineSet, Y: LineSet,
                      path: str | None = None) -> dict:
-    """Serialize the root's weighted union as a certificate.
+    """Assemble the root's weighted union (union_lines) and serialize it.
 
-    Residuals are stored for t = 1..verified strength, each of which passed
-    the design equality; verify_certificate recomputes them from the stored
-    lines and weights alone.
+    Union assembly errors surface here. Residuals are stored for t = 1 up to
+    the verified strength, each of which passed the design equality;
+    verify_certificate recomputes them from the stored lines and weights alone.
     """
-    best = sol.root
-    if best is None or best.beta is None or sol.union is None or sol.verified is None:
+    if sol.verified is None:
         raise NoSolutionError("certificate needs a snapped root")
+    best = sol.root
+    union = union_lines(X, Y, best.beta)
     top = max(sol.verified.strength, sol.t)
     residuals = {
         str(t): sol.verified.residual_at(t)
@@ -185,12 +184,12 @@ def emit_certificate(sol: UnionSolution, X: LineSet, Y: LineSet,
         "dim": X.dim,
         "t": sol.t,
         "seeds": [X.seed_literal or "", Y.seed_literal or ""],
-        "lines": _serialize_lines(sol.union.lines),
-        "weights": [str(w) for w in sol.union.exact_weights],
+        "lines": _serialize_lines(union.lines),
+        "weights": [str(w) for w in union.exact_weights],
         "beta": [str(b) for b in best.beta],
         "w_hat": [str(w) for w in best.w_hat],
         "residuals": residuals,
-        "signed": bool(sol.union.signed),
+        "signed": bool(union.signed),
     }
     if path is not None:
         try:

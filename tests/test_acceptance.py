@@ -21,6 +21,7 @@ from orbitdesigns import (
     scan,
     solve_union,
     strength,
+    union_lines,
     welch_constant,
 )
 from orbitdesigns.cli import main
@@ -157,8 +158,9 @@ def test_criterion_06_icosahedral_rows_and_doubling():
         assert (X.n_lines, Y.n_lines) == (60, 300)
         h4 = solve_union(X, Y, 9)
         assert h4.root.w_hat == (Fraction(10, 7), Fraction(32, 35))
-        assert h4.union.n_lines == 360
-        assert h4.union.field == "R"
+        U = union_lines(X, Y, h4.root.beta)
+        assert U.n_lines == 360
+        assert U.field == "R"
         # a real (9,9)-design: doubled to its 720 vectors +-x, it is a
         # spherical 2*9+1 = 19-design (odd moments cancel in +-x pairs)
         assert h4.verified.strength == 9

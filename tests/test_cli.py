@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orbitdesigns import cli
+from orbitdesigns import cli, unions
 from orbitdesigns.cli import main
 
 
@@ -567,6 +567,35 @@ def test_reproduce_all_tmax_below_row_orders(capsys):
     code, out = run(capsys, "reproduce", "all", "--tmax", "4")
     assert code == 0
     assert "31/31 rows reproduced" in out
+
+
+def test_only_a_certificate_assembles_the_union(capsys, monkeypatch):
+    # a union row is decided on w^T P w through its own t; the weighted line
+    # set is built once, by emit_certificate, for `union`
+    assembled, orders = [], []
+    union_lines, solve = unions.union_lines, cli.solve_union
+    monkeypatch.setattr(unions, "union_lines",
+                        lambda *args: assembled.append(args) or union_lines(*args))
+    monkeypatch.setattr(cli, "solve_union", lambda X, Y, t, t_max=12:
+                        orders.append((t, t_max)) or solve(X, Y, t, t_max))
+    code, out = run(capsys, "reproduce", "all")
+    assert code == 0 and "31/31 rows reproduced" in out
+    assert assembled == []
+    assert len(orders) == 29 and all(t == t_max for t, t_max in orders)
+    assert main(["union", "H4", "--x", "@1", "--y", "@4", "--t", "6"]) == 0
+    assert len(assembled) == 1
+    assert "union" not in {f.name for f in dataclasses.fields(unions.UnionSolution)}
+
+
+@pytest.mark.parametrize("argv,n_lines", [
+    (("union", "H4", "--x", "@1", "--y", "@4", "--t", "6"), 660),
+    # the boundary root beta = (0, 1) drops X's four zero-weight lines
+    (("union", "binT", "--x", "@1", "--y", "@3", "--t", "3"), 6),
+])
+def test_union_lines_counts_the_certificate_lines(capsys, argv, n_lines):
+    code, payload = run_json(capsys, *argv)
+    assert code == 0
+    assert payload["union_lines"] == len(payload["certificate"]["lines"]) == n_lines
 
 
 def test_reproduce_rejects_unknown_table(capsys):

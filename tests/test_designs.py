@@ -337,8 +337,9 @@ def test_union_rows_match_full_sum():
         X, Y = (orbit_lines(g, _resolve_seed(row["group"], row[k])[0])
                 for k in ("seedX", "seedY"))
         sol = solve_union(X, Y, int(row["t"]))
-        assert sol.union.group is None
-        full, scale = _full_sum(sol.union, 12)
+        U = union_lines(X, Y, sol.root.beta)
+        assert U.group is None
+        full, scale = _full_sum(U, 12)
         for t, p, f, s in zip(ts, sol.verified.potentials, full, scale):
             assert abs(p - f) <= 8 * t * EPS * s, (row["group"], row["betaX"], t)
 
@@ -360,7 +361,7 @@ def row_counts(monkeypatch):
 def test_solve_union_sums_one_row_per_orbit(row_counts):
     X, Y = _orbit("H4", 1), _orbit("H4", 4)
     sol = solve_union(X, Y, 6)
-    assert sol.union.n_lines == 660 and sol.verified.strength >= 6
+    assert union_lines(X, Y, sol.root.beta).n_lines == 660 and sol.verified.strength >= 6
     assert row_counts == [1, 1, 1]  # b_xx, b_xy and b_yy, each at every order
 
 

@@ -21,6 +21,7 @@ from orbitdesigns import (
     parse_vector,
     solve_union,
     strength,
+    union_lines,
     verify_certificate,
     welch_constant,
 )
@@ -101,7 +102,7 @@ def test_heisenberg_pair_has_no_real_root():
     assert sol.discriminant < 0
     assert sol.identity_residual > IDENTITY_TOL
     assert sol.root is None
-    assert sol.union is None
+    assert sol.verified is None
 
 
 def test_design_partner_forces_boundary_root():
@@ -295,6 +296,15 @@ def test_certificate_requires_a_root():
         emit_certificate(sol, X, Y)
 
 
+def test_certificate_requires_a_snapped_root():
+    X, Y = _orbit("dihedral(3)", 1), _orbit("dihedral(3)", 2)
+    sol = solve_union(X, Y, 3)
+    assert sol.root.beta is None and abs(sol.root.alpha - 0.3768) < 1e-4
+    assert sol.verified is None
+    with pytest.raises(NoSolutionError):
+        emit_certificate(sol, X, Y)
+
+
 _H4_PAIRS = [("H4", f"@{x}", f"@{y}", 6) for x, y in [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]]
 _ROOT_ROWS = [(r["group"], r["seedX"], r["seedY"], int(r["t"]))
               for r in _load_expectations() if r["seedY"] and r["betaX"]]
@@ -380,8 +390,9 @@ def test_float_weights_are_the_exact_weights_rounded(monkeypatch):
     monkeypatch.setattr(unions, "strength",
                         lambda S, t_max: verified.append(S) or strength(S, t_max))
     assert verify_certificate(emit_certificate(sol, X, Y)).passed
-    assert len(verified) == 1 and min(sol.union.exact_weights) < 0
-    for S in (X, sol.union, verified[0]):
+    U = union_lines(X, Y, sol.root.beta)
+    assert len(verified) == 1 and min(U.exact_weights) < 0
+    for S in (X, U, verified[0]):
         assert S.weights.tolist() == [float(w) for w in S.exact_weights]
 
 
@@ -488,7 +499,6 @@ def test_substitution_residual_bound():
         (("binI", 1), ("binI", 2), 6),
         (("H3", 2), ("H3", 3), 3),
     ]:
-        sol = solve_union(_orbit(lx, kx), _orbit(ly, ky), t)
-        assert sol.root.residual <= 1e-9 * float(welch_constant(
-            "C" if lx.startswith("bin") else "R",
-            sol.union.dim if sol.union is not None else 2, t))
+        X, Y = _orbit(lx, kx), _orbit(ly, ky)
+        sol = solve_union(X, Y, t)
+        assert sol.root.residual <= 1e-9 * float(welch_constant(X.field, X.dim, t))
