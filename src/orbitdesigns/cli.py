@@ -2,13 +2,14 @@
 
 Subcommands: group, orbit, union, scan, verify, reproduce. Exit codes are
 stable: 0 success/pass, 1 verification failure, 2 no solution, 3 usage or
-input error, 4 resource limit.
+input error, 4 resource limit, 141 stdout closed by its reader.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -310,17 +311,22 @@ def _load_expectations() -> list[dict]:
     return list(csv.DictReader(text.splitlines()))
 
 
-def _run_expectation(row: dict, args) -> tuple[bool, str]:
+def _run_expectation(row: dict, args, walked: dict) -> tuple[bool, str]:
+    """Check one expectation row; `walked` holds the orbit of each (group
+    label, seed text) that a row has walked, for the rows after it."""
     from .groups import build_group
     label = row["group"]
     t = int(row["t"])
     g = build_group(label, args.max_order)
-    X = _orbit(g, label, row["seedX"])
+    for text in (row["seedX"], row["seedY"]):
+        if text and (label, text) not in walked:
+            walked[label, text] = _orbit(g, label, text)
+    X = walked[label, row["seedX"]]
     if not row["seedY"]:
         rep = strength(X, max(args.tmax, t))
         desc = f"{label} single orbit {X.n_lines} lines: strength {rep.strength}"
         return rep.strength >= t, desc
-    Y = _orbit(g, label, row["seedY"])
+    Y = walked[label, row["seedY"]]
     sol = solve_union(X, Y, t, t)
     shape = f"{label} ({X.n_lines}+{Y.n_lines} lines, t={t})"
     if not row["betaX"]:
@@ -353,9 +359,9 @@ def cmd_reproduce(args) -> int:
         rows = [r for r in rows if r["table"] == args.table]
     if not rows:
         raise InputError(f"no expectation rows for table {args.table!r}")
-    results = []
+    results, walked = [], {}
     for row in rows:
-        ok, desc = _run_expectation(row, args)
+        ok, desc = _run_expectation(row, args, walked)
         results.append({"table": row["table"], "ok": ok, "description": desc})
         if args.format == "table":
             print(f"[{'PASS' if ok else 'FAIL'}] {row['table']}: {desc}")
@@ -368,6 +374,19 @@ def cmd_reproduce(args) -> int:
 
 
 def main(argv=None) -> int:
+    try:
+        try:
+            return _run(argv)
+        finally:  # block-buffered stdout meets a closed pipe here at the latest
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: exit as a command killed by SIGPIPE would, with
+        # stdout on /dev/null so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

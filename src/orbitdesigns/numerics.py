@@ -48,11 +48,13 @@ _SPLIT = 1.5 * 2.0 ** 29  # M + _SPLIT - _SPLIT rounds M to a multiple of 2^-23
 _PENDING_MAX = 1 << 22  # columns summed into the buckets before they are flushed
 # glibc serves an allocation above 128 KiB by mmap, so its pages are faulted
 # in afresh and the peak RSS depends on what the process freed before. Of the
-# working arrays of an O(n^2) pass over a line set, only a Gram tile of
-# GRAM_TILE entries and the block of terms cut from it outgrow that; each step
-# of the exact sum takes at most _CHUNK_TERMS terms, so its five temporaries
-# stay at or below 64 KiB.
-GRAM_TILE = 1 << 15  # entries of a Gram tile: designs._terms and LineSet.validate
+# working arrays of an O(n^2) pass over a line set, only a potential's Gram
+# tile of GRAM_TILE entries and the block of terms cut from it outgrow that:
+# their shape fixes the bits of the potential. Each step of the exact sum takes
+# at most _CHUNK_TERMS terms, so its five temporaries stay at or below 64 KiB,
+# and LineSet.validate, whose verdict no tile shape moves, cuts its Gram tiles
+# to 64 KiB too.
+GRAM_TILE = 1 << 15  # entries of a Gram tile of designs._terms
 _CHUNK_TERMS = 1 << 13  # terms compensated_sums takes from a block at a time
 
 
@@ -136,11 +138,16 @@ def quantized_keys(items: np.ndarray) -> list[bytes]:
     return [item.tobytes() for item in np.round(items, DEDUP_DIGITS) + 0.0]
 
 
-def _intern(rows: np.ndarray, index: dict[bytes, int]) -> np.ndarray:
-    """Each row's position in `index`, a table from dedup key to position; a
-    row whose key is new takes the next position."""
-    return np.array([index.setdefault(key, len(index)) for key in quantized_keys(rows)],
-                    dtype=np.intp)
+def _intern(rows: np.ndarray, index: dict[bytes, int]) -> tuple[np.ndarray, list[int]]:
+    """Each row's position in `index`, a table from dedup key to position, and
+    the rows whose key was new, in order; a new key takes the next position."""
+    at, new = [], []
+    for row, key in enumerate(quantized_keys(rows)):
+        n = len(index)
+        at.append(index.setdefault(key, n))
+        if len(index) > n:
+            new.append(row)
+    return np.array(at, dtype=np.intp), new
 
 
 def _walk(start: np.ndarray, step, limit: int) -> tuple[np.ndarray, np.ndarray | None]:
@@ -157,13 +164,11 @@ def _walk(start: np.ndarray, step, limit: int) -> tuple[np.ndarray, np.ndarray |
     found, targets, frontier = [start], [], start
     while True:
         images = step(frontier)
-        n = len(index)
-        at = _intern(images, index)
+        at, new = _intern(images, index)
         targets.append(at.reshape(-1, len(frontier)))
-        if len(index) == n:
+        if not new:
             return np.concatenate(found), np.concatenate(targets, axis=1)
-        keys, first = np.unique(at, return_index=True)
-        frontier = images[first[keys >= n]]
+        frontier = images[new]
         found.append(frontier)
         if len(index) > limit:
             return np.concatenate(found), None

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numerics  # DEDUP_DIGITS is read at call time, as quantized_keys reads it
 from .errors import ConsistencyError, InputError, MismatchError
-from .numerics import GRAM_TILE, REL_EQ, _intern
+from .numerics import _CHUNK_TERMS, REL_EQ, _intern
 
 
 @dataclass(frozen=True, eq=False)  # equal only to itself: == on arrays has no truth value
@@ -69,11 +69,15 @@ class LineSet:
         # picks candidates: a pair coincides when a is within the dedup grid
         # of b times the phase <b,a>/|<b,a>|. The strict upper triangle of the
         # Gram matrix is read a tile of rows at a time; its part on or below
-        # the diagonal is zeroed in place.
+        # the diagonal is zeroed in place. A tile holds at most _CHUNK_TERMS
+        # real or half as many complex entries (or one row, if that is longer),
+        # so each working array stays at or below 64 KiB, under glibc's mmap
+        # threshold; no output bit depends on this cut.
         n = self.n_lines
-        step = max(1, GRAM_TILE // n)
+        step = max(1, _CHUNK_TERMS // (2 if self.field == "C" else 1) // n)
+        others = self.lines.conj().T  # a view when the lines are real
         for i in range(0, n - 1, step):
-            gram = self.lines[i:i + step] @ self.lines[i + 1:].conj().T
+            gram = self.lines[i:i + step] @ others[:, i + 1:]
             near = np.abs(gram)
             near[np.tri(*near.shape, -1, dtype=bool)] = 0.0
             if not 1.0 - near.max() > REL_EQ:  # a candidate, which is rare, or a nan
@@ -130,8 +134,10 @@ def orbit_lines(group: FiniteMatrixGroup, seed: np.ndarray,
         f"the group is larger than that, or {split}",
         f"orbit of {group.spec} passes {order} lines: {split}")
     n = len(reps)
-    # maps holds positions in 0..n-1, so each row is a permutation iff sorted it is 0..n-1
-    if (np.sort(maps, axis=1) != np.arange(n)).any():
+    # maps holds positions in 0..n-1, so each row is a permutation iff it hits every one
+    hit = np.zeros(maps.shape, dtype=bool)
+    hit[np.arange(len(maps))[:, None], maps] = True
+    if not hit.all():
         raise ConsistencyError(
             f"the generators of {group.spec} do not permute the {n} orbit lines found: "
             f"dedup keys at {digits} digits split or merge lines"
@@ -166,8 +172,9 @@ def union_lines(X: LineSet, Y: LineSet, beta: tuple[Fraction, Fraction]) -> Line
     if bx + by != 1:
         raise InputError("union weighting must satisfy beta_X + beta_Y = 1")
     index: dict[bytes, int] = {}
-    # per operand, the union row of each of its lines
-    where = [_intern(ls.lines, index).tolist() for ls in (X, Y)]
+    # per operand, the union row of each of its lines, and its lines that were new
+    (at_x, new_x), (at_y, new_y) = (_intern(ls.lines, index) for ls in (X, Y))
+    where = [at_x.tolist(), at_y.tolist()]
     rx, ry = set(where[0]), set(where[1])
     if X.group is not None and Y.group is X.group and (
             len(rx) != X.n_lines or len(ry) != Y.n_lines or (rx & ry and rx != ry)):
@@ -176,8 +183,7 @@ def union_lines(X: LineSet, Y: LineSet, beta: tuple[Fraction, Fraction]) -> Line
             f"keys at {numerics.DEDUP_DIGITS} digits joined distinct lines"
         )
     rows = where[0] + where[1]
-    _, first = np.unique(rows, return_index=True)
-    lines = np.concatenate([X.lines, Y.lines])[first]
+    lines = np.concatenate([X.lines[new_x], Y.lines[new_y]])
     scaled = [b * w for b, ls in ((bx, X), (by, Y)) for w in ls.exact_weights]
     weights: list = [None] * len(index)
     for i, w in zip(rows, scaled):

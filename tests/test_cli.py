@@ -563,6 +563,17 @@ def test_union_tmax_below_t(capsys):
     assert list(payload["certificate"]["residuals"]) == [str(t) for t in range(1, 7)]
 
 
+def test_reproduce_walks_each_orbit_once(capsys, monkeypatch):
+    # 60 seeds over 31 rows, 40 distinct (group, seed) pairs among them
+    calls = []
+    walk = cli.orbit_lines
+    monkeypatch.setattr(cli, "orbit_lines", lambda *args, **kw: calls.append(args) or
+                        walk(*args, **kw))
+    code, out = run(capsys, "reproduce", "all")
+    assert code == 0 and "31/31 rows reproduced" in out
+    assert len(calls) == 40
+
+
 def test_reproduce_all_tmax_below_row_orders(capsys):
     code, out = run(capsys, "reproduce", "all", "--tmax", "4")
     assert code == 0
@@ -728,3 +739,28 @@ def test_installed_entry_point(tmp_path):
     proc = subprocess.run([exe, "group", "binT"], env=env, capture_output=True, text=True)
     assert proc.returncode == 0
     assert "order: 24" in proc.stdout
+    for unbuffered in ("1", ""):
+        assert _closed_pipe_run([exe], env, unbuffered) == (141, b"")
+
+
+def _closed_pipe_run(command: list, env: dict, unbuffered: str) -> tuple[int, bytes]:
+    """Exit code and stderr of `reproduce all` when its reader closes stdout
+    early. Unbuffered, the reader takes one line first; block-buffered, every
+    line waits for the flush at exit, so the reader closes before any."""
+    proc = subprocess.Popen([*command, "reproduce", "all"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE,
+                            env={**env, "PYTHONUNBUFFERED": unbuffered})
+    if unbuffered:
+        assert proc.stdout.readline().startswith(b"[PASS] A: ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    return proc.wait(timeout=60), err
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_pipe_exits_141_quietly(unbuffered):
+    # 128 + SIGPIPE, as a shell reports a command killed by a closed pipe;
+    # exit 1 would read as a failed reproduction
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    assert _closed_pipe_run([sys.executable, "-m", "orbitdesigns.cli"], env,
+                            unbuffered) == (141, b"")

@@ -163,6 +163,27 @@ def test_snap_recovers_small_rationals(p, q):
     assert snap_to_rational(p / q) == Fraction(p, q)
 
 
+@given(entries=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=40),
+       cut=st.integers(0, 40))
+@settings(max_examples=200, deadline=None)
+def test_intern_matches_a_dict_reference(entries, cut):
+    # two calls share one index; quarters are exact, so each distinct row has
+    # its own key, and a position is the order of a row's first appearance
+    rows = np.array(entries, dtype=float).reshape(-1, 2) / 4
+    seen: dict = {}
+    positions = np.array([seen.setdefault(row, len(seen)) for row in map(tuple, rows.tolist())],
+                         dtype=np.intp)
+    index: dict = {}
+    n = 0
+    for part in (slice(0, cut), slice(cut, None)):
+        at, new = numerics._intern(rows[part], index)
+        assert at.dtype == np.intp and at.tolist() == positions[part].tolist()
+        keys, first = np.unique(positions[part], return_index=True)
+        assert new == first[keys >= n].tolist()
+        n = len(index)
+    assert n == len(seen)
+
+
 def test_walk_returns_rows_in_discovery_order():
     # x -> 2x and x -> x + 3 on Z/11, against a plain breadth-first search
     # that takes each level generator by generator

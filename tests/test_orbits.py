@@ -29,7 +29,7 @@ from orbitdesigns import (
     union_lines,
 )
 from orbitdesigns import groups
-from orbitdesigns.numerics import GRAM_TILE
+from orbitdesigns.numerics import _CHUNK_TERMS
 from orbitdesigns.orbits import _canonicalize_rows
 
 
@@ -297,13 +297,18 @@ def test_validate_judges_close_lines_by_their_distance(angle, coincide):
 def test_validate_catches_repeated_lines():
     X = orbit_lines(build_group("B(2)"), np.array([1.0, 0.0]))
     H = orbit_lines(build_group("H4"), catalog_entry("H4").seeds[3])
-    assert GRAM_TILE // H.n_lines < H.n_lines  # H spans several row blocks
     C = orbit_lines(build_group("binT"), catalog_entry("binT").seeds[0])
+    K = orbit_lines(build_group("G(4,1,3)"), np.array([1.0, 2.0, 3.0]))
+    # validate's tiles hold _CHUNK_TERMS real or half as many complex entries
+    assert _CHUNK_TERMS // H.n_lines < H.n_lines  # H spans several row tiles
+    assert K.field == "C" and _CHUNK_TERMS // 2 // K.n_lines < K.n_lines  # so does K
     cases = [
         np.vstack([X.lines, -X.lines[:1]]),  # -x spans the line of x
-        np.vstack([H.lines, H.lines[-1:]]),  # adjacent rows, in the last block
+        np.vstack([H.lines, H.lines[-1:]]),  # adjacent rows, in the last tile
         np.vstack([H.lines, H.lines[:1]]),  # the first and the last row
         np.vstack([C.lines, np.exp(0.7j) * C.lines[2:3]]),  # a phase
+        np.vstack([K.lines, 1j * K.lines[-1:]]),  # adjacent complex rows, in the last tile
+        np.vstack([K.lines, np.exp(-2.1j) * K.lines[:1]]),  # the first and the last row
     ]
     for lines in cases:
         n = len(lines)
@@ -323,7 +328,7 @@ def test_validate_holds_no_gram_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20  # the 660 x 660 Gram alone takes 3.3 MiB
+    assert peak < 1 << 18  # the 660 x 660 Gram alone takes 3.3 MiB
 
 
 def test_orbit_path_does_not_import_numpy_ma():
@@ -335,6 +340,32 @@ def test_orbit_path_does_not_import_numpy_ma():
         "X, Y = (orbit_lines(g, s) for s in catalog_entry('H4').seeds[:2])\n"
         "assert solve_union(X, Y, 6).root.beta is not None\n"
         "assert 'numpy.ma' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_orbit_path_does_not_sort():
+    # the walk, the permutation check and the union read their answers from
+    # the intern passes; numpy's sort kernels would add to the peak RSS
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import numpy as np\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('the orbit path sorted')\n"
+        "for name in ('unique', 'sort', 'argsort', 'lexsort'):\n"
+        "    setattr(np, name, refuse)\n"
+        "from orbitdesigns import build_group, catalog_entry, orbit_lines, union_lines\n"
+        "from orbitdesigns.cli import main\n"
+        "for label in ('binI', 'H4'):\n"
+        "    g = build_group(label)\n"
+        "    X = [orbit_lines(g, s) for s in catalog_entry(label).seeds]\n"
+        "assert union_lines(X[0], X[3], (Fraction(1, 2), Fraction(1, 2))).n_lines == 660\n"
+        "assert len(build_group('binI').elements) == 120\n"
+        "assert main(['reproduce', 'all']) == 0\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
