@@ -64,7 +64,7 @@ def _build_parser() -> _Parser:
                      description="weighted designs from unions of group orbits")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("group", parents=[], help="build a group and summarize it")
+    p = sub.add_parser("group", help="build a group and summarize it")
     p.add_argument("spec", help="group spec, e.g. 'G(2,1,4)', 'binI', 'H3'")
     _add_common(p, None)
     p.set_defaults(func=cmd_group)
@@ -263,9 +263,9 @@ def cmd_scan(args) -> int:
     rep = scan(g, args.tmax, args.samples, args.seed)
     payload = {
         "group": g.spec.label,
-        "seed": rep.seed,
-        "samples": rep.samples,
-        "t_max": rep.t_max,
+        "seed": args.seed,
+        "samples": args.samples,
+        "t_max": args.tmax,
         "verdicts": list(rep.verdicts),
         "unanimous": list(rep.unanimous),
         "max_residuals": list(rep.max_residuals),
@@ -276,10 +276,10 @@ def cmd_scan(args) -> int:
     pairs = f"{rep.t_pairs[0]}-{rep.t_pairs[1]}" if rep.t_pairs else "{}"
     out = [
         f"group: {g.spec.label} (order {g.order}, dim {g.dim}, {g.field})",
-        f"seed: {rep.seed}, samples: {rep.samples}",
+        f"seed: {args.seed}, samples: {args.samples}",
         "t  verdict        max residual  unanimous",
     ]
-    for t in range(1, rep.t_max + 1):
+    for t in range(1, args.tmax + 1):
         res = rep.max_residuals[t - 1]
         res_s = f"{res:.3e}" if res is not None else "-"
         out.append(f"{t:<2d} {rep.verdicts[t - 1]:<14s} {res_s:<13s} "

@@ -17,7 +17,6 @@ as one tuple, built once per process.
 """
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -28,7 +27,8 @@ import numpy as np
 
 from . import numerics  # DEDUP_DIGITS is read at call time, as quantized_keys reads it
 from .errors import ConsistencyError, InputError, SizeLimitError
-from .numerics import DEFAULT_MAX_ORDER, REL_EQ, _json_complex, _json_number, _walk, pow2_scaled
+from .numerics import (DEFAULT_MAX_ORDER, REL_EQ, _json_complex, _json_number, _read_json,
+                       _walk, pow2_scaled)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -304,13 +304,7 @@ def _entry(e) -> complex:
 
 def _load_explicit(path: str) -> list[np.ndarray]:
     """The file's generators: complex128 under "field": "C", else float64."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read generator file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"generator file is not valid JSON: {exc}") from exc
+    data = _read_json(path, InputError, "generator file")
     if not isinstance(data, dict) or "field" not in data or "generators" not in data:
         raise InputError("generator file needs 'field' and 'generators' keys")
     if data["field"] not in ("R", "C"):
@@ -438,11 +432,11 @@ def _build_cached(spec: GroupSpec, max_order: int) -> FiniteMatrixGroup:
 
 def _assemble(spec: GroupSpec, max_order: int) -> FiniteMatrixGroup:
     # G(m,p,n) has about d generators of d^2 entries each: with d^2 > max_order
-    # they outgrow a walk of max_order lines before any walk starts
-    order = group_order(spec)
-    if order is not None and order > max_order:
+    # they outgrow a walk of max_order lines before any walk starts. A family of
+    # dimension d >= 3 has order >= d^2, so its order (G's m^n n!/p) is not computed
+    if spec.kind != "explicit":
         d = _FAMILIES[spec.kind].dim(*spec.params)
-        if d * d > max_order:
+        if d * d > max_order and (d > 2 or group_order(spec) > max_order):
             raise SizeLimitError(f"{spec} exceeds max_order={max_order}: its order "
                                  f"does, and so does its dimension {d} squared")
     gens = build_generators(spec)

@@ -23,9 +23,13 @@ a floating root is snapped to a `Fraction` and re-verified, and a certificate
 stores each Fraction as str(w), "p" or "p/q", which Fraction(s) reads back.
 Every sum is correctly rounded: a potential by exact bucket accumulation over
 numpy arrays (compensated_sums), a weight sum by math.fsum.
+
+The module also reads the two JSON files, a generator file and a certificate
+(_read_json), and their numbers (_json_number, _json_complex).
 """
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from typing import Iterable
@@ -198,6 +202,20 @@ def snap_to_rational(x: float) -> Fraction | None:
             and cand.denominator ** 2 * err <= SNAP_QUALITY_MAX):
         return cand
     return None
+
+
+def _read_json(path, error, what: str):
+    """The JSON value in the file at path, read as UTF-8 text. A file that
+    cannot be read raises error("cannot read <what>: ..."), and one that is
+    not UTF-8, not JSON or nested past the recursion limit raises
+    error("<what> is not valid JSON: ...")."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise error(f"cannot read {what}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSON and UTF-8 errors
+        raise error(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _json_number(e) -> float:

@@ -174,20 +174,18 @@ def union_lines(X: LineSet, Y: LineSet, beta: tuple[Fraction, Fraction]) -> Line
     index: dict[bytes, int] = {}
     # per operand, the union row of each of its lines, and its lines that were new
     (at_x, new_x), (at_y, new_y) = (_intern(ls.lines, index) for ls in (X, Y))
-    where = [at_x.tolist(), at_y.tolist()]
-    rx, ry = set(where[0]), set(where[1])
+    rx, ry = set(at_x.tolist()), set(at_y.tolist())
     if X.group is not None and Y.group is X.group and (
             len(rx) != X.n_lines or len(ry) != Y.n_lines or (rx & ry and rx != ry)):
         raise ConsistencyError(
             f"orbits of {X.group.spec} merge only in part in a union: dedup "
             f"keys at {numerics.DEDUP_DIGITS} digits joined distinct lines"
         )
-    rows = where[0] + where[1]
     lines = np.concatenate([X.lines[new_x], Y.lines[new_y]])
-    scaled = [b * w for b, ls in ((bx, X), (by, Y)) for w in ls.exact_weights]
-    weights: list = [None] * len(index)
-    for i, w in zip(rows, scaled):
-        weights[i] = w if weights[i] is None else weights[i] + w
+    weights = [Fraction(0)] * len(index)
+    for b, ls, at in ((bx, X, at_x), (by, Y, at_y)):
+        for i, w in zip(at.tolist(), ls.exact_weights):
+            weights[i] += b * w
     keep = [i for i, w in enumerate(weights) if w != 0]
     if not keep:
         raise ConsistencyError("union has no lines with nonzero weight")

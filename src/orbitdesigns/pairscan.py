@@ -100,9 +100,6 @@ class PairSample:
 class PairScanReport:
     """Scan outcome: exact verdicts and the samples that cross-check them."""
 
-    t_max: int
-    samples: int
-    seed: int
     harmonic_invariants: tuple  # H_t for t = 1..t_max
     verdicts: tuple  # per t, from S_t = H_1 + ... + H_t
     unanimous: tuple  # per t, every sample gave the same verdict
@@ -166,7 +163,6 @@ def scan(group: FiniteMatrixGroup, t_max: int = 10, samples: int = 20,
     t_generic = totals.count(0)  # totals never decrease
     t_pairs = (t_generic + 1, t_generic + totals.count(1)) if 1 in totals else None
     return PairScanReport(
-        t_max=t_max, samples=samples, seed=seed,
         harmonic_invariants=tuple(counts),
         verdicts=tuple(("degenerate", "holds", "fails")[min(s, 2)] for s in totals),
         unanimous=tuple(len({r.verdicts[i] for r in records}) == 1 for i in range(t_max)),

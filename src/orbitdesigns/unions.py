@@ -31,7 +31,7 @@ import numpy as np
 
 from .designs import DesignReport, cross_matrix, strength, welch_constant
 from .errors import CertificateError, NoSolutionError, SizeLimitError
-from .numerics import REL_EQ, _json_complex, _json_number, snap_to_rational
+from .numerics import REL_EQ, _json_complex, _json_number, _read_json, snap_to_rational
 from .orbits import LineSet, union_lines
 
 IDENTITY_TOL = 1e-7  # pair_identity residual at or below this is a double root
@@ -94,7 +94,7 @@ def _build_root(alpha: float, q: PairQuadratic, n_x: int, n_y: int) -> RootSolut
         a_val = float(snapped)
         boundary = snapped == 0 or snapped == 1
     residual = abs(q.a * a_val * a_val + q.b * a_val + q.c)
-    convex = (not boundary) and 0.0 < a_val < 1.0
+    convex = 0.0 < a_val < 1.0  # a boundary root is exactly 0 or 1
     return RootSolution(a_val, beta, w_hat, residual, convex, boundary)
 
 
@@ -149,17 +149,6 @@ def pair_identity(b_xx: float, b_yy: float, b_xy: float, c_t: float) -> float | 
     return abs(d_xx * d_yy - d_xy * d_xy) / max(abs(lhs), abs(rhs))
 
 
-def _serialize_lines(lines: np.ndarray) -> list:
-    if np.iscomplexobj(lines):
-        return [[[float(z.real), float(z.imag)] for z in row] for row in lines]
-    return [[float(x) for x in row] for row in lines]
-
-
-def _parse_lines(data: list, field: str) -> np.ndarray:
-    entry = _json_complex if field == "C" else _json_number
-    return np.array([[entry(e) for e in row] for row in data])
-
-
 def emit_certificate(sol: UnionSolution, X: LineSet, Y: LineSet,
                      path: str | None = None) -> dict:
     """Assemble the root's weighted union (union_lines) and serialize it.
@@ -172,6 +161,9 @@ def emit_certificate(sol: UnionSolution, X: LineSet, Y: LineSet,
         raise NoSolutionError("certificate needs a snapped root")
     best = sol.root
     union = union_lines(X, Y, best.beta)
+    lines = union.lines  # a complex entry is stored as its [re, im] pair
+    if np.iscomplexobj(lines):
+        lines = np.stack([lines.real, lines.imag], axis=-1)
     top = max(sol.verified.strength, sol.t)
     residuals = {
         str(t): sol.verified.residual_at(t)
@@ -184,7 +176,7 @@ def emit_certificate(sol: UnionSolution, X: LineSet, Y: LineSet,
         "dim": X.dim,
         "t": sol.t,
         "seeds": [X.seed_literal or "", Y.seed_literal or ""],
-        "lines": _serialize_lines(union.lines),
+        "lines": lines.tolist(),
         "weights": [str(w) for w in union.exact_weights],
         "beta": [str(b) for b in best.beta],
         "w_hat": [str(w) for w in best.w_hat],
@@ -215,20 +207,9 @@ _CERT_KEYS = {
 }
 
 
-def _load_certificate(source) -> dict:
-    if isinstance(source, dict):
-        return source
-    try:
-        with open(source) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise CertificateError(f"cannot read certificate: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CertificateError(f"certificate is not valid JSON: {exc}") from exc
-
-
 def verify_certificate(source, t_max: int = 12) -> VerifyResult:
-    """Re-verify a certificate from its stored lines and weights.
+    """Re-verify a certificate, a dict or the path of its JSON file, from its
+    stored lines and weights.
 
     Every order 1..t is recomputed, with any further stored order, by
     designs.strength on the stored set; it has no group, so every Gram row is
@@ -239,7 +220,8 @@ def verify_certificate(source, t_max: int = 12) -> VerifyResult:
     SizeLimitError before any potential is computed; numerical discrepancies
     are verification failures reported in `reasons`.
     """
-    cert = _load_certificate(source)
+    cert = source if isinstance(source, dict) else _read_json(
+        source, CertificateError, "certificate")
     if not isinstance(cert, dict):
         raise CertificateError("certificate must be a JSON object")
     for key, typ in _CERT_KEYS.items():
@@ -255,7 +237,8 @@ def verify_certificate(source, t_max: int = 12) -> VerifyResult:
     if cert["dim"] < 1 or cert["t"] < 1:
         raise CertificateError("dim and t must be positive")
     try:
-        lines = _parse_lines(cert["lines"], cert["field"])
+        entry = _json_complex if cert["field"] == "C" else _json_number
+        lines = np.array([[entry(e) for e in row] for row in cert["lines"]])
         if not all(isinstance(x, str) for x in cert["weights"]):
             raise TypeError("weights must be rational strings")
         counts = Counter(cert["weights"])  # in file order: the first bad string is named

@@ -99,6 +99,17 @@ def test_family_above_max_order_fails_at_once(capsys, argv, err):
     assert capsys.readouterr().err == err
 
 
+def test_family_too_large_to_build_is_refused_before_its_order():
+    # B(10^8)'s order, 2^(10^8) (10^8)!, was computed before its dimension was
+    # compared: the command ran for minutes before it exited 4
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "orbitdesigns.cli", "group", "B(100000000)"],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 4
+    assert proc.stderr == ("resource error: B(100000000) exceeds max_order=200000: its order "
+                           "does, and so does its dimension 100000000 squared\n")
+
+
 def test_union_in_a_group_above_max_order(capsys):
     code, payload = run_json(capsys, "union", "B(9)", "--x", "1,0,0,0,0,0,0,0,0",
                              "--y", "1,1,1,1,1,1,1,1,1", "--t", "2")
@@ -469,6 +480,30 @@ def test_verify_structural_error_exit(capsys, tmp_path):
         assert capsys.readouterr().err == "error: certificate must be a JSON object\n"
 
 
+# each JSON file the CLI reads: (subcommand, spec prefix, the file's name in messages)
+_JSON_READERS = [("verify", "", "certificate"), ("group", "explicit:", "generator file")]
+
+
+@pytest.mark.parametrize("command,prefix,what", _JSON_READERS, ids=["verify", "group"])
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf8", "nested-past-the-recursion-limit"])
+def test_a_file_that_is_not_json_exits_3(capsys, tmp_path, command, prefix, what, content):
+    # a UnicodeDecodeError or a RecursionError ended in a traceback, exit 1
+    path = tmp_path / "file.json"
+    path.write_bytes(content)
+    assert main([command, f"{prefix}{path}"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {what} is not valid JSON: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,prefix,what", _JSON_READERS, ids=["verify", "group"])
+def test_a_file_that_cannot_be_read_exits_3(capsys, tmp_path, command, prefix, what):
+    for path in (tmp_path / "missing.json", tmp_path):
+        assert main([command, f"{prefix}{path}"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {what}: [Errno ") and err.count("\n") == 1
+
+
 def test_union_emit_on_degenerate_pair_says_why(capsys, tmp_path):
     path = tmp_path / "p.json"
     assert main(["union", "B(2)", "--x", "1,0", "--y", "1,1", "--t", "1",
@@ -545,6 +580,23 @@ def test_reproduce_judges_unions_by_verified_strength(capsys, monkeypatch):
     code, out = run(capsys, "reproduce", "A")
     assert code == 1
     assert out.count("verified strength 1 is below t") == 4
+
+
+def test_reproduce_fails_rows_it_does_not_match(capsys, monkeypatch):
+    # a wrong beta, a wrong w_hat, and a beta expected of a pair with no real root
+    row = {"table": "T", "group": "G(1,1,4)", "seedX": "1,1,-1,-1", "seedY": "3,-1,-1,-1",
+           "t": "2", "betaX": "2/5", "betaY": "3/5", "whatX": "14/15", "whatY": "21/20"}
+    rows = [{**row, "betaX": "1/5", "betaY": "4/5"}, {**row, "whatX": "1", "whatY": "1"},
+            {**row, "group": "G(2,2,4)", "seedX": "1,0,0,0", "seedY": "1,1,1,1"}]
+    monkeypatch.setattr(cli, "_load_expectations", lambda: rows)
+    code, out = run(capsys, "reproduce", "all")
+    assert code == 1
+    assert out.splitlines() == [
+        "[FAIL] T: G(1,1,4) (3+4 lines, t=2): beta (2/5, 3/5) != expected (1/5, 4/5)",
+        "[FAIL] T: G(1,1,4) (3+4 lines, t=2): w_hat (14/15, 21/20) != expected (1, 1)",
+        "[FAIL] T: G(2,2,4) (4+4 lines, t=2): beta (none) != expected (2/5, 3/5)",
+        "0/3 rows reproduced",
+    ]
 
 
 def test_reproduce_json(capsys):

@@ -1,6 +1,7 @@
 """Group construction: spec grammar, unitary generators, closure, catalog."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -300,6 +301,16 @@ def test_closure_key_collision(dedup_digits):
         close_group(FiniteMatrixGroup(spec, tuple(gens)))
 
 
+def test_closure_that_ends_short_of_its_order(monkeypatch):
+    # binT given order 48: the closure of its generators ends at 24
+    monkeypatch.setitem(_FAMILIES, "binT", dataclasses.replace(_FAMILIES["binT"],
+                                                               order=lambda: 48))
+    spec = parse_group_spec("binT")
+    with pytest.raises(ConsistencyError,
+                       match=re.escape("closure of binT ends at 24 of its 48 elements")):
+        close_group(FiniteMatrixGroup(spec, tuple(build_generators(spec))))
+
+
 def test_catalog_covers_expected_families():
     labels = {str(e.spec) for e in catalog()}
     for needed in ["A(3)", "B(2)", "B(5)", "D(3)", "D(4)", "binT", "binO",
@@ -367,6 +378,8 @@ _EXPLICIT_REJECTIONS = {
     json.dumps({"field": "Q", "generators": [[[1, 0], [0, 1]]]}): "field must be 'R' or 'C'",
     json.dumps({"field": "R", "generators": []}): "generator list is empty",
     json.dumps({"field": "R", "generators": [[[1, 0, 0], [0, 1, 0]]]}): "must be square",
+    json.dumps({"field": "R", "generators": [[[1]], [[1, 0], [0, 1]]]}):
+        "generators must share one dimension",
     json.dumps({"field": "R", "generators": [[[0, 0], [0, 0]]]}):
         "must be unitary: generator 1 deviates from unitary by 1.000e+00",
     json.dumps({"field": "R", "generators": [[[[0, 1], 0], [0, [0, 1]]]]}):

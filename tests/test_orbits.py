@@ -128,6 +128,23 @@ def test_orbit_walk_rejects_merged_keys(dedup_digits):
         orbit_lines(g, catalog_entry("A(4)").seeds[0])
 
 
+def test_orbit_size_must_divide_the_group_order(monkeypatch):
+    order = groups.group_order
+    monkeypatch.setattr(groups, "group_order",
+                        lambda spec: 14399 if spec.kind == "H4" else order(spec))
+    with pytest.raises(ConsistencyError, match="has 60 lines, which does not divide the "
+                                               "group order 14399"):
+        orbit_lines(build_group("H4"), catalog_entry("H4").seeds[0])
+
+
+def test_real_group_drops_tiny_imaginary_parts_of_a_seed():
+    # imaginary parts of at most 1e-12 in the scaled seed are dropped; a cast to
+    # float would raise ComplexWarning, a RuntimeWarning, which the suite makes an error
+    g = build_group("B(3)")
+    dusty = orbit_lines(g, parse_vector("1,1e-13i,0"))
+    assert np.array_equal(dusty.lines, orbit_lines(g, parse_vector("1,0,0")).lines)
+
+
 def test_orbit_weights_are_uniform_rationals():
     X = orbit_lines(build_group("dihedral(5)"), np.array([1.0, 0.3]))
     assert X.exact_weights == (Fraction(1, X.n_lines),) * X.n_lines
@@ -388,7 +405,7 @@ def test_parse_vector_golden_field():
     assert np.allclose(got, [1 + np.sqrt(5.0), 2.0, -np.sqrt(5.0)])
 
 
-@pytest.mark.parametrize("bad", ["", "1,,2", "1+qi", "abc", "1/0", "1e400,1"])
+@pytest.mark.parametrize("bad", ["", "1,,2", "1+qi", "abc", "1/0", "1e400,1", "sqrt5:1+s5x"])
 def test_parse_vector_rejects_garbage(bad):
     with pytest.raises(InputError):
         parse_vector(bad)

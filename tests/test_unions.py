@@ -278,6 +278,18 @@ def test_certificate_round_trip(tmp_path):
             assert abs(stored - recomputed) <= 1e-9
 
 
+def test_complex_certificate_bytes(tmp_path):
+    # each complex line entry is written as [float(re), float(im)], indent 1
+    X, Y = _orbit("binI", 1), _orbit("binI", 2)
+    sol = solve_union(X, Y, 6)
+    path = tmp_path / "cert.json"
+    cert = emit_certificate(sol, X, Y, path=str(path))
+    lines = union_lines(X, Y, sol.root.beta).lines
+    spelled = [[[float(z.real), float(z.imag)] for z in row] for row in lines]
+    assert path.read_text() == json.dumps({**cert, "lines": spelled}, indent=1) + "\n"
+    assert verify_certificate(str(path)).passed
+
+
 def test_certificate_signed_union():
     X, Y = _orbit("binO", 2), _orbit("binO", 3)
     sol = solve_union(X, Y, 4)
