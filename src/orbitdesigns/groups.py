@@ -12,8 +12,8 @@ own parameter and name G(1,1,d+1), G(2,1,d) and G(2,2,d); G(1,1,n) is
 realized on the sum-zero hyperplane. Explicit generator files
 (explicit:<path>) have their own loader and no closed-form order. Every
 group, family or explicit, is built only from generators that are unitary
-within REL_EQ. catalog() returns the built-in groups with their seed vectors
-as one tuple, built once per process.
+within REL_EQ: FiniteMatrixGroup refuses any other. catalog() returns the
+built-in groups with their seed vectors as one tuple, built once per process.
 """
 from __future__ import annotations
 
@@ -69,12 +69,26 @@ class FiniteMatrixGroup:
                 (field "R") or all complex128 (field "C")
     max_order   size limit of closure and orbit walks
 
+    A group is made only from at least one generator, each unitary within
+    REL_EQ, so every product of them stays finite; else InputError.
     `elements` is enumerated by close_group on first use only.
     """
 
     spec: GroupSpec
     generators: tuple
     max_order: int = DEFAULT_MAX_ORDER
+
+    def __post_init__(self) -> None:
+        if not self.generators:
+            raise InputError("no generators")
+        eye = np.eye(self.dim)
+        for i, g in enumerate(self.generators, start=1):
+            # a 2-D product goes to BLAS; _unitarity_deviation's einsum is O(d^3) without it
+            with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused below
+                dev = float(np.abs(g.conj().T @ g - eye).max())
+            if not dev <= REL_EQ:
+                raise InputError(f"generators of {self.spec} must be unitary: generator {i} "
+                                 f"deviates from unitary by {dev:.3e}")
 
     @cached_property
     def elements(self) -> np.ndarray:
@@ -98,17 +112,27 @@ class FiniteMatrixGroup:
         """"C" when the generators are complex, else "R"."""
         return "C" if np.iscomplexobj(self.generators[0]) else "R"
 
-    def walk(self, start: np.ndarray, step, too_many: str, split: str):
-        """_walk from start, up to the closed-form order when that is within
-        max_order, else max_order.
+    def walk(self, start: np.ndarray, step, too_many: str, split: str,
+             noun: str) -> np.ndarray:
+        """The rows _walk finds from start, up to the closed-form order when
+        that is within max_order, else max_order.
         Passing max_order raises SizeLimitError(too_many); passing the known
-        order is a dedup-key split and raises ConsistencyError(split)."""
+        order is a dedup-key split and raises ConsistencyError(split). A walk
+        that ends must find rows that every generator permutes, else the dedup
+        keys split or merged rows: ConsistencyError, naming the rows by noun."""
         known = group_order(self.spec)
         exact = known is not None and known <= self.max_order
         rows, maps = _walk(start, step, known if exact else self.max_order)
         if maps is None:
             raise ConsistencyError(split) if exact else SizeLimitError(too_many)
-        return rows, maps
+        # maps holds positions in 0..n-1, so each row is a permutation iff it hits every one
+        hit = np.zeros(maps.shape, dtype=bool)
+        hit[np.arange(len(maps))[:, None], maps] = True
+        if not hit.all():
+            raise ConsistencyError(
+                f"the generators of {self.spec} do not permute the {len(rows)} {noun} found: "
+                f"dedup keys at {numerics.DEDUP_DIGITS} digits split or merge them")
+        return rows
 
     @property
     def order(self) -> int:
@@ -374,29 +398,19 @@ def close_group(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
     A closed-form order above max_order raises SizeLimitError before the walk,
     as does a closure that passes max_order. When the family has a closed-form
     order, a closure that passes it or ends short of it is a dedup-key failure
-    and raises ConsistencyError, as does a product whose key matches a
-    different element; a product that is not finite raises InputError (only a
-    group made directly from generators that are not unitary can have one).
+    and raises ConsistencyError, as does (with or without a closed-form order)
+    a generator that does not permute the elements found.
     """
-    if not group.generators:
-        raise InputError("no generators")
     spec, gens, digits = group.spec, group.generators, numerics.DEDUP_DIGITS
     expected = group_order(spec)
     too_many = f"closure of {spec} exceeds max_order={group.max_order}"
     if expected is not None and expected > group.max_order:
         raise SizeLimitError(too_many)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite products are caught below
-        elements, maps = group.walk(
-            np.eye(group.dim, dtype=gens[0].dtype)[None],
-            lambda block: np.concatenate([block @ g for g in gens]), too_many,
-            f"closure of {spec} passes its order {expected}: copies of "
-            f"one element split into distinct dedup keys at {digits} digits")
-        for g, targets in zip(gens, maps):
-            gap = float(np.abs(elements @ g - elements[targets]).max())
-            if not math.isfinite(gap):
-                raise InputError(f"products of the generators of {spec} leave the floating range")
-            if gap > 1e-6:
-                raise ConsistencyError(f"distinct elements of {spec} collide at {digits} digits")
+    elements = group.walk(
+        np.eye(group.dim, dtype=gens[0].dtype)[None],
+        lambda block: np.concatenate([block @ g for g in gens]), too_many,
+        f"closure of {spec} passes its order {expected}: copies of "
+        f"one element split into distinct dedup keys at {digits} digits", "elements")
     if expected is not None and len(elements) < expected:
         raise ConsistencyError(
             f"closure of {spec} ends at {len(elements)} of its {expected} elements: "
@@ -416,7 +430,8 @@ def build_group(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> Fi
     the walks that run, not the family's order. A family whose order and
     whose squared dimension both pass max_order raises SizeLimitError before
     its generators are built. Generators that are not unitary within REL_EQ
-    (only an explicit file can give them) raise InputError.
+    (only an explicit file can give them) raise InputError when
+    FiniteMatrixGroup is made from them.
     """
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
@@ -439,29 +454,18 @@ def _assemble(spec: GroupSpec, max_order: int) -> FiniteMatrixGroup:
         if d * d > max_order and (d > 2 or group_order(spec) > max_order):
             raise SizeLimitError(f"{spec} exceeds max_order={max_order}: its order "
                                  f"does, and so does its dimension {d} squared")
-    gens = build_generators(spec)
-    eye = np.eye(len(gens[0]))
-    for i, g in enumerate(gens, start=1):
-        # a 2-D product goes to BLAS; _unitarity_deviation's einsum is O(d^3) without it
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused below
-            dev = float(np.abs(g.conj().T @ g - eye).max())
-        if not dev <= REL_EQ:
-            raise InputError(f"generators of {spec} must be unitary: generator {i} "
-                             f"deviates from unitary by {dev:.3e}")
-    return FiniteMatrixGroup(spec, tuple(gens), max_order)
+    return FiniteMatrixGroup(spec, tuple(build_generators(spec)), max_order)
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
     """A catalog group with the seed vectors the verification suite uses.
 
-    Seeds for hyperplane models are in ambient coordinates (zero sum);
-    expected_lines records the observed orbit line counts.
+    Seeds for hyperplane models are in ambient coordinates (zero sum).
     """
 
     spec: GroupSpec
     seeds: tuple = ()
-    expected_lines: tuple = ()
 
 
 def _fundamental_weights(simple_roots: np.ndarray) -> list[np.ndarray]:
@@ -486,49 +490,31 @@ def catalog() -> tuple[CatalogEntry, ...]:
     entries: list[CatalogEntry] = []
 
     a_seeds = {
-        3: ([(1, 1, -1, -1), (3, -1, -1, -1)], (3, 4)),
-        4: ([(4, -1, -1, -1, -1), (2, 2, 2, -3, -3)], (5, 10)),
-        5: ([(5, -1, -1, -1, -1, -1), (1, 1, 1, -1, -1, -1),
-             (2, 2, -1, -1, -1, -1)], (6, 10, 15)),
+        3: [(1, 1, -1, -1), (3, -1, -1, -1)],
+        4: [(4, -1, -1, -1, -1), (2, 2, 2, -3, -3)],
+        5: [(5, -1, -1, -1, -1, -1), (1, 1, 1, -1, -1, -1), (2, 2, -1, -1, -1, -1)],
     }
-    for d, (seeds, counts) in a_seeds.items():
+    for d, seeds in a_seeds.items():
         entries.append(CatalogEntry(
             parse_group_spec(f"A({d})"),
             tuple(np.array(s, dtype=float) for s in seeds),
-            counts,
         ))
 
-    b_counts = {2: (2, 2), 3: (3, 6, 4), 4: (4, 12, 16, 8), 5: (5, 20, 40, 40, 16)}
-    for d in (2, 3, 4, 5):
-        entries.append(CatalogEntry(
-            parse_group_spec(f"B({d})"),
-            tuple(_ones(k, d) for k in range(1, d + 1)),
-            b_counts[d],
-        ))
-
-    d_counts = {3: (3, 6, 4), 4: (4, 12, 16, 4)}
-    for d in (3, 4):
-        entries.append(CatalogEntry(
-            parse_group_spec(f"D({d})"),
-            tuple(_ones(k, d) for k in range(1, d + 1)),
-            d_counts[d],
-        ))
+    for label in ("B(2)", "B(3)", "B(4)", "B(5)", "D(3)", "D(4)"):
+        spec = parse_group_spec(label)
+        d = spec.params[2]
+        entries.append(CatalogEntry(spec, tuple(_ones(k, d) for k in range(1, d + 1))))
 
     generic2 = np.array([math.cos(0.37), math.sin(0.37)])
-    for m, counts in ((3, (3, 6)), (4, (2, 4)), (5, (5, 10))):
+    for m in (3, 4, 5):
         entries.append(CatalogEntry(
             parse_group_spec(f"dihedral({m})"),
             (np.array([1.0, 0.0]), generic2),
-            counts,
         ))
 
     genericC2 = np.array([1.0, 0.3 + 0.2j])
     for k in (4, 6, 8):
-        entries.append(CatalogEntry(
-            parse_group_spec(f"binD({k})"),
-            (genericC2,),
-            (k,),
-        ))
+        entries.append(CatalogEntry(parse_group_spec(f"binD({k})"), (genericC2,)))
 
     # Bloch-sphere polyhedron seeds for the binary polyhedral groups:
     # c3/s3 point along a cube diagonal, the pi/8 seed along an edge axis,
@@ -546,40 +532,28 @@ def catalog() -> tuple[CatalogEntry, ...]:
     entries.append(CatalogEntry(
         parse_group_spec("binT"),
         (tetra_vertex, tetra_face, np.array([1.0 + 0j, 0.0]), genericC2),
-        (4, 4, 6, 12),
     ))
     entries.append(CatalogEntry(
         parse_group_spec("binO"),
         (np.array([1.0 + 0j, 0.0]), tetra_vertex,
          np.array([math.cos(math.pi / 8) + 0j, math.sin(math.pi / 8)]), genericC2),
-        (6, 8, 12, 24),
     ))
     entries.append(CatalogEntry(
         parse_group_spec("binI"),
         (np.array([c5, 1j * s5]), tetra_vertex,
          np.array([PHI / 2, (1 / PHI + 1j) / 2]), genericC2),
-        (12, 20, 30, 60),
     ))
 
     # H3, H4: fundamental weights, ordered by line count
     w3 = _fundamental_weights(H3_SIMPLE_ROOTS)
-    entries.append(CatalogEntry(
-        parse_group_spec("H3"),
-        (w3[2], w3[0], w3[1]),
-        (6, 10, 15),
-    ))
+    entries.append(CatalogEntry(parse_group_spec("H3"), (w3[2], w3[0], w3[1])))
     w4 = _fundamental_weights(H4_SIMPLE_ROOTS)
-    entries.append(CatalogEntry(
-        parse_group_spec("H4"),
-        (w4[3], w4[0], w4[2], w4[1]),
-        (60, 300, 360, 600),
-    ))
+    entries.append(CatalogEntry(parse_group_spec("H4"), (w4[3], w4[0], w4[2], w4[1])))
 
     for d in (3, 4):
         entries.append(CatalogEntry(
             parse_group_spec(f"heis({d})"),
             (np.eye(d, dtype=complex)[0], np.arange(1, d + 1).astype(complex)),
-            (d, d * d),
         ))
     for entry in entries:
         for seed in entry.seeds:

@@ -13,9 +13,8 @@ unless its max_order (the CLI's --max-order) says otherwise.
 
 A few fixed thresholds also decide outcomes, each where it is used: the
 pair identity's unions.IDENTITY_TOL and pairscan.FAILS_TOL, the Molien
-means' pairscan.MOLIEN_TOL, the rational snap's SNAP_QUALITY_MAX, the 1e-12
-cut on the imaginary parts of a real group's seed or generator file, and in
-groups the 1e-6 cut on a closure's product gap.
+means' pairscan.MOLIEN_TOL, the rational snap's SNAP_QUALITY_MAX and the
+1e-12 cut on the imaginary parts of a real group's seed or generator file.
 
 All heavy arithmetic in this package is binary64. Weights are exact: a
 LineSet holds one `Fraction` per line and reads its float weights from them,

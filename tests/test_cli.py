@@ -17,6 +17,7 @@ import pytest
 
 from orbitdesigns import cli, unions
 from orbitdesigns.cli import main
+from orbitdesigns.groups import build_generators, parse_group_spec
 
 
 def run(capsys, *argv):
@@ -165,7 +166,22 @@ def test_group_closure_key_collision_exit(capsys, dedup_digits):
     # at 1 digit neighbouring rotations of rot(100) round to one key
     dedup_digits(1)
     assert main(["group", "rot(100)"]) == 3
-    assert capsys.readouterr().err == "error: distinct elements of rot(100) collide at 1 digits\n"
+    assert capsys.readouterr().err == (
+        "error: the generators of rot(100) do not permute the 2 elements found: "
+        "dedup keys at 1 digits split or merge them\n")
+
+
+def test_group_explicit_closure_key_split_exit(capsys, tmp_path, dedup_digits):
+    # an explicit group has no closed-form order to stop its closure: at 13
+    # digits A(5)'s generators close to 763 rows, which they do not permute
+    path = tmp_path / "a5.json"
+    gens = build_generators(parse_group_spec("A(5)"))
+    path.write_text(json.dumps({"field": "R", "generators": [g.tolist() for g in gens]}))
+    dedup_digits(13)
+    assert main(["group", f"explicit:{path}"]) == 3
+    assert capsys.readouterr().err == (
+        f"error: the generators of explicit:{path} do not permute the 763 elements found: "
+        "dedup keys at 13 digits split or merge them\n")
 
 
 def test_orbit_key_split_exit(capsys, dedup_digits):

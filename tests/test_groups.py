@@ -207,13 +207,18 @@ def test_unitarity_deviation_propagates_nan():
 
 
 def test_closure_of_overflowing_generators_is_refused():
-    # build_group refuses such a generator as not unitary; a group made
-    # directly from it still meets close_group's overflow check
+    # a group made directly from a generator that is not unitary is refused
+    # when it is made, as build_group refuses one, so no product can overflow
     spec = parse_group_spec("explicit:overflow.json")
-    group = FiniteMatrixGroup(spec, (np.array([[1.0, 1e308], [0.0, 1.0]]),))
     with pytest.raises(InputError, match=re.escape(
-            "products of the generators of explicit:overflow.json leave the floating range")):
-        close_group(group)
+            "generators of explicit:overflow.json must be unitary: "
+            "generator 1 deviates from unitary by inf")):
+        FiniteMatrixGroup(spec, (np.array([[1.0, 1e308], [0.0, 1.0]]),))
+
+
+def test_a_group_without_generators_is_refused():
+    with pytest.raises(InputError, match="^no generators$"):
+        FiniteMatrixGroup(parse_group_spec("binT"), ())
 
 
 def test_size_limit():
@@ -297,7 +302,8 @@ def test_closure_key_collision(dedup_digits):
     dedup_digits(1)
     spec = parse_group_spec("rot(100)")
     gens = build_generators(spec)
-    with pytest.raises(ConsistencyError, match="collide at 1 digits"):
+    with pytest.raises(ConsistencyError, match=re.escape(
+            "do not permute the 2 elements found: dedup keys at 1 digits")):
         close_group(FiniteMatrixGroup(spec, tuple(gens)))
 
 
@@ -318,11 +324,24 @@ def test_catalog_covers_expected_families():
         assert needed in labels
 
 
+# the orbit line count of each catalog seed, in catalog order
+_CATALOG_ORBIT_SIZES = {
+    "A(3)": (3, 4), "A(4)": (5, 10), "A(5)": (6, 10, 15),
+    "B(2)": (2, 2), "B(3)": (3, 6, 4), "B(4)": (4, 12, 16, 8), "B(5)": (5, 20, 40, 40, 16),
+    "D(3)": (3, 6, 4), "D(4)": (4, 12, 16, 4),
+    "dihedral(3)": (3, 6), "dihedral(4)": (2, 4), "dihedral(5)": (5, 10),
+    "binD(4)": (4,), "binD(6)": (6,), "binD(8)": (8,),
+    "binT": (4, 4, 6, 12), "binO": (6, 8, 12, 24), "binI": (12, 20, 30, 60),
+    "H3": (6, 10, 15), "H4": (60, 300, 360, 600), "heis(3)": (3, 9), "heis(4)": (4, 16),
+}
+
+
 def test_catalog_seed_orbit_sizes():
+    assert [str(entry.spec) for entry in catalog()] == list(_CATALOG_ORBIT_SIZES)
     for entry in catalog():
         g = build_group(entry.spec)
         sizes = tuple(len(orbit_lines(g, s).lines) for s in entry.seeds)
-        assert sizes == tuple(entry.expected_lines), str(entry.spec)
+        assert sizes == _CATALOG_ORBIT_SIZES[str(entry.spec)], str(entry.spec)
 
 
 def test_the_cached_catalog_cannot_be_corrupted():
@@ -345,10 +364,8 @@ def test_catalog_entry_lookup_accepts_aliases():
 def test_catalog_named_seed_examples():
     b2 = catalog_entry("B(2)")
     assert [list(s) for s in b2.seeds] == [[1, 0], [1, 1]]
-    h4 = catalog_entry("H4")
-    assert tuple(h4.expected_lines[:2]) == (60, 300)
-    heis = catalog_entry("heis(3)")
-    assert tuple(heis.expected_lines) == (3, 9)
+    assert _CATALOG_ORBIT_SIZES["H4"][:2] == (60, 300)
+    assert len(catalog_entry("heis(3)").seeds) == len(_CATALOG_ORBIT_SIZES["heis(3)"]) == 2
 
 
 def test_explicit_generator_file(f4_path):
