@@ -137,9 +137,16 @@ def _orbit(group: FiniteMatrixGroup, label: str, text: str) -> LineSet:
     return orbit_lines(group, seed, seed_literal=literal)
 
 
+def _closable_group(args) -> FiniteMatrixGroup:
+    """args.spec's group, refused by groups.closure_limit before it is built."""
+    from .groups import build_group, closure_limit, parse_group_spec
+    spec = parse_group_spec(args.spec)
+    closure_limit(spec, args.max_order)
+    return build_group(spec, args.max_order)
+
+
 def cmd_group(args) -> int:
-    from .groups import build_group
-    g = build_group(args.spec, args.max_order)
+    g = _closable_group(args)
     deviation = g.unitarity_deviation()
     payload = {
         "group": g.spec.label,
@@ -257,9 +264,8 @@ def cmd_union(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    from .groups import build_group
     from .pairscan import scan
-    g = build_group(args.spec, args.max_order)
+    g = _closable_group(args)
     rep = scan(g, args.tmax, args.samples, args.seed)
     payload = {
         "group": g.spec.label,

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import numerics  # DEDUP_DIGITS is read at call time, as quantized_keys reads it
 from .errors import ConsistencyError, InputError, SizeLimitError
-from .numerics import (DEFAULT_MAX_ORDER, REL_EQ, _json_complex, _json_number, _read_json,
-                       _walk, pow2_scaled)
+from .numerics import (DEFAULT_MAX_ORDER, REL_EQ, _intern, _json_complex, _json_number,
+                       _read_json, pow2_scaled)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -59,6 +59,9 @@ class GroupSpec:
 
     def __str__(self) -> str:
         return self.label
+
+
+_STEP_BYTES = 1 << 24  # images a walk forms at once, unless one generator's take more
 
 
 @dataclass(frozen=True, eq=False)  # equal only to itself: == on arrays has no truth value
@@ -114,25 +117,44 @@ class FiniteMatrixGroup:
 
     def walk(self, start: np.ndarray, step, too_many: str, split: str,
              noun: str) -> np.ndarray:
-        """The rows _walk finds from start, up to the closed-form order when
-        that is within max_order, else max_order.
-        Passing max_order raises SizeLimitError(too_many); passing the known
-        order is a dedup-key split and raises ConsistencyError(split). A walk
-        that ends must find rows that every generator permutes, else the dedup
-        keys split or merged rows: ConsistencyError, naming the rows by noun."""
+        """The rows found breadth-first from start (distinct dedup keys), in order.
+        step(block, batch) stacks the images of block under the slice batch of
+        the generators, generator-major; a round takes them in order, a batch
+        of max(1, _STEP_BYTES // frontier.nbytes) at a time. The batch that
+        passes max_order raises SizeLimitError(too_many), and one that passes
+        the closed-form order (if within max_order) is a dedup-key split:
+        ConsistencyError(split). A walk that ends must find rows that every
+        generator permutes, else the dedup keys split or merged rows:
+        ConsistencyError, naming the rows by noun."""
         known = group_order(self.spec)
         exact = known is not None and known <= self.max_order
-        rows, maps = _walk(start, step, known if exact else self.max_order)
-        if maps is None:
-            raise ConsistencyError(split) if exact else SizeLimitError(too_many)
-        # maps holds positions in 0..n-1, so each row is a permutation iff it hits every one
+        limit = known if exact else self.max_order
+        k = len(self.generators)
+        index: dict[bytes, int] = {}
+        _intern(start, index)
+        found, targets, frontier = [start], [], start
+        while len(frontier):
+            per = max(1, _STEP_BYTES // frontier.nbytes)
+            parts = []
+            for lo in range(0, k, per):
+                images = step(frontier, slice(lo, lo + per))
+                at, new = _intern(images, index)
+                if len(index) > limit:
+                    raise ConsistencyError(split) if exact else SizeLimitError(too_many)
+                parts.append((at, images[new]))
+            # a round's only batch is not copied
+            at, frontier = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+            targets.append(at.reshape(k, -1))
+            found.append(frontier)
+        # maps[g, j] is the position of row j's image under g: a permutation iff it hits all n
+        maps = np.concatenate(targets, axis=1)
         hit = np.zeros(maps.shape, dtype=bool)
-        hit[np.arange(len(maps))[:, None], maps] = True
+        hit[np.arange(k)[:, None], maps] = True
         if not hit.all():
             raise ConsistencyError(
-                f"the generators of {self.spec} do not permute the {len(rows)} {noun} found: "
+                f"the generators of {self.spec} do not permute the {len(index)} {noun} found: "
                 f"dedup keys at {numerics.DEDUP_DIGITS} digits split or merge them")
-        return rows
+        return np.concatenate(found)
 
     @property
     def order(self) -> int:
@@ -391,6 +413,17 @@ def group_order(spec: GroupSpec) -> int | None:
     return _FAMILIES[spec.kind].order(*spec.params)
 
 
+def closure_limit(spec: GroupSpec, max_order: int) -> str:
+    """The message of a closure of spec that passes max_order, raised at once
+    when its closed-form order does (after _refuse_dimension's rule)."""
+    too_many = f"closure of {spec} exceeds max_order={max_order}"
+    _refuse_dimension(spec, max_order)
+    known = group_order(spec)
+    if known is not None and known > max_order:
+        raise SizeLimitError(too_many)
+    return too_many
+
+
 def close_group(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
     """Breadth-first closure of the group's generators by group.walk; returns
     the group with `elements` filled in.
@@ -403,12 +436,10 @@ def close_group(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
     """
     spec, gens, digits = group.spec, group.generators, numerics.DEDUP_DIGITS
     expected = group_order(spec)
-    too_many = f"closure of {spec} exceeds max_order={group.max_order}"
-    if expected is not None and expected > group.max_order:
-        raise SizeLimitError(too_many)
     elements = group.walk(
         np.eye(group.dim, dtype=gens[0].dtype)[None],
-        lambda block: np.concatenate([block @ g for g in gens]), too_many,
+        lambda block, batch: np.concatenate([block @ g for g in gens[batch]]),
+        closure_limit(spec, group.max_order),
         f"closure of {spec} passes its order {expected}: copies of "
         f"one element split into distinct dedup keys at {digits} digits", "elements")
     if expected is not None and len(elements) < expected:
@@ -446,6 +477,11 @@ def _build_cached(spec: GroupSpec, max_order: int) -> FiniteMatrixGroup:
 
 
 def _assemble(spec: GroupSpec, max_order: int) -> FiniteMatrixGroup:
+    _refuse_dimension(spec, max_order)
+    return FiniteMatrixGroup(spec, tuple(build_generators(spec)), max_order)
+
+
+def _refuse_dimension(spec: GroupSpec, max_order: int) -> None:
     # G(m,p,n) has about d generators of d^2 entries each: with d^2 > max_order
     # they outgrow a walk of max_order lines before any walk starts. A family of
     # dimension d >= 3 has order >= d^2, so its order (G's m^n n!/p) is not computed
@@ -454,7 +490,6 @@ def _assemble(spec: GroupSpec, max_order: int) -> FiniteMatrixGroup:
         if d * d > max_order and (d > 2 or group_order(spec) > max_order):
             raise SizeLimitError(f"{spec} exceeds max_order={max_order}: its order "
                                  f"does, and so does its dimension {d} squared")
-    return FiniteMatrixGroup(spec, tuple(build_generators(spec)), max_order)
 
 
 @dataclass(frozen=True)

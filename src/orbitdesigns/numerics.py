@@ -153,30 +153,6 @@ def _intern(rows: np.ndarray, index: dict[bytes, int]) -> tuple[np.ndarray, list
     return np.array(at, dtype=np.intp), new
 
 
-def _walk(start: np.ndarray, step, limit: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """Breadth-first walk from the rows of `start` (distinct keys), deduplicated
-    by dedup key.
-
-    step(block) returns the images of a block of rows under every generator,
-    stacked generator-major. Returns (rows, maps): the rows in the order found
-    and maps[k, j], the position of the image of row j under generator k. A
-    walk that finds more than `limit` rows stops there with maps None.
-    """
-    index: dict[bytes, int] = {}
-    _intern(start, index)
-    found, targets, frontier = [start], [], start
-    while True:
-        images = step(frontier)
-        at, new = _intern(images, index)
-        targets.append(at.reshape(-1, len(frontier)))
-        if not new:
-            return np.concatenate(found), np.concatenate(targets, axis=1)
-        frontier = images[new]
-        found.append(frontier)
-        if len(index) > limit:
-            return np.concatenate(found), None
-
-
 # Some p/q is within 1/q^2 of any real x, so with q up to 10^6 nearly any x
 # meets REL_EQ; a rounded rational x scores q^2 |x - p/q| ~ |pq| 2^-53.
 # The rational roots of catalog pairs score <= 7e-6, irrational ones >= 4e-3.

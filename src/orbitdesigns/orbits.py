@@ -112,9 +112,10 @@ def orbit_lines(group: FiniteMatrixGroup, seed: np.ndarray,
                 seed_literal: str | None = None) -> LineSet:
     """The projective orbit of a seed under the group, uniformly weighted.
 
-    Walks canonical lines breadth-first under the group's generators by
-    group.walk, so the group's elements are never enumerated; the walk checks
-    that every generator permutes the lines found. Their number must divide
+    Walks canonical lines breadth-first by group.walk, whose step maps a
+    block of lines by a slice of the generators, so the group's elements are
+    never enumerated; the walk checks that every generator permutes the lines
+    found. Their number must divide
     the group order when that has a closed form; a dedup key that splits one
     line into several or merges two is an error.
     """
@@ -129,7 +130,7 @@ def orbit_lines(group: FiniteMatrixGroup, seed: np.ndarray,
     split = f"copies of one line split into distinct dedup keys at {digits} digits"
     reps = group.walk(
         _canonicalize_rows((x / nx)[None]),
-        lambda block: _canonicalize_rows((block @ gens_t).reshape(-1, x.size)),
+        lambda block, batch: _canonicalize_rows((block @ gens_t[batch]).reshape(-1, x.size)),
         f"orbit of {group.spec} passes max_order={group.max_order} lines: "
         f"the group is larger than that, or {split}",
         f"orbit of {group.spec} passes {order} lines: {split}", "orbit lines")

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orbitdesigns import cli, unions
+from orbitdesigns import cli, groups, unions
 from orbitdesigns.cli import main
 from orbitdesigns.groups import build_generators, parse_group_spec
 
@@ -94,10 +94,19 @@ def test_orbit_passing_max_order_is_a_size_limit(capsys):
     (["orbit", "B(1000)", "--seed", ",".join(["1"] + ["0"] * 999)],
      "resource error: B(1000) exceeds max_order=200000: its order does, "
      "and so does its dimension 1000 squared\n"),
+    # |B(300)| passes max_order and its dimension squared does not: the
+    # closure is refused before its 300 generators of 300x300 are built
+    (["group", "B(300)"], "resource error: closure of B(300) exceeds max_order=200000\n"),
+    (["scan", "B(300)"], "resource error: closure of B(300) exceeds max_order=200000\n"),
 ])
-def test_family_above_max_order_fails_at_once(capsys, argv, err):
+def test_family_above_max_order_fails_at_once(capsys, monkeypatch, argv, err):
+    built = []  # the specs whose generators are built; none, even if a test cached them
+    groups._build_cached.cache_clear()
+    monkeypatch.setattr(groups, "build_generators",
+                        lambda spec: built.append(spec) or build_generators(spec))
     assert main(argv) == 4
     assert capsys.readouterr().err == err
+    assert built == []
 
 
 def test_family_too_large_to_build_is_refused_before_its_order():
@@ -109,6 +118,24 @@ def test_family_too_large_to_build_is_refused_before_its_order():
     assert proc.returncode == 4
     assert proc.stderr == ("resource error: B(100000000) exceeds max_order=200000: its order "
                            "does, and so does its dimension 100000000 squared\n")
+
+
+def test_orbit_past_max_order_forms_its_images_in_batches():
+    # the last round of this walk has about 10^5 lines of 30 entries; formed
+    # under all 30 generators at once, their images alone took 700 MB
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = ("import resource, sys\n"
+            "from orbitdesigns.cli import main\n"
+            "code = main(['orbit', 'B(30)', '--seed', ','.join(map(str, range(1, 31)))])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 4
+    assert proc.stderr == ("resource error: orbit of B(30) passes max_order=200000 lines: "
+                           "the group is larger than that, or copies of one line split "
+                           "into distinct dedup keys at 8 digits\n")
+    assert int(proc.stdout) < 400 * 1024  # ru_maxrss is in KiB
 
 
 def test_union_in_a_group_above_max_order(capsys):

@@ -21,6 +21,7 @@ from orbitdesigns import (
     orbit_lines,
     parse_group_spec,
 )
+from orbitdesigns import groups
 from orbitdesigns.groups import (
     H3_SIMPLE_ROOTS,
     H4_SIMPLE_ROOTS,
@@ -315,6 +316,27 @@ def test_closure_that_ends_short_of_its_order(monkeypatch):
     with pytest.raises(ConsistencyError,
                        match=re.escape("closure of binT ends at 24 of its 48 elements")):
         close_group(FiniteMatrixGroup(spec, tuple(build_generators(spec))))
+
+
+def test_walk_batches_move_no_row(monkeypatch):
+    # a round steps its frontier a batch of generators at a time, in generator
+    # order: one generator per batch finds the rows that one batch per round
+    # finds, bit for bit, on every catalog orbit and catalog closure
+    def rows_found():
+        out = []
+        for entry in catalog():
+            g = build_group(entry.spec)
+            if g.order <= 20_000:
+                out.append(close_group(FiniteMatrixGroup(g.spec, g.generators)).elements)
+            out += [orbit_lines(g, seed).lines for seed in entry.seeds]
+        return out
+
+    default = rows_found()
+    monkeypatch.setattr(groups, "_STEP_BYTES", 1)
+    one_by_one = rows_found()
+    assert len(default) == len(one_by_one) == 82
+    for a, b in zip(default, one_by_one):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_catalog_covers_expected_families():

@@ -10,13 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitdesigns import (
+    FiniteMatrixGroup,
+    GroupSpec,
     NumericRangeError,
+    SizeLimitError,
     build_group,
     catalog_entry,
     snap_to_rational,
 )
 from orbitdesigns import numerics
-from orbitdesigns.numerics import _walk, compensated_sums
+from orbitdesigns.numerics import compensated_sums
 from orbitdesigns.orbits import _canonicalize_rows
 
 
@@ -186,39 +189,41 @@ def test_intern_matches_a_dict_reference(entries, cut):
 
 def test_walk_returns_rows_in_discovery_order():
     # x -> 2x and x -> x + 3 on Z/11, against a plain breadth-first search
-    # that takes each level generator by generator
+    # that takes each level generator by generator; the group's two 1x1
+    # generators only count the maps, which the step applies itself
     maps = (lambda x: 2 * x % 11, lambda x: (x + 3) % 11)
     order, frontier = [1], [1]
     while frontier:
         level = [f(x) for f in maps for x in frontier]
         frontier = [y for n, y in enumerate(level) if y not in order and y not in level[:n]]
         order += frontier
-    rows, targets = _walk(np.array([[1.0]]),
-                          lambda block: np.concatenate([f(block) for f in maps]), 11)
+    g = FiniteMatrixGroup(GroupSpec("explicit", ("toy",), "toy"), (np.eye(1),) * 2, 11)
+    rows = g.walk(np.array([[1.0]]),
+                  lambda block, batch: np.concatenate([f(block) for f in maps[batch]]),
+                  "too many", "split", "residues")
     assert rows[:, 0].tolist() == order
-    for f, row in zip(maps, targets):
-        assert rows[row, 0].tolist() == [f(x) for x in order]
 
 
 @pytest.mark.parametrize("label", ["binT", "H3", "heis(3)"])
 def test_walk_maps_are_the_generator_permutations(label):
     g = build_group(label)
-    gens = list(g.generators)
-    rows, maps = _walk(g.elements[:1], lambda block: np.concatenate([block @ h for h in gens]),
-                       g.order)
-    assert rows.shape == g.elements.shape
-    assert maps.shape == (len(gens), g.order)
-    for h, perm in zip(gens, maps):
-        assert sorted(perm.tolist()) == list(range(g.order))
+    gens = g.generators
+    rows = g.walk(g.elements[:1],
+                  lambda block, batch: np.concatenate([block @ h for h in gens[batch]]),
+                  "too many", "split", "elements")
+    assert np.array_equal(rows, g.elements)
+    position = {key: n for n, key in enumerate(numerics.quantized_keys(rows))}
+    for h in gens:
+        perm = [position[key] for key in numerics.quantized_keys(rows @ h)]
+        assert sorted(perm) == list(range(g.order))
         assert np.abs(rows @ h - rows[perm]).max() < 1e-12
 
 
 def test_walk_stops_past_limit_without_maps():
     entry = catalog_entry("H4")  # seed @4 has a 600-line orbit
-    g = build_group("H4")
+    g = build_group("H4", max_order=100)
     gens_t = np.stack(g.generators).transpose(0, 2, 1)
-    rows, maps = _walk(_canonicalize_rows(entry.seeds[3][None]),
-                       lambda block: _canonicalize_rows((block @ gens_t).reshape(-1, 4)),
-                       100)
-    assert maps is None
-    assert 100 < len(rows) < 600
+    with pytest.raises(SizeLimitError, match="^too many$"):
+        g.walk(_canonicalize_rows(entry.seeds[3][None]),
+               lambda block, batch: _canonicalize_rows((block @ gens_t[batch]).reshape(-1, 4)),
+               "too many", "split", "orbit lines")
