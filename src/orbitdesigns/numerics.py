@@ -51,12 +51,10 @@ _SPLIT = 1.5 * 2.0 ** 29  # M + _SPLIT - _SPLIT rounds M to a multiple of 2^-23
 _PENDING_MAX = 1 << 22  # columns summed into the buckets before they are flushed
 # glibc serves an allocation above 128 KiB by mmap, so its pages are faulted
 # in afresh and the peak RSS depends on what the process freed before. Of the
-# working arrays of an O(n^2) pass over a line set, only a potential's Gram
+# working arrays of a potential's O(n^2) pass over a line set, only its Gram
 # tile of GRAM_TILE entries and the block of terms cut from it outgrow that:
 # their shape fixes the bits of the potential. Each step of the exact sum takes
-# at most _CHUNK_TERMS terms, so its five temporaries stay at or below 64 KiB,
-# and LineSet.validate, whose verdict no tile shape moves, cuts its Gram tiles
-# to 64 KiB too.
+# at most _CHUNK_TERMS terms, so its five temporaries stay at or below 64 KiB.
 GRAM_TILE = 1 << 15  # entries of a Gram tile of designs._terms
 _CHUNK_TERMS = 1 << 13  # terms compensated_sums takes from a block at a time
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numerics  # DEDUP_DIGITS is read at call time, as quantized_keys reads it
 from .errors import ConsistencyError, InputError, MismatchError
-from .numerics import _CHUNK_TERMS, REL_EQ, _intern
+from .numerics import REL_EQ, _intern
 
 
 @dataclass(frozen=True, eq=False)  # equal only to itself: == on arrays has no truth value
@@ -62,31 +62,32 @@ class LineSet:
         return bool((self.weights < 0).any())
 
     def validate(self) -> None:
+        """Check that every line has unit norm, that no two lines coincide
+        projectively and that the weights sum to 1.
+
+        Lines a and b coincide when a is within the dedup grid 10^-DEDUP_DIGITS
+        of phi*b, phi = <b,a>/|<b,a>|; 1 - |<b,a>| <= REL_EQ, quadratic in
+        their angle, only picks the candidates. Each line x has the phase-free
+        number q(x) = |<x,v>|^2 for a fixed unit probe v, and coinciding lines
+        have q within 2(1 + REL_EQ) grids of each other, so they fall in the
+        same or adjacent cells of width 3 grids; only pairs in such cells are
+        compared. The probe sets how many pairs that is, never a verdict.
+        """
         norms = np.linalg.norm(self.lines, axis=1)
-        if np.abs(norms - 1.0).max() > REL_EQ:
+        if not np.abs(norms - 1.0).max() <= REL_EQ:  # fails on nan too
             raise ConsistencyError("line representatives must have unit norm")
-        # 1 - |<a,b>| is quadratic in the angle of lines a and b, so it only
-        # picks candidates: a pair coincides when a is within the dedup grid
-        # of b times the phase <b,a>/|<b,a>|. The strict upper triangle of the
-        # Gram matrix is read a tile of rows at a time; its part on or below
-        # the diagonal is zeroed in place. A tile holds at most _CHUNK_TERMS
-        # real or half as many complex entries (or one row, if that is longer),
-        # so each working array stays at or below 64 KiB, under glibc's mmap
-        # threshold; no output bit depends on this cut.
-        n = self.n_lines
-        step = max(1, _CHUNK_TERMS // (2 if self.field == "C" else 1) // n)
-        others = self.lines.conj().T  # a view when the lines are real
-        for i in range(0, n - 1, step):
-            gram = self.lines[i:i + step] @ others[:, i + 1:]
-            near = np.abs(gram)
-            near[np.tri(*near.shape, -1, dtype=bool)] = 0.0
-            if not 1.0 - near.max() > REL_EQ:  # a candidate, which is rare, or a nan
-                for r, c in np.argwhere(1.0 - near <= REL_EQ):
-                    phase = gram[r, c] / abs(gram[r, c])
-                    gap = np.linalg.norm(self.lines[i + r] - phase * self.lines[i + 1 + c])
-                    if gap <= 10.0 ** -numerics.DEDUP_DIGITS:
-                        raise ConsistencyError("two lines coincide projectively")
-            del gram, near  # else they outlive the making of the next tile
+        grid = 10.0 ** -numerics.DEDUP_DIGITS
+        k = np.arange(1, self.dim + 1)
+        probe = np.sqrt(k) * (np.exp(1j * k) if self.field == "C" else np.cos(k))
+        q = np.abs(self.lines @ (probe / np.linalg.norm(probe))) ** 2
+        earlier: dict[int, list[int]] = {}  # cell -> the rows met in it so far
+        for i, c in enumerate((q // (3.0 * grid)).astype(np.int64).tolist()):
+            for j in (*earlier.get(c - 1, ()), *earlier.get(c, ()), *earlier.get(c + 1, ())):
+                a, b = self.lines[j], self.lines[i]
+                dot = np.vdot(b, a)
+                if 1.0 - abs(dot) <= REL_EQ and np.linalg.norm(a - dot / abs(dot) * b) <= grid:
+                    raise ConsistencyError("two lines coincide projectively")
+            earlier.setdefault(c, []).append(i)
         if not abs(fsum(self.weights.tolist()) - 1.0) <= REL_EQ:  # fails on nan too
             raise ConsistencyError("weights must sum to 1")
 

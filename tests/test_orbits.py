@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import subprocess
 import sys
@@ -28,8 +29,8 @@ from orbitdesigns import (
     parse_vector,
     union_lines,
 )
-from orbitdesigns import groups
-from orbitdesigns.numerics import _CHUNK_TERMS
+from orbitdesigns import groups, numerics
+from orbitdesigns.numerics import REL_EQ
 from orbitdesigns.orbits import _canonicalize_rows
 
 
@@ -316,15 +317,13 @@ def test_validate_catches_repeated_lines():
     H = orbit_lines(build_group("H4"), catalog_entry("H4").seeds[3])
     C = orbit_lines(build_group("binT"), catalog_entry("binT").seeds[0])
     K = orbit_lines(build_group("G(4,1,3)"), np.array([1.0, 2.0, 3.0]))
-    # validate's tiles hold _CHUNK_TERMS real or half as many complex entries
-    assert _CHUNK_TERMS // H.n_lines < H.n_lines  # H spans several row tiles
-    assert K.field == "C" and _CHUNK_TERMS // 2 // K.n_lines < K.n_lines  # so does K
+    assert K.field == "C"
     cases = [
         np.vstack([X.lines, -X.lines[:1]]),  # -x spans the line of x
-        np.vstack([H.lines, H.lines[-1:]]),  # adjacent rows, in the last tile
+        np.vstack([H.lines, H.lines[-1:]]),  # adjacent rows
         np.vstack([H.lines, H.lines[:1]]),  # the first and the last row
         np.vstack([C.lines, np.exp(0.7j) * C.lines[2:3]]),  # a phase
-        np.vstack([K.lines, 1j * K.lines[-1:]]),  # adjacent complex rows, in the last tile
+        np.vstack([K.lines, 1j * K.lines[-1:]]),  # adjacent complex rows
         np.vstack([K.lines, np.exp(-2.1j) * K.lines[:1]]),  # the first and the last row
     ]
     for lines in cases:
@@ -332,6 +331,79 @@ def test_validate_catches_repeated_lines():
         repeated = LineSet(lines=lines, exact_weights=(Fraction(1, n),) * n)
         with pytest.raises(ConsistencyError, match="coincide projectively"):
             repeated.validate()
+
+
+def test_validate_catches_a_nan_line():
+    broken = LineSet(np.array([[np.nan, 0.0], [0.0, 1.0]]), (Fraction(1, 2),) * 2)
+    with pytest.raises(ConsistencyError, match="unit norm"):
+        broken.validate()
+
+
+def _cell(line):
+    """The cell of q(x) = |<x,v>|^2 that validate files a line under, for its
+    probe v_k ~ e^{ik} sqrt(k), or the real part for a real line."""
+    k = np.arange(1, len(line) + 1)
+    probe = np.sqrt(k) * (np.exp(1j * k) if np.iscomplexobj(line) else np.cos(k))
+    q = abs(line @ (probe / np.linalg.norm(probe))) ** 2
+    return int(q // (3.0 * 10.0 ** -numerics.DEDUP_DIGITS))
+
+
+@pytest.mark.parametrize("phase", [1.0, np.exp(0.3j)])
+def test_validate_compares_lines_across_adjacent_cells(phase):
+    # lines 0.99e-8 apart coincide; as the pair turns through the plane, q
+    # moves by up to 0.99e-8 between them, so some pairs straddle two cells
+    split = 0
+    for alpha in np.linspace(0.0, np.pi, 64):
+        a = phase * np.array([np.cos(alpha), np.sin(alpha)])
+        b = phase * np.array([np.cos(alpha + 0.99e-8), np.sin(alpha + 0.99e-8)])
+        split += abs(_cell(a) - _cell(b)) == 1
+        with pytest.raises(ConsistencyError, match="coincide projectively"):
+            LineSet(np.array([a, b]), (Fraction(1, 2),) * 2).validate()
+    assert split > 0
+
+
+@functools.cache
+def _catalog_orbits():
+    return tuple(orbit_lines(build_group(e.spec), s) for e in catalog() for s in e.seeds)
+
+
+def _coincide_pairwise(lines):
+    """validate's rule applied to every pair of rows i < j: a = lines[i] is
+    within the dedup grid of phi*b, b = lines[j], phi = <b,a>/|<b,a>|. Pairs
+    with |<b,a>| <= 1/2, at least 1 apart, are skipped."""
+    grid = 10.0 ** -numerics.DEDUP_DIGITS
+    gram = np.abs(lines @ lines.conj().T)
+    for i, j in zip(*np.nonzero(np.triu(gram > 0.5, 1))):
+        a, b = lines[i], lines[j]
+        dot = np.vdot(b, a)
+        if 1.0 - abs(dot) <= REL_EQ and np.linalg.norm(a - dot / abs(dot) * b) <= grid:
+            return True
+    return False
+
+
+@given(st.data(), st.floats(min_value=-12.0, max_value=-6.5), st.floats(0.0, 2.0 * np.pi))
+@settings(max_examples=120, deadline=None)
+def test_validate_agrees_with_every_pair_compared(data, log_distance, angle):
+    # a catalog orbit and one line of it turned by 10^log_distance, in a
+    # random direction, times a random sign or phase, inserted at a random row
+    X = data.draw(st.sampled_from(_catalog_orbits()))
+    row = data.draw(st.integers(0, X.n_lines - 1))
+    at = data.draw(st.integers(0, X.n_lines))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = X.lines[row]
+    u = rng.standard_normal(X.dim) + (1j * rng.standard_normal(X.dim) if X.field == "C" else 0)
+    u -= np.vdot(x, u) * x
+    u /= np.linalg.norm(u)
+    turn = np.exp(1j * angle) if X.field == "C" else (1.0 if angle < np.pi else -1.0)
+    moved = turn * (np.cos(10.0**log_distance) * x + np.sin(10.0**log_distance) * u)
+    lines = np.insert(X.lines, at, moved, axis=0)
+    n = len(lines)
+    ls = LineSet(lines=lines, exact_weights=(Fraction(1, n),) * n)
+    if _coincide_pairwise(lines):
+        with pytest.raises(ConsistencyError, match="coincide projectively"):
+            ls.validate()
+    else:
+        ls.validate()
 
 
 def test_validate_holds_no_gram_matrix():
