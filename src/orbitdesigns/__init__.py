@@ -18,8 +18,7 @@ _EXPORTS = {  # public name -> the module that defines it
                      "NoSolutionError", "NumericRangeError", "OrbitDesignsError",
                      "SizeLimitError"], "errors"),
     **dict.fromkeys(["CatalogEntry", "FiniteMatrixGroup", "GroupSpec", "build_group", "catalog",
-                     "catalog_entry", "close_group", "group_order", "parse_group_spec"],
-                    "groups"),
+                     "catalog_entry", "group_order", "parse_group_spec"], "groups"),
     "snap_to_rational": "numerics",
     **dict.fromkeys(["LineSet", "format_vector", "orbit_lines", "parse_vector",
                      "union_lines"], "orbits"),

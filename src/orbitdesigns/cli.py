@@ -147,17 +147,18 @@ def _closable_group(args) -> FiniteMatrixGroup:
 
 def cmd_group(args) -> int:
     g = _closable_group(args)
-    deviation = g.unitarity_deviation()
+    order = len(g.elements)  # the closure checks the family's order, if it has one
+    deviation = max(g.unitarity_deviations)
     payload = {
         "group": g.spec.label,
-        "order": g.order,
+        "order": order,
         "dim": g.dim,
         "field": g.field,
         "unitarity_deviation": deviation,
     }
     _emit(payload, args.format, [
         f"group: {g.spec.label}",
-        f"order: {g.order}",
+        f"order: {order}",
         f"dim: {g.dim}",
         f"field: {g.field}",
         f"unitarity deviation: {deviation:.3e}",

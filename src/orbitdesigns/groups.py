@@ -74,7 +74,7 @@ class FiniteMatrixGroup:
 
     A group is made only from at least one generator, each unitary within
     REL_EQ, so every product of them stays finite; else InputError.
-    `elements` is enumerated by close_group on first use only.
+    `elements` is enumerated on first use only.
     """
 
     spec: GroupSpec
@@ -84,19 +84,45 @@ class FiniteMatrixGroup:
     def __post_init__(self) -> None:
         if not self.generators:
             raise InputError("no generators")
-        eye = np.eye(self.dim)
-        for i, g in enumerate(self.generators, start=1):
-            # a 2-D product goes to BLAS; _unitarity_deviation's einsum is O(d^3) without it
-            with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused below
-                dev = float(np.abs(g.conj().T @ g - eye).max())
-            if not dev <= REL_EQ:
+        for i, dev in enumerate(self.unitarity_deviations, start=1):
+            if not dev <= REL_EQ:  # inf and nan fail too
                 raise InputError(f"generators of {self.spec} must be unitary: generator {i} "
                                  f"deviates from unitary by {dev:.3e}")
 
     @cached_property
+    def unitarity_deviations(self) -> tuple:
+        """The max-norm of g*g - I for each generator g, in order: inf when an
+        entry of g*g overflows, nan when one is nan."""
+        eye = np.eye(self.dim)
+        with np.errstate(over="ignore", invalid="ignore"):  # __post_init__ refuses inf and nan
+            return tuple(float(np.abs(g.conj().T @ g - eye).max()) for g in self.generators)
+
+    @cached_property
     def elements(self) -> np.ndarray:
-        """(order, d, d) array of every element, identity first."""
-        return close_group(self).elements
+        """(order, d, d) array of every element, identity first: the
+        breadth-first closure of the generators by walk.
+
+        A closed-form order above max_order raises SizeLimitError before the
+        walk, as does a closure that passes max_order. When the family has a
+        closed-form order, a closure that passes it or ends short of it is a
+        dedup-key failure and raises ConsistencyError, as does (with or
+        without a closed-form order) a generator that does not permute the
+        elements found.
+        """
+        spec, gens, digits = self.spec, self.generators, numerics.DEDUP_DIGITS
+        expected = group_order(spec)
+        elements = self.walk(
+            np.eye(self.dim, dtype=gens[0].dtype)[None],
+            lambda block, batch: np.concatenate([block @ g for g in gens[batch]]),
+            closure_limit(spec, self.max_order),
+            f"closure of {spec} passes its order {expected}: copies of "
+            f"one element split into distinct dedup keys at {digits} digits", "elements")
+        if expected is not None and len(elements) < expected:
+            raise ConsistencyError(
+                f"closure of {spec} ends at {len(elements)} of its {expected} elements: "
+                f"distinct elements share a dedup key at {digits} digits"
+            )
+        return elements
 
     @cached_property
     def seed_basis(self) -> np.ndarray | None:
@@ -188,23 +214,6 @@ class FiniteMatrixGroup:
                 f"seed length {len(v)} does not match {self.spec} (dim {self.dim})"
             )
         return v
-
-    def unitarity_deviation(self) -> float:
-        """max over g of the max-norm of g*g - I."""
-        return _unitarity_deviation(self.elements)
-
-
-def _unitarity_deviation(mats: np.ndarray) -> float:
-    """max over the (n, d, d) stack of the max-norm of M*M - I; inf when an
-    entry of M*M overflows, nan when one is nan."""
-    eye = np.eye(mats.shape[1])
-    dev = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # callers refuse inf and nan
-        for start in range(0, len(mats), 4096):
-            block = mats[start:start + 4096]
-            grams = np.einsum("nji,njk->nik", block.conj(), block)
-            dev = np.maximum(dev, np.abs(grams - eye).max())
-    return float(dev)
 
 
 def _su2(a: float, b: float, c: float, d: float) -> np.ndarray:
@@ -422,33 +431,6 @@ def closure_limit(spec: GroupSpec, max_order: int) -> str:
     if known is not None and known > max_order:
         raise SizeLimitError(too_many)
     return too_many
-
-
-def close_group(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
-    """Breadth-first closure of the group's generators by group.walk; returns
-    the group with `elements` filled in.
-
-    A closed-form order above max_order raises SizeLimitError before the walk,
-    as does a closure that passes max_order. When the family has a closed-form
-    order, a closure that passes it or ends short of it is a dedup-key failure
-    and raises ConsistencyError, as does (with or without a closed-form order)
-    a generator that does not permute the elements found.
-    """
-    spec, gens, digits = group.spec, group.generators, numerics.DEDUP_DIGITS
-    expected = group_order(spec)
-    elements = group.walk(
-        np.eye(group.dim, dtype=gens[0].dtype)[None],
-        lambda block, batch: np.concatenate([block @ g for g in gens[batch]]),
-        closure_limit(spec, group.max_order),
-        f"closure of {spec} passes its order {expected}: copies of "
-        f"one element split into distinct dedup keys at {digits} digits", "elements")
-    if expected is not None and len(elements) < expected:
-        raise ConsistencyError(
-            f"closure of {spec} ends at {len(elements)} of its {expected} elements: "
-            f"distinct elements share a dedup key at {digits} digits"
-        )
-    group.__dict__["elements"] = elements  # the slot cached_property fills
-    return group
 
 
 def build_group(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixGroup:

@@ -1,5 +1,6 @@
 """Shared fixtures: an explicit-generator group file used by several suites,
-and a dedup grid other than numerics.DEDUP_DIGITS for one test."""
+a dedup grid other than numerics.DEDUP_DIGITS for one test, and a count of
+the closures a test runs."""
 from __future__ import annotations
 
 import json
@@ -22,6 +23,24 @@ def dedup_digits(monkeypatch):
 
     yield set_digits
     groups._build_cached.cache_clear()
+
+
+@pytest.fixture
+def closures(monkeypatch):
+    """The spec of each group whose elements the test closes, once per closure
+    walk (a walk whose noun is "elements"). Groups are built afresh, since a
+    cached group may already hold its elements."""
+    walk = groups.FiniteMatrixGroup.walk
+    specs = []
+
+    def counted(group, start, step, too_many, split, noun):
+        if noun == "elements":
+            specs.append(group.spec)
+        return walk(group, start, step, too_many, split, noun)
+
+    monkeypatch.setattr(groups.FiniteMatrixGroup, "walk", counted)
+    groups._build_cached.cache_clear()
+    return specs
 
 
 @pytest.fixture(scope="session")

@@ -40,6 +40,25 @@ def test_group_summary(capsys):
     assert payload["unitarity_deviation"] <= 1e-9
 
 
+def test_group_reports_the_margin_its_generators_were_admitted_by(capsys):
+    # the largest ||g*g - I|| over the generators, the number held against
+    # REL_EQ when the group is built
+    code, payload = run_json(capsys, "group", "binO")
+    assert code == 0
+    gens = build_generators(parse_group_spec("binO"))
+    margin = max(float(np.abs(g.conj().T @ g - np.eye(2)).max()) for g in gens)
+    assert payload["unitarity_deviation"] == margin
+    assert f"{margin:.3e}" == "2.232e-16"
+
+
+def test_group_closes_once(capsys, closures, f4_path):
+    specs = ["H4", f"explicit:{f4_path}"]
+    for spec, order in zip(specs, [14400, 1152]):
+        code, payload = run_json(capsys, "group", spec)
+        assert (code, payload["order"]) == (0, order)
+    assert [str(s) for s in closures] == specs
+
+
 def test_group_complex_summary(capsys):
     code, payload = run_json(capsys, "group", "binI")
     assert code == 0

@@ -17,7 +17,6 @@ from orbitdesigns import (
     build_group,
     catalog,
     catalog_entry,
-    close_group,
     orbit_lines,
     parse_group_spec,
 )
@@ -27,7 +26,6 @@ from orbitdesigns.groups import (
     H4_SIMPLE_ROOTS,
     _FAMILIES,
     _helmert_basis,
-    _unitarity_deviation,
     build_generators,
 )
 from orbitdesigns.numerics import REL_EQ
@@ -146,7 +144,7 @@ def test_spec_labels_round_trip():
 
 def test_unitarity_after_build():
     for spec in ["G(2,1,3)", "A(3)", "binO", "H3", "heis(3)", "dihedral(7)"]:
-        assert build_group(spec).unitarity_deviation() <= 1e-9
+        assert max(build_group(spec).unitarity_deviations) <= 1e-9
 
 
 def test_dihedral3_contains_stated_generators():
@@ -180,7 +178,8 @@ def test_the_family_specs_cover_every_family():
 @pytest.mark.parametrize("spec", _FAMILY_SPECS)
 def test_every_family_has_unitary_generators(spec):
     # generators only, no closure: a family with an off generator is refused at build
-    devs = [_unitarity_deviation(g[None]) for g in build_generators(parse_group_spec(spec))]
+    devs = build_group(spec).unitarity_deviations
+    assert len(devs) == len(build_generators(parse_group_spec(spec)))
     assert all(dev <= REL_EQ for dev in devs), devs
 
 
@@ -198,13 +197,17 @@ def test_explicit_non_unitary_generators_are_refused(tmp_path):
 
 
 def test_unitarity_deviation_propagates_nan():
-    # a nan deviation must not pass as unitary (max(0.0, nan) is 0.0)
-    mats = np.stack([np.eye(2), np.full((2, 2), np.nan)])
-    assert math.isnan(_unitarity_deviation(mats))
-    # an M*M that overflows reads inf, and inf - inf in it nan, with no
-    # RuntimeWarning (the suite turns those into errors)
-    assert _unitarity_deviation(np.array([[[1e200, 0.0], [0.0, 1.0]]])) == math.inf
-    assert math.isnan(_unitarity_deviation(np.array([[[1e200, 1e200], [1e200, -1e200]]])))
+    # a nan deviation must not pass as unitary (nan <= REL_EQ is False); a g*g
+    # that overflows reads inf, and inf - inf in it nan (or inf, when BLAS fuses
+    # the multiply-add), with no RuntimeWarning (the suite turns those into errors)
+    spec = parse_group_spec("explicit:nan.json")
+    for gen, dev in [(np.full((2, 2), np.nan), "nan"),
+                     (np.array([[1e200, 0.0], [0.0, 1.0]]), "inf"),
+                     (np.array([[1e200, 1e200], [1e200, -1e200]]), "(inf|nan)")]:
+        with pytest.raises(InputError, match=re.escape(
+                "generators of explicit:nan.json must be unitary: "
+                "generator 2 deviates from unitary by ") + f"{dev}$"):
+            FiniteMatrixGroup(spec, (np.eye(2), gen))
 
 
 def test_closure_of_overflowing_generators_is_refused():
@@ -305,7 +308,7 @@ def test_closure_key_collision(dedup_digits):
     gens = build_generators(spec)
     with pytest.raises(ConsistencyError, match=re.escape(
             "do not permute the 2 elements found: dedup keys at 1 digits")):
-        close_group(FiniteMatrixGroup(spec, tuple(gens)))
+        FiniteMatrixGroup(spec, tuple(gens)).elements
 
 
 def test_closure_that_ends_short_of_its_order(monkeypatch):
@@ -315,7 +318,7 @@ def test_closure_that_ends_short_of_its_order(monkeypatch):
     spec = parse_group_spec("binT")
     with pytest.raises(ConsistencyError,
                        match=re.escape("closure of binT ends at 24 of its 48 elements")):
-        close_group(FiniteMatrixGroup(spec, tuple(build_generators(spec))))
+        FiniteMatrixGroup(spec, tuple(build_generators(spec))).elements
 
 
 def test_walk_batches_move_no_row(monkeypatch):
@@ -327,7 +330,7 @@ def test_walk_batches_move_no_row(monkeypatch):
         for entry in catalog():
             g = build_group(entry.spec)
             if g.order <= 20_000:
-                out.append(close_group(FiniteMatrixGroup(g.spec, g.generators)).elements)
+                out.append(FiniteMatrixGroup(g.spec, g.generators).elements)
             out += [orbit_lines(g, seed).lines for seed in entry.seeds]
         return out
 
@@ -395,7 +398,7 @@ def test_explicit_generator_file(f4_path):
     assert g.order == 1152
     assert g.dim == 4
     assert g.field == "R"
-    assert g.unitarity_deviation() <= 1e-9
+    assert max(g.unitarity_deviations) <= 1e-9
     sizes = sorted(
         len(orbit_lines(g, np.array(seed)).lines)
         for seed in [(1.0, 0, 0, 0), (1.0, -1, 0, 0), (2.0, 1, 1, 0), (3.0, 1, 1, 1)]

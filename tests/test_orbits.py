@@ -103,21 +103,12 @@ def test_orbit_walk_matches_closure_images():
             assert group_order(entry.spec) % X.n_lines == 0, str(entry.spec)
 
 
-def test_h4_orbits_never_close_the_group(monkeypatch):
-    calls = []
-    close = groups.close_group
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].spec)
-        return close(*args, **kwargs)
-
-    monkeypatch.setattr(groups, "close_group", counted)
-    groups._build_cached.cache_clear()  # a cached H4 may already hold its elements
+def test_h4_orbits_never_close_the_group(closures):
     g = build_group("H4")
     sizes = [orbit_lines(g, seed).n_lines for seed in catalog_entry("H4").seeds]
     assert sizes == [60, 300, 360, 600]
     assert g.order == 14400
-    assert calls == []
+    assert closures == []
 
 
 def test_orbit_walk_rejects_merged_keys(dedup_digits):
