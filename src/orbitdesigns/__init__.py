@@ -22,7 +22,7 @@ _EXPORTS = {  # public name -> the module that defines it
     "snap_to_rational": "numerics",
     **dict.fromkeys(["LineSet", "format_vector", "orbit_lines", "parse_vector",
                      "union_lines"], "orbits"),
-    **dict.fromkeys(["PairSample", "PairScanReport", "scan"], "pairscan"),
+    **dict.fromkeys(["PairScanReport", "scan"], "pairscan"),
     **dict.fromkeys(["PairQuadratic", "RootSolution", "UnionSolution", "VerifyResult",
                      "emit_certificate", "solve_union", "verify_certificate"], "unions"),
 }

@@ -89,7 +89,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("scan", help="two-orbit identity scan: exact verdicts from "
                                     "invariant counts, cross-checked on random pairs")
     p.add_argument("spec")
-    p.add_argument("--samples", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0, help="PRNG seed")
     _add_common(p, 10)
     p.set_defaults(func=cmd_scan)
@@ -265,13 +264,13 @@ def cmd_union(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    from .pairscan import scan
+    from .pairscan import SAMPLES, scan
     g = _closable_group(args)
-    rep = scan(g, args.tmax, args.samples, args.seed)
+    rep = scan(g, args.tmax, args.seed)
     payload = {
         "group": g.spec.label,
         "seed": args.seed,
-        "samples": args.samples,
+        "samples": SAMPLES,
         "t_max": args.tmax,
         "verdicts": list(rep.verdicts),
         "unanimous": list(rep.unanimous),
@@ -283,7 +282,7 @@ def cmd_scan(args) -> int:
     pairs = f"{rep.t_pairs[0]}-{rep.t_pairs[1]}" if rep.t_pairs else "{}"
     out = [
         f"group: {g.spec.label} (order {g.order}, dim {g.dim}, {g.field})",
-        f"seed: {args.seed}, samples: {args.samples}",
+        f"seed: {args.seed}, samples: {SAMPLES}",
         "t  verdict        max residual  unanimous",
     ]
     for t in range(1, args.tmax + 1):

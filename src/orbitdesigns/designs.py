@@ -23,7 +23,6 @@ its odd moments cancel in antipodal pairs.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,20 +39,31 @@ from .orbits import LineSet
 # one row at every order is the least a block holds).
 
 
+def _welch_fractions(field: str, d: int):
+    """(num, den) of c_t over R^d or C^d for t = 1, 2, ..., as running products:
+    c_t is prod_{i<t} (i + 1)/(d + i) = 1/binom(t + d - 1, t) over C and
+    prod_{i<t} (2i + 1)/(d + 2i) over R."""
+    if field not in ("R", "C"):
+        raise ValueError(f"field must be 'R' or 'C', got {field!r}")
+    step = 2 if field == "R" else 1
+    num = den = 1
+    for i in itertools.count():
+        num *= step * i + 1
+        den *= d + step * i
+        yield num, den
+
+
 def welch_constant(field: str, d: int, t: int) -> Fraction:
     """c_t over R^d or C^d as an exact rational."""
     if d < 1 or t < 1:
         raise ValueError("need d >= 1 and t >= 1")
-    if field == "C":
-        return Fraction(1, math.comb(t + d - 1, t))
-    if field == "R":
-        num = 1
-        den = 1
-        for i in range(t):
-            num *= 2 * i + 1
-            den *= d + 2 * i
-        return Fraction(num, den)
-    raise ValueError(f"field must be 'R' or 'C', got {field!r}")
+    return Fraction(*next(itertools.islice(_welch_fractions(field, d), t - 1, None)))
+
+
+def welch_targets(field: str, d: int, t_max: int) -> list[float]:
+    """[float(c_t) for t = 1..t_max] in one pass; int true division rounds
+    num/den correctly, as float(welch_constant(field, d, t)) does."""
+    return [num / den for num, den in itertools.islice(_welch_fractions(field, d), t_max)]
 
 
 def moments(A: np.ndarray, wa: np.ndarray, B: np.ndarray, wb: np.ndarray,
@@ -147,7 +157,7 @@ class DesignReport:
     @classmethod
     def build(cls, field: str, dim: int, potentials) -> DesignReport:
         """The report on potentials for t = 1..len(potentials) over field^dim."""
-        targets = [float(welch_constant(field, dim, t)) for t in range(1, len(potentials) + 1)]
+        targets = welch_targets(field, dim, len(potentials))
         residuals = tuple((p - c) / c for p, c in zip(potentials, targets))
         missed = [t for t, r in enumerate(residuals, start=1) if abs(r) > REL_EQ]
         return cls(tuple(potentials), residuals, min(missed, default=len(residuals) + 1) - 1)

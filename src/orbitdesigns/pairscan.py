@@ -30,13 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import moments, welch_constant
+from .designs import moments, welch_targets
 from .errors import ConsistencyError, InputError
 from .groups import FiniteMatrixGroup
 from .unions import IDENTITY_TOL, pair_identity
 
 FAILS_TOL = 1e-3  # identity residual at or above this fails; above IDENTITY_TOL, indeterminate
 MOLIEN_TOL = 1e-6  # a Molien mean this far from an integer is an error
+SAMPLES = 20  # random pairs that cross-check the counts
 
 
 def _p_G(group: FiniteMatrixGroup, x: np.ndarray, y: np.ndarray, t_max: int) -> list[float]:
@@ -84,21 +85,8 @@ def _harmonic_invariants(group: FiniteMatrixGroup, t_max: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class PairSample:
-    """One sampled pair with its per-t moments and verdicts."""
-
-    x: np.ndarray
-    y: np.ndarray
-    p_xx: tuple
-    p_yy: tuple
-    p_xy: tuple
-    verdicts: tuple
-    residuals: tuple
-
-
-@dataclass(frozen=True)
 class PairScanReport:
-    """Scan outcome: exact verdicts and the samples that cross-check them."""
+    """Scan outcome: exact verdicts and what the sampled pairs showed of them."""
 
     harmonic_invariants: tuple  # H_t for t = 1..t_max
     verdicts: tuple  # per t, from S_t = H_1 + ... + H_t
@@ -106,7 +94,6 @@ class PairScanReport:
     max_residuals: tuple  # per t, max over non-degenerate samples (None if none)
     t_generic: int
     t_pairs: tuple | None  # (lo, hi) inclusive, None for the empty range
-    sample_records: tuple
 
     def verdict_at(self, t: int) -> str:
         return self.verdicts[t - 1]
@@ -120,8 +107,7 @@ def _draw_unit(rng: np.random.Generator, dim: int, field: str) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def scan(group: FiniteMatrixGroup, t_max: int = 10, samples: int = 20,
-         seed: int = 0) -> PairScanReport:
+def scan(group: FiniteMatrixGroup, t_max: int = 10, seed: int = 0) -> PairScanReport:
     """Scan of the pair identity over t = 1..t_max.
 
     With S_t invariant harmonics of bidegree up to (t,t), the verdict at t is
@@ -129,14 +115,12 @@ def scan(group: FiniteMatrixGroup, t_max: int = 10, samples: int = 20,
     t_generic, the strength of a generic orbit, is the last t with S_t = 0
     (t_max if none); t_pairs is the run of holds above it.
 
-    Unit pairs are drawn from numpy's seeded Generator, x then y per sample
-    (complex vectors from independent real and imaginary normals), and
+    SAMPLES unit pairs are drawn from numpy's seeded Generator, x then y per
+    sample (complex vectors from independent real and imaginary normals), and
     classified at every t. A sample that fails where S_t <= 1, or is not
     degenerate where S_t = 0, contradicts the counts and raises
     ConsistencyError; one that holds where S_t >= 2 is a special pair.
     """
-    if samples < 1:
-        raise InputError("samples must be >= 1")
     if t_max < 1:
         raise InputError("t_max must be >= 1")
     if seed < 0:
@@ -144,28 +128,27 @@ def scan(group: FiniteMatrixGroup, t_max: int = 10, samples: int = 20,
     counts = _harmonic_invariants(group, t_max)
     totals = np.cumsum(counts).tolist()
     rng = np.random.default_rng(seed)
-    targets = [float(welch_constant(group.field, group.dim, t)) for t in range(1, t_max + 1)]
-    records = []
-    for j in range(samples):
+    targets = welch_targets(group.field, group.dim, t_max)
+    seen = [set() for _ in range(t_max)]  # per t, the verdicts the samples gave
+    max_residuals = [None] * t_max  # per t, over the non-degenerate samples
+    for j in range(SAMPLES):
         x = _draw_unit(rng, group.dim, group.field)
         y = _draw_unit(rng, group.dim, group.field)
-        p_xx, p_yy, p_xy = (_p_G(group, a, b, t_max) for a, b in ((x, x), (y, y), (x, y)))
-        verdicts, residuals = zip(*(_classify(*p) for p in zip(p_xx, p_yy, p_xy, targets)))
-        for t, (v, s) in enumerate(zip(verdicts, totals), start=1):
+        p = zip(*(_p_G(group, a, b, t_max) for a, b in ((x, x), (y, y), (x, y))), targets)
+        for t, (p_t, s) in enumerate(zip(p, totals), start=1):
+            v, r = _classify(*p_t)
             if (v == "fails" and s <= 1) or (v != "degenerate" and s == 0):
                 raise ConsistencyError(
                     f"sample {j} is {v} at t={t}, but {group.spec} has {s} invariant "
                     f"harmonics of bidegree up to ({t},{t}) (H_1..H_{t_max} = {counts})")
-        records.append(PairSample(x=x, y=y, p_xx=tuple(p_xx), p_yy=tuple(p_yy),
-                                  p_xy=tuple(p_xy), verdicts=verdicts, residuals=residuals))
-    max_residuals = tuple(max((r.residuals[i] for r in records if r.residuals[i] is not None),
-                              default=None) for i in range(t_max))
+            seen[t - 1].add(v)
+            if r is not None and (max_residuals[t - 1] is None or r > max_residuals[t - 1]):
+                max_residuals[t - 1] = r
     t_generic = totals.count(0)  # totals never decrease
     t_pairs = (t_generic + 1, t_generic + totals.count(1)) if 1 in totals else None
     return PairScanReport(
         harmonic_invariants=tuple(counts),
         verdicts=tuple(("degenerate", "holds", "fails")[min(s, 2)] for s in totals),
-        unanimous=tuple(len({r.verdicts[i] for r in records}) == 1 for i in range(t_max)),
-        max_residuals=max_residuals, t_generic=t_generic,
-        t_pairs=t_pairs, sample_records=tuple(records),
+        unanimous=tuple(len(v) == 1 for v in seen), max_residuals=tuple(max_residuals),
+        t_generic=t_generic, t_pairs=t_pairs,
     )

@@ -25,6 +25,7 @@ from orbitdesigns import (
     welch_constant,
 )
 from orbitdesigns.cli import main
+from orbitdesigns.pairscan import FAILS_TOL
 
 
 class _Budget:
@@ -136,7 +137,7 @@ def test_criterion_05_binary_polyhedral_scans():
     }
     with _Budget(60.0, "criterion 5: binary polyhedral scan windows"):
         for label, (t_generic, t_pairs) in expect.items():
-            rep = scan(build_group(label), t_max=10, samples=20, seed=0)
+            rep = scan(build_group(label), t_max=10, seed=0)
             assert rep.t_generic == t_generic, label
             assert rep.t_pairs == t_pairs, label
             for t in range(1, t_generic + 1):
@@ -266,9 +267,9 @@ def test_criterion_09_exact_oracle_equivalence():
 def test_criterion_10_heisenberg_negative_result():
     with _Budget(30.0, "criterion 10: Heisenberg pairs fail at t = 2"):
         for label in ("heis(3)", "heis(4)"):
-            rep = scan(build_group(label), t_max=3, samples=20, seed=0)
+            rep = scan(build_group(label), t_max=3, seed=0)
             assert rep.t_pairs is None, label
             assert rep.verdict_at(2) == "fails"
-            assert rep.unanimous[1], label
-            for record in rep.sample_records:
-                assert record.verdicts[1] == "fails", label
+            # every sample fails at t = 2: one verdict, and only "fails" has
+            # a residual at or above FAILS_TOL
+            assert rep.unanimous[1] and rep.max_residuals[1] >= FAILS_TOL, label

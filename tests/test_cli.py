@@ -592,10 +592,10 @@ def test_scan_table_output(capsys):
 
 
 def test_scan_json_payload(capsys):
-    code, payload = run_json(capsys, "scan", "dihedral(4)", "--tmax", "4",
-                             "--samples", "8", "--seed", "1")
+    code, payload = run_json(capsys, "scan", "dihedral(4)", "--tmax", "4", "--seed", "1")
     assert code == 0
     assert payload["seed"] == 1
+    assert payload["samples"] == 20
     assert payload["t_generic"] == 1
     assert payload["t_pairs"] == [2, 3]
     assert len(payload["verdicts"]) == 4
@@ -604,7 +604,7 @@ def test_scan_json_payload(capsys):
 
 def test_scan_contradicting_sample_exit(capsys, monkeypatch):
     monkeypatch.setattr("orbitdesigns.pairscan._harmonic_invariants", lambda g, t: [0] * t)
-    assert main(["scan", "heis(3)", "--tmax", "3", "--samples", "2"]) == 3
+    assert main(["scan", "heis(3)", "--tmax", "3"]) == 3
     assert "invariant harmonics" in capsys.readouterr().err
 
 
@@ -616,7 +616,7 @@ def test_scan_rejects_negative_seed(capsys):
 
 
 def test_scan_heisenberg(capsys):
-    code, out = run(capsys, "scan", "heis(3)", "--tmax", "3", "--samples", "6")
+    code, out = run(capsys, "scan", "heis(3)", "--tmax", "3")
     assert code == 0
     assert "t_pairs: {}" in out
 
@@ -738,6 +738,7 @@ def test_reproduce_rejects_unknown_table(capsys):
         ["union", "B(2)", "--x", "1,0", "--t", "2"],  # missing --y
         ["union", "B(2)", "--x", "1,0", "--y", "1,1", "--t", "0"],
         ["scan", "binT", "--samples", "-3"],
+        ["scan", "binT", "--samples", "20"],  # the sample count is fixed
         ["group", "B(2)", "--rel-eq", "-1"],  # no subcommand offers --rel-eq
         ["orbit", "B(2)", "--seed", "0,0"],
         ["orbit", "B(2)", "--seed", "1e400,1"],
@@ -761,7 +762,7 @@ _SUBCOMMAND_FLAGS = {
     "group": ["--max-order", "--format"],
     "orbit": ["--seed", "--dump", *_COMMON_FLAGS],
     "union": ["--x", "--y", "--t", "--emit", *_COMMON_FLAGS],
-    "scan": ["--samples", "--seed", *_COMMON_FLAGS],
+    "scan": ["--seed", *_COMMON_FLAGS],
     "verify": ["--tmax", "--format"],
     "reproduce": _COMMON_FLAGS,
 }

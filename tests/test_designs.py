@@ -61,11 +61,20 @@ def test_welch_constant_formula_sweep():
             assert welch_constant("R", d, t) == Fraction(num, den)
 
 
+def test_welch_targets_are_the_rounded_constants():
+    for field in ("R", "C"):
+        for d in range(1, 9):
+            assert designs.welch_targets(field, d, 60) == [
+                float(welch_constant(field, d, t)) for t in range(1, 61)]
+
+
 def test_welch_constant_rejects_bad_args():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need d >= 1 and t >= 1"):
         welch_constant("R", 0, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need d >= 1 and t >= 1"):
         welch_constant("C", 2, 0)
+    with pytest.raises(ValueError, match="field must be 'R' or 'C', got 'Q'"):
+        welch_constant("Q", 2, 2)
 
 
 def test_potential_orthonormal_basis():

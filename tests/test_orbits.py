@@ -372,22 +372,52 @@ def _coincide_pairwise(lines):
     return False
 
 
+def _across_edge(x, distance, share):
+    """x turned to two lines 'distance' apart that straddle the cell edge
+    nearest its q(x) = |x @ v|^2: 'share' of the distance on x's side.
+
+    In the plane of x and u, the unit vector orthogonal to x along which q
+    turns fastest, the line cos(s) x + sin(s) u has q = cos^2(s0 - s) exactly,
+    so the edge sits at a known angle s.
+    """
+    k = np.arange(1, len(x) + 1)
+    probe = np.sqrt(k) * (np.exp(1j * k) if np.iscomplexobj(x) else np.cos(k))
+    w = (probe / np.linalg.norm(probe)).conj()  # q(y) = |<w, y>|^2
+    a = np.vdot(w, x)
+    u = w - np.vdot(x, w) * x
+    s0 = np.arctan2(np.linalg.norm(u), abs(a))
+    u *= a / abs(a) / np.linalg.norm(u)
+    cell = 3.0 * 10.0 ** -numerics.DEDUP_DIGITS
+    edge = cell * max(1, round(abs(a) ** 2 / cell))  # q = 0 is no edge
+    at_edge = s0 - np.arccos(np.sqrt(edge))
+    side = 1.0 if abs(a) ** 2 > edge else -1.0
+    return tuple(np.cos(s) * x + np.sin(s) * u
+                 for s in (at_edge + side * share * distance,
+                           at_edge - side * (1.0 - share) * distance))
+
+
 @given(st.data(), st.floats(min_value=-12.0, max_value=-6.5), st.floats(0.0, 2.0 * np.pi))
 @settings(max_examples=120, deadline=None)
 def test_validate_agrees_with_every_pair_compared(data, log_distance, angle):
     # a catalog orbit and one line of it turned by 10^log_distance, in a
-    # random direction, times a random sign or phase, inserted at a random row
+    # random direction, times a random sign or phase, inserted at a random row;
+    # or, across a cell edge, that line and its copy turned to straddle the
+    # edge nearest its probe value q, 10^log_distance apart
     X = data.draw(st.sampled_from(_catalog_orbits()))
     row = data.draw(st.integers(0, X.n_lines - 1))
     at = data.draw(st.integers(0, X.n_lines))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    x = X.lines[row]
-    u = rng.standard_normal(X.dim) + (1j * rng.standard_normal(X.dim) if X.field == "C" else 0)
-    u -= np.vdot(x, u) * x
-    u /= np.linalg.norm(u)
     turn = np.exp(1j * angle) if X.field == "C" else (1.0 if angle < np.pi else -1.0)
-    moved = turn * (np.cos(10.0**log_distance) * x + np.sin(10.0**log_distance) * u)
-    lines = np.insert(X.lines, at, moved, axis=0)
+    lines = X.lines.copy()
+    x = lines[row]
+    if data.draw(st.booleans()):
+        lines[row], moved = _across_edge(x, 10.0**log_distance, data.draw(st.floats(0.0, 1.0)))
+    else:
+        u = rng.standard_normal(X.dim) + (1j * rng.standard_normal(X.dim) if X.field == "C" else 0)
+        u -= np.vdot(x, u) * x
+        u /= np.linalg.norm(u)
+        moved = np.cos(10.0**log_distance) * x + np.sin(10.0**log_distance) * u
+    lines = np.insert(lines, at, turn * moved, axis=0)
     n = len(lines)
     ls = LineSet(lines=lines, exact_weights=(Fraction(1, n),) * n)
     if _coincide_pairwise(lines):

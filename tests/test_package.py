@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +49,23 @@ def test_every_traced_function_resolves():
     assert sorted(missing) == ["designs.cross_potential", "designs.potential",
                                "groups.close_group", "groups.unitarize",
                                "unions.pair_quadratic"]
+
+
+def test_every_benchmark_job_parses(tmp_path, monkeypatch):
+    # the benchmark counts a job whose flags the CLI refuses as a failed job,
+    # so a dropped flag it still passes would show only in a benchmark run
+    path = Path(__file__).parents[1] / "perfbench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
+    jobs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, jobs)  # its Job dataclass looks itself up there
+    spec.loader.exec_module(jobs)
+    from orbitdesigns.cli import _build_parser
+    parser = _build_parser()
+    for name, make_round in jobs.WORKLOADS.items():
+        round_jobs = make_round(random.Random(0), tmp_path)
+        assert round_jobs, name
+        for job in round_jobs:
+            parser.parse_args([*job.argv, "--format", "json"])  # a usage error raises
 
 
 def test_potentials_have_one_entry_point():

@@ -19,7 +19,7 @@ from orbitdesigns import (
 )
 from orbitdesigns.cli import _load_expectations, _resolve_seed
 from orbitdesigns.numerics import REL_EQ
-from orbitdesigns.pairscan import _classify, _harmonic_invariants, _p_G
+from orbitdesigns.pairscan import SAMPLES, _classify, _draw_unit, _harmonic_invariants, _p_G
 
 
 def _unit(rng, dim, field):
@@ -27,6 +27,16 @@ def _unit(rng, dim, field):
     if field == "C":
         v = v + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def _scan_samples(group, seed, t_max):
+    """Moment lists p_xx, p_yy, p_xy (t = 1..t_max) of the pairs that
+    scan(group, t_max, seed) draws, in its documented order: x then y per sample."""
+    rng = np.random.default_rng(seed)
+    for _ in range(SAMPLES):
+        x = _draw_unit(rng, group.dim, group.field)
+        y = _draw_unit(rng, group.dim, group.field)
+        yield tuple(_p_G(group, a, b, t_max) for a, b in ((x, x), (y, y), (x, y)))
 
 
 def p_G(group, x, y, t):
@@ -145,13 +155,13 @@ def test_double_root_check_agrees_with_scan_verdict():
 
 
 def test_scan_binary_octahedral():
-    rep = scan(build_group("binO"), t_max=6, samples=10, seed=0)
+    rep = scan(build_group("binO"), t_max=6, seed=0)
     assert rep.t_generic == 3
     assert rep.t_pairs == (4, 5)
 
 
 def test_scan_odd_dihedral_window():
-    rep = scan(build_group("dihedral(10)"), t_max=10, samples=8, seed=0)
+    rep = scan(build_group("dihedral(10)"), t_max=10, seed=0)
     assert rep.t_generic == 4
     assert rep.t_pairs == (5, 9)
     for t in range(5, 10):
@@ -160,7 +170,7 @@ def test_scan_odd_dihedral_window():
 
 
 def test_scan_even_dihedral_window():
-    rep = scan(build_group("dihedral(4)"), t_max=4, samples=8, seed=0)
+    rep = scan(build_group("dihedral(4)"), t_max=4, seed=0)
     assert rep.t_generic == 1
     assert rep.t_pairs == (2, 3)
 
@@ -168,7 +178,7 @@ def test_scan_even_dihedral_window():
 def test_scan_rotation_group_has_no_pair_window():
     # cos(10 theta) and sin(10 theta) are both rot(5)-invariant: two
     # conditions on one weight, so a generic pair fails at t = 5
-    rep = scan(build_group("rot(5)"), t_max=6, samples=8, seed=0)
+    rep = scan(build_group("rot(5)"), t_max=6, seed=0)
     assert rep.harmonic_invariants == (0, 0, 0, 0, 2, 0)
     assert rep.t_generic == 4
     assert rep.t_pairs is None
@@ -177,7 +187,7 @@ def test_scan_rotation_group_has_no_pair_window():
 
 def test_scan_survives_all_degenerate_orders():
     # every rot(5) orbit is a 4-design, so every pair is degenerate through t = 4
-    rep = scan(build_group("rot(5)"), t_max=4, samples=4, seed=0)
+    rep = scan(build_group("rot(5)"), t_max=4, seed=0)
     assert all(v == "degenerate" for v in rep.verdicts)
     assert all(rep.unanimous)
     assert rep.t_generic == 4
@@ -186,7 +196,7 @@ def test_scan_survives_all_degenerate_orders():
 
 def test_scan_heisenberg_fails_above_one():
     for label in ("heis(3)", "heis(4)"):
-        rep = scan(build_group(label), t_max=3, samples=8, seed=0)
+        rep = scan(build_group(label), t_max=3, seed=0)
         assert rep.t_generic == 1
         assert rep.t_pairs is None
         assert rep.verdict_at(2) == "fails"
@@ -195,41 +205,48 @@ def test_scan_heisenberg_fails_above_one():
 
 def test_scan_is_deterministic_for_a_seed():
     g = build_group("binT")
-    a = scan(g, t_max=6, samples=6, seed=42)
-    b = scan(g, t_max=6, samples=6, seed=42)
-    assert a.verdicts == b.verdicts
-    assert a.max_residuals == b.max_residuals
-    assert [r.x.tolist() for r in a.sample_records] == [
-        r.x.tolist() for r in b.sample_records
-    ]
+    a = scan(g, t_max=6, seed=42)
+    assert scan(g, t_max=6, seed=42) == a
+    # the report tallies exactly the pairs the documented draw order gives
+    targets = [float(welch_constant(g.field, g.dim, t)) for t in range(1, 7)]
+    verdicts = [set() for _ in range(6)]
+    residuals = [[] for _ in range(6)]
+    for p in _scan_samples(g, 42, 6):
+        for i, (p_t, c_t) in enumerate(zip(zip(*p), targets)):
+            v, r = _classify(*p_t, c_t)
+            verdicts[i].add(v)
+            residuals[i] += [] if r is None else [r]
+    assert a.unanimous == tuple(len(v) == 1 for v in verdicts)
+    assert a.max_residuals == tuple(max(r, default=None) for r in residuals)
 
 
 def test_scan_conclusions_are_seed_stable():
     g = build_group("binT")
     for seed in (0, 1, 2):
-        rep = scan(g, t_max=6, samples=10, seed=seed)
+        rep = scan(g, t_max=6, seed=seed)
         assert rep.t_generic == 2
         assert rep.t_pairs == (3, 3)
 
 
 def test_scan_report_invariants():
-    rep = scan(build_group("dihedral(3)"), t_max=6, samples=6, seed=0)
+    g = build_group("dihedral(3)")
+    rep = scan(g, t_max=6, seed=0)
     assert rep.t_generic == 2
     assert rep.t_pairs == (3, 5)
     assert len(rep.verdicts) == 6
     assert rep.t_pairs[0] > rep.t_generic
-    for record in rep.sample_records:
-        assert len(record.verdicts) == 6
+    for p_xx, p_yy, p_xy in _scan_samples(g, 0, 6):
+        assert len(p_xx) == len(p_yy) == len(p_xy) == 6
         # degenerate verdicts only where both sampled orbits are designs
         for t in range(1, 7):
-            if record.verdicts[t - 1] == "degenerate":
-                c_t = float(welch_constant("R", 2, t))
-                for p in (record.p_xx[t - 1], record.p_yy[t - 1]):
+            c_t = float(welch_constant("R", 2, t))
+            if _classify(p_xx[t - 1], p_yy[t - 1], p_xy[t - 1], c_t)[0] == "degenerate":
+                for p in (p_xx[t - 1], p_yy[t - 1]):
                     assert abs(p - c_t) <= REL_EQ * c_t
 
 
 @pytest.mark.parametrize("kwargs,message", [
-    ({"samples": 0}, "samples must be >= 1"),
+    ({"t_max": -2}, "t_max must be >= 1"),
     ({"t_max": 0}, "t_max must be >= 1"),
     ({"seed": -1}, "seed must be >= 0"),
 ])
@@ -294,10 +311,12 @@ def test_scan_regressions(label, seed, t_generic, t_pairs):
 def test_near_design_pair_is_not_degenerate():
     # the binI seed-2 sample 2 misses the 6-design by about 1e-3 on both
     # orbits, so both sides of the identity are tiny, yet neither is a design
-    rec = scan(build_group("binI"), seed=2).sample_records[2]
+    g = build_group("binI")
+    assert scan(g, seed=2).t_pairs == (6, 9)
+    p_xx, p_yy, p_xy = list(_scan_samples(g, 2, 10))[2]
     c6 = float(welch_constant("C", 2, 6))
-    verdict, residual = _classify(rec.p_xx[5], rec.p_yy[5], rec.p_xy[5], c6)
-    assert abs(rec.p_xx[5] - c6) > 1e-4 * c6
+    verdict, residual = _classify(p_xx[5], p_yy[5], p_xy[5], c6)
+    assert abs(p_xx[5] - c6) > 1e-4 * c6
     # S_6 = 1, so the identity holds exactly; formed from the deviations
     # p - c_6 its residual stays far below the hold band
     assert verdict == "holds"
@@ -309,4 +328,4 @@ def test_scan_raises_on_a_contradicting_sample(monkeypatch):
     # there are contradicted by the first sample
     monkeypatch.setattr("orbitdesigns.pairscan._harmonic_invariants", lambda g, t: [0] * t)
     with pytest.raises(ConsistencyError, match="sample 0 is fails at t=2"):
-        scan(build_group("heis(3)"), t_max=3, samples=2, seed=0)
+        scan(build_group("heis(3)"), t_max=3, seed=0)
