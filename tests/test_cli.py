@@ -1,6 +1,7 @@
 """Command-line surface: payloads, exit codes, reproduction driver."""
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import os
@@ -688,25 +689,23 @@ def test_reproduce_walks_each_orbit_once(capsys, monkeypatch):
     assert len(calls) == 40
 
 
-def test_reproduce_all_tmax_below_row_orders(capsys):
-    code, out = run(capsys, "reproduce", "all", "--tmax", "4")
-    assert code == 0
-    assert "31/31 rows reproduced" in out
-
-
 def test_only_a_certificate_assembles_the_union(capsys, monkeypatch):
-    # a union row is decided on w^T P w through its own t; the weighted line
+    # every row is decided through its own t: a union row on w^T P w, and a
+    # single-orbit row on its potentials at orders 1..t; the weighted line
     # set is built once, by emit_certificate, for `union`
-    assembled, orders = [], []
-    union_lines, solve = unions.union_lines, cli.solve_union
+    assembled, orders, single = [], [], []
+    union_lines, solve, strength = unions.union_lines, cli.solve_union, cli.strength
     monkeypatch.setattr(unions, "union_lines",
                         lambda *args: assembled.append(args) or union_lines(*args))
     monkeypatch.setattr(cli, "solve_union", lambda X, Y, t, t_max=12:
                         orders.append((t, t_max)) or solve(X, Y, t, t_max))
+    monkeypatch.setattr(cli, "strength", lambda X, t_max=12:
+                        single.append(t_max) or strength(X, t_max))
     code, out = run(capsys, "reproduce", "all")
     assert code == 0 and "31/31 rows reproduced" in out
     assert assembled == []
     assert len(orders) == 29 and all(t == t_max for t, t_max in orders)
+    assert single == [2, 2]  # the B and D rows of the seed 1,1,0,0, both at t = 2
     assert main(["union", "H4", "--x", "@1", "--y", "@4", "--t", "6"]) == 0
     assert len(assembled) == 1
     assert "union" not in {f.name for f in dataclasses.fields(unions.UnionSolution)}
@@ -750,6 +749,8 @@ def test_reproduce_rejects_unknown_table(capsys):
         ["group", "B(2)", "--tmax", "3"],
         ["union", "B(2)", "--x", "1,0", "--y", "1,1", "--t", "2", "--snap-denom-max", "5"],
         ["reproduce", "all", "--snap-denom-max", "5"],
+        ["reproduce", "all", "--tmax", "4"],  # every row is checked through its own t
+        ["reproduce", "all", "--max-order", "1000"],  # the table fixes every walk
         ["orbit", "B(2)", "--seed", "1,0", "--dedup-digits", "8"],  # the grid is a constant
     ],
 )
@@ -764,7 +765,7 @@ _SUBCOMMAND_FLAGS = {
     "union": ["--x", "--y", "--t", "--emit", *_COMMON_FLAGS],
     "scan": ["--seed", *_COMMON_FLAGS],
     "verify": ["--tmax", "--format"],
-    "reproduce": _COMMON_FLAGS,
+    "reproduce": ["--format"],
 }
 
 
@@ -776,6 +777,28 @@ def test_subcommand_flags(command, capsys):
     out = capsys.readouterr().out
     flags = re.findall(r"^\s+(?:-\w, )?(--[a-z][a-z-]*)", out, re.M)
     assert [f for f in flags if f != "--help"] == _SUBCOMMAND_FLAGS[command]
+
+
+def test_readme_flag_table_matches_the_parser():
+    # the README's table of shared flags: which subcommand offers each, and the
+    # default of --tmax where it is offered
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = re.search(r"^\| subcommand \|(.*)\|\n\|[-|]+\|\n((?:\|.*\|\n)+)", readme, re.M)
+    columns = [c.strip(" `") for c in table.group(1).split("|")]
+    assert columns == _COMMON_FLAGS
+    shown = {}
+    for line in table.group(2).splitlines():
+        command, *cells = [c.strip(" `") for c in line.strip("|").split("|")]
+        shown[command] = cells
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    offered = {}
+    for command, p in sub.choices.items():
+        defaults = {flag: a.default for a in p._actions for flag in a.option_strings}
+        offered[command] = ["" if flag not in defaults else
+                            str(defaults[flag]) if flag == "--tmax" else "yes"
+                            for flag in _COMMON_FLAGS]
+    assert shown == offered
 
 
 def test_resource_limit_exit(capsys):

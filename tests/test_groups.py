@@ -184,10 +184,13 @@ def test_the_family_specs_cover_every_family():
 
 @pytest.mark.parametrize("spec", _FAMILY_SPECS)
 def test_every_family_has_unitary_generators(spec):
-    # generators only, no closure: a family with an off generator is refused at build
-    devs = build_group(spec).unitarity_deviations
-    assert len(devs) == len(build_generators(parse_group_spec(spec)))
-    assert all(dev <= REL_EQ for dev in devs), devs
+    # generators only, no closure: a family with an off generator is refused at
+    # build, and one is refused by the dimension its row states before it is built
+    g = build_group(spec)
+    parsed = parse_group_spec(spec)
+    assert len(g.unitarity_deviations) == len(build_generators(parsed))
+    assert all(dev <= REL_EQ for dev in g.unitarity_deviations), g.unitarity_deviations
+    assert _FAMILIES[parsed.kind].dim(*parsed.params) == g.dim
 
 
 def test_explicit_non_unitary_generators_are_refused(tmp_path):

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import ast
+import fnmatch
 import importlib
 import importlib.util
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,6 +95,24 @@ def test_no_module_keeps_an_unused_import():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_every_data_file_ships_in_the_package():
+    # the tests import the package from src/, so a data file that
+    # [tool.setuptools.package-data] leaves out would be missing only from an
+    # installed copy; pyproject.toml is read as text (Python 3.10 has no tomllib)
+    root = Path(__file__).parents[1]
+    text = (root / "pyproject.toml").read_text()
+    section = re.search(r"^\[tool\.setuptools\.package-data\]\n(.*?)(?=^\[|\Z)",
+                        text, re.M | re.S).group(1)
+    listed = re.search(r"^orbitdesigns\s*=\s*\[(.*?)\]", section, re.M | re.S).group(1)
+    patterns = re.findall(r'"([^"]*)"', listed)
+    package = root / "src" / "orbitdesigns"
+    data = [path.relative_to(package).as_posix() for path in sorted(package.rglob("*"))
+            if path.is_file() and path.suffix not in (".py", ".pyc")
+            and "__pycache__" not in path.parts]
+    assert "expectations.csv" in data
+    assert [f for f in data if not any(fnmatch.fnmatch(f, p) for p in patterns)] == []
 
 
 def test_init_imports_exactly_the_exports():
