@@ -13,6 +13,7 @@ import os
 import sys
 from fractions import Fraction
 from importlib import resources
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,9 +24,11 @@ from .errors import (
     OrbitDesignsError,
     SizeLimitError,
 )
-from .numerics import DEFAULT_MAX_ORDER
 from .orbits import LineSet, format_vector, orbit_lines, parse_vector
 from .unions import emit_certificate, solve_union, verify_certificate
+
+if TYPE_CHECKING:  # not at run time: verify loads neither groups nor pairscan
+    from .groups import FiniteMatrixGroup
 
 
 class _UsageError(Exception):
@@ -46,11 +49,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, t_max: int | None, walks: bool = True) -> None:
-    if walks:
-        p.add_argument("--max-order", type=_positive_int, default=DEFAULT_MAX_ORDER,
-                       help="abort a group closure or an orbit walk that passes "
-                            "this many elements or lines")
+def _add_common(p: argparse.ArgumentParser, t_max: int | None) -> None:
     if t_max is not None:
         p.add_argument("--tmax", type=_positive_int, default=t_max,
                        help="largest design order probed or verified")
@@ -94,12 +93,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="re-verify a certificate file")
     p.add_argument("path")
-    _add_common(p, 12, walks=False)
+    _add_common(p, 12)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reproduce", help="re-derive tabulated weightings")
     p.add_argument("table", help="a table of expectations.csv, or 'all'")
-    _add_common(p, None, walks=False)
+    _add_common(p, None)
     p.set_defaults(func=cmd_reproduce)
 
     return parser
@@ -135,16 +134,16 @@ def _orbit(group: FiniteMatrixGroup, label: str, text: str) -> LineSet:
     return orbit_lines(group, seed, seed_literal=literal)
 
 
-def _closable_group(args) -> FiniteMatrixGroup:
-    """args.spec's group, refused by groups.closure_limit before it is built."""
+def _closable_group(text: str) -> FiniteMatrixGroup:
+    """The group of a spec text, refused by groups.closure_limit before it is built."""
     from .groups import build_group, closure_limit, parse_group_spec
-    spec = parse_group_spec(args.spec)
-    closure_limit(spec, args.max_order)
-    return build_group(spec, args.max_order)
+    spec = parse_group_spec(text)
+    closure_limit(spec)
+    return build_group(spec)
 
 
 def cmd_group(args) -> int:
-    g = _closable_group(args)
+    g = _closable_group(args.spec)
     order = len(g.elements)  # the closure checks the family's order, if it has one
     deviation = max(g.unitarity_deviations)
     payload = {
@@ -166,7 +165,7 @@ def cmd_group(args) -> int:
 
 def cmd_orbit(args) -> int:
     from .groups import build_group
-    g = build_group(args.spec, args.max_order)
+    g = build_group(args.spec)
     X = _orbit(g, args.spec, args.seed)
     rep = strength(X, args.tmax)
     payload = {
@@ -205,7 +204,7 @@ def _root_payload(root) -> dict:
 
 def cmd_union(args) -> int:
     from .groups import build_group
-    g = build_group(args.spec, args.max_order)
+    g = build_group(args.spec)
     X = _orbit(g, args.spec, args.x)
     Y = _orbit(g, args.spec, args.y)
     sol = solve_union(X, Y, args.t, args.tmax)
@@ -264,7 +263,7 @@ def cmd_union(args) -> int:
 
 def cmd_scan(args) -> int:
     from .pairscan import SAMPLES, scan
-    g = _closable_group(args)
+    g = _closable_group(args.spec)
     rep = scan(g, args.tmax, args.seed)
     payload = {
         "group": g.spec.label,

@@ -16,8 +16,8 @@ class NumericRangeError(OrbitDesignsError):
 
 class SizeLimitError(OrbitDesignsError):
     """A family's closed-form order, a group closure or an orbit walk passes
-    the group's max_order. Also a certificate whose t or stored residual
-    order passes t_max."""
+    numerics.MAX_ORDER. Also a certificate whose t or stored residual order
+    passes t_max."""
 
 
 class ConsistencyError(OrbitDesignsError):

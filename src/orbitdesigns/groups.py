@@ -25,10 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import numerics  # DEDUP_DIGITS is read at call time, as quantized_keys reads it
+from . import numerics  # DEDUP_DIGITS and MAX_ORDER are read at call time
 from .errors import ConsistencyError, InputError, SizeLimitError
-from .numerics import (DEFAULT_MAX_ORDER, REL_EQ, _intern, _json_complex, _json_number,
-                       _read_json, pow2_scaled)
+from .numerics import REL_EQ, _intern, _json_complex, _json_number, _read_json, pow2_scaled
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -70,16 +69,15 @@ class FiniteMatrixGroup:
 
     generators  (d, d) unitary matrices, all float64 for a real group
                 (field "R") or all complex128 (field "C")
-    max_order   size limit of closure and orbit walks
 
     A group is made only from at least one generator, each unitary within
     REL_EQ, so every product of them stays finite; else InputError.
-    `elements` is enumerated on first use only.
+    `elements` is enumerated on first use only, and it and every orbit walk
+    over the group stop past numerics.MAX_ORDER rows.
     """
 
     spec: GroupSpec
     generators: tuple
-    max_order: int = DEFAULT_MAX_ORDER
 
     def __post_init__(self) -> None:
         if not self.generators:
@@ -102,8 +100,8 @@ class FiniteMatrixGroup:
         """(order, d, d) array of every element, identity first: the
         breadth-first closure of the generators by walk.
 
-        A closed-form order above max_order raises SizeLimitError before the
-        walk, as does a closure that passes max_order. When the family has a
+        A closed-form order above MAX_ORDER raises SizeLimitError before the
+        walk, as does a closure that passes MAX_ORDER. When the family has a
         closed-form order, a closure that passes it or ends short of it is a
         dedup-key failure and raises ConsistencyError, as does (with or
         without a closed-form order) a generator that does not permute the
@@ -114,7 +112,7 @@ class FiniteMatrixGroup:
         elements = self.walk(
             np.eye(self.dim, dtype=gens[0].dtype)[None],
             lambda block, batch: np.concatenate([block @ g for g in gens[batch]]),
-            closure_limit(spec, self.max_order),
+            closure_limit(spec),
             f"closure of {spec} passes its order {expected}: copies of "
             f"one element split into distinct dedup keys at {digits} digits", "elements")
         if expected is not None and len(elements) < expected:
@@ -147,14 +145,14 @@ class FiniteMatrixGroup:
         step(block, batch) stacks the images of block under the slice batch of
         the generators, generator-major; a round takes them in order, a batch
         of max(1, _STEP_BYTES // frontier.nbytes) at a time. The batch that
-        passes max_order raises SizeLimitError(too_many), and one that passes
-        the closed-form order (if within max_order) is a dedup-key split:
+        passes MAX_ORDER raises SizeLimitError(too_many), and one that passes
+        the closed-form order (if within MAX_ORDER) is a dedup-key split:
         ConsistencyError(split). A walk that ends must find rows that every
         generator permutes, else the dedup keys split or merged rows:
         ConsistencyError, naming the rows by noun."""
-        known = group_order(self.spec)
-        exact = known is not None and known <= self.max_order
-        limit = known if exact else self.max_order
+        known, max_order = group_order(self.spec), numerics.MAX_ORDER
+        exact = known is not None and known <= max_order
+        limit = known if exact else max_order
         k = len(self.generators)
         index: dict[bytes, int] = {}
         _intern(start, index)
@@ -422,54 +420,53 @@ def group_order(spec: GroupSpec) -> int | None:
     return _FAMILIES[spec.kind].order(*spec.params)
 
 
-def closure_limit(spec: GroupSpec, max_order: int) -> str:
-    """The message of a closure of spec that passes max_order, raised at once
-    when its closed-form order does (after _refuse_dimension's rule)."""
+def closure_limit(spec: GroupSpec) -> str:
+    """The message of a closure of spec that passes numerics.MAX_ORDER, raised
+    at once when its closed-form order does (after _refuse_dimension's rule)."""
+    max_order = numerics.MAX_ORDER
     too_many = f"closure of {spec} exceeds max_order={max_order}"
-    _refuse_dimension(spec, max_order)
+    _refuse_dimension(spec)
     known = group_order(spec)
     if known is not None and known > max_order:
         raise SizeLimitError(too_many)
     return too_many
 
 
-def build_group(spec: GroupSpec | str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteMatrixGroup:
+def build_group(spec: GroupSpec | str) -> FiniteMatrixGroup:
     """Parse (if needed) and generate. Cached per family spec.
 
-    max_order becomes the group's own: the size limit of its closure and of
-    every orbit walk over it.
-
-    The group is closed only when its elements are read, so max_order bounds
-    the walks that run, not the family's order. A family whose order and
-    whose squared dimension both pass max_order raises SizeLimitError before
-    its generators are built. Generators that are not unitary within REL_EQ
-    (only an explicit file can give them) raise InputError when
-    FiniteMatrixGroup is made from them.
+    The group is closed only when its elements are read, so numerics.MAX_ORDER
+    bounds the walks that run, not the family's order. A family whose squared
+    dimension passes MAX_ORDER raises SizeLimitError before its generators
+    are built. Generators that are not unitary within REL_EQ (only an
+    explicit file can give them) raise InputError when FiniteMatrixGroup is
+    made from them.
     """
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     if spec.kind == "explicit":
-        return _assemble(spec, max_order)
-    return _build_cached(spec, max_order)
+        return _assemble(spec)
+    return _build_cached(spec)
 
 
 @lru_cache(maxsize=64)
-def _build_cached(spec: GroupSpec, max_order: int) -> FiniteMatrixGroup:
-    return _assemble(spec, max_order)
+def _build_cached(spec: GroupSpec) -> FiniteMatrixGroup:
+    return _assemble(spec)
 
 
-def _assemble(spec: GroupSpec, max_order: int) -> FiniteMatrixGroup:
-    _refuse_dimension(spec, max_order)
-    return FiniteMatrixGroup(spec, tuple(build_generators(spec)), max_order)
+def _assemble(spec: GroupSpec) -> FiniteMatrixGroup:
+    _refuse_dimension(spec)
+    return FiniteMatrixGroup(spec, tuple(build_generators(spec)))
 
 
-def _refuse_dimension(spec: GroupSpec, max_order: int) -> None:
-    # G(m,p,n) has about d generators of d^2 entries each: with d^2 > max_order
-    # they outgrow a walk of max_order lines before any walk starts. A family of
-    # dimension d >= 3 has order >= d^2, so its order (G's m^n n!/p) is not computed
+def _refuse_dimension(spec: GroupSpec) -> None:
+    # G(m,p,n) has about d generators of d^2 entries each: with d^2 > MAX_ORDER
+    # they outgrow a walk of MAX_ORDER lines before any walk starts. At 200,000
+    # such a family has d >= 448, so its order (G's m^n n!/p, at least d^2)
+    # passes MAX_ORDER too and is not computed
     if spec.kind != "explicit":
-        d = _FAMILIES[spec.kind].dim(*spec.params)
-        if d * d > max_order and (d > 2 or group_order(spec) > max_order):
+        d, max_order = _FAMILIES[spec.kind].dim(*spec.params), numerics.MAX_ORDER
+        if d * d > max_order:
             raise SizeLimitError(f"{spec} exceeds max_order={max_order}: its order "
                                  f"does, and so does its dimension {d} squared")
 

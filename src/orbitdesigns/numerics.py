@@ -7,9 +7,8 @@ design residuals, unit norms, weight sums, canonical pivots, the rational
 snap, a pair's degeneracy, the union quadratic's dust zeroing and the
 unitarity of a group; it also picks the pairs of lines that might coincide.
 Every dedup key keeps DEDUP_DIGITS decimals, and two lines coincide when
-their vectors, aligned in phase, are within 10^-DEDUP_DIGITS. A group
-closure or an orbit walk stops past DEFAULT_MAX_ORDER elements or lines,
-unless its max_order (the CLI's --max-order) says otherwise.
+their vectors, aligned in phase, are within 10^-DEDUP_DIGITS. Every group
+closure and orbit walk stops past MAX_ORDER elements or lines.
 
 A few fixed thresholds also decide outcomes, each where it is used: the
 pair identity's unions.IDENTITY_TOL and pairscan.FAILS_TOL, the Molien
@@ -39,7 +38,7 @@ from .errors import NumericRangeError
 
 REL_EQ = 1e-9  # relative tolerance of every equality test
 DEDUP_DIGITS = 8  # decimal digits kept in every dedup key
-DEFAULT_MAX_ORDER = 200_000  # elements or lines a closure or orbit walk may reach
+MAX_ORDER = 200_000  # elements or lines a closure or orbit walk may reach
 
 
 # A finite double is x = f * 2^e with 1/2 <= |f| < 1 (frexp; 0 for zero), so

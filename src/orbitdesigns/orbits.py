@@ -12,12 +12,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import fsum, sqrt
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import numerics  # DEDUP_DIGITS is read at call time, as quantized_keys reads it
+from . import numerics  # DEDUP_DIGITS and MAX_ORDER are read at call time
 from .errors import ConsistencyError, InputError, MismatchError
 from .numerics import REL_EQ, _intern
+
+if TYPE_CHECKING:  # not at run time: verify loads orbits, not groups
+    from .groups import FiniteMatrixGroup
 
 
 @dataclass(frozen=True, eq=False)  # equal only to itself: == on arrays has no truth value
@@ -132,7 +136,7 @@ def orbit_lines(group: FiniteMatrixGroup, seed: np.ndarray,
     reps = group.walk(
         _canonicalize_rows((x / nx)[None]),
         lambda block, batch: _canonicalize_rows((block @ gens_t[batch]).reshape(-1, x.size)),
-        f"orbit of {group.spec} passes max_order={group.max_order} lines: "
+        f"orbit of {group.spec} passes max_order={numerics.MAX_ORDER} lines: "
         f"the group is larger than that, or {split}",
         f"orbit of {group.spec} passes {order} lines: {split}", "orbit lines")
     n = len(reps)

@@ -1,6 +1,6 @@
 """Shared fixtures: an explicit-generator group file used by several suites,
-a dedup grid other than numerics.DEDUP_DIGITS for one test, and a count of
-the closures a test runs."""
+a dedup grid other than numerics.DEDUP_DIGITS or a size limit other than
+numerics.MAX_ORDER for one test, and a count of the closures a test runs."""
 from __future__ import annotations
 
 import json
@@ -22,6 +22,20 @@ def dedup_digits(monkeypatch):
         groups._build_cached.cache_clear()
 
     yield set_digits
+    groups._build_cached.cache_clear()
+
+
+@pytest.fixture
+def max_order(monkeypatch):
+    """Call with k to stop every walk of the test past k elements or lines.
+    Groups are built afresh at k and dropped after the test, since a cached
+    group may hold the elements it closed at another limit."""
+
+    def set_limit(k: int) -> None:
+        monkeypatch.setattr(numerics, "MAX_ORDER", k)
+        groups._build_cached.cache_clear()
+
+    yield set_limit
     groups._build_cached.cache_clear()
 
 

@@ -81,28 +81,32 @@ def test_group_closure_key_split_exit(capsys, dedup_digits):
     assert "split into distinct dedup keys at 13 digits" in err
 
 
-def test_group_closure_key_split_at_max_order_exit(capsys, dedup_digits):
+def test_group_closure_key_split_at_max_order_exit(capsys, dedup_digits, max_order):
     # max_order equal to |H4| must not turn the key split into a size limit
     dedup_digits(15)
-    assert main(["group", "H4", "--max-order", "14400"]) == 3
+    max_order(14400)
+    assert main(["group", "H4"]) == 3
     err = capsys.readouterr().err
     assert "passes its order 14400" in err
     assert "split into distinct dedup keys at 15 digits" in err
-    assert main(["group", "H4", "--max-order", "100"]) == 4
+    max_order(100)
+    assert main(["group", "H4"]) == 4
 
 
-@pytest.mark.parametrize("argv,lines", [
-    (["orbit", "B(8)", "--seed", "1,1,1,1,1,1,1,1"], 128),  # |B(8)| = 10,321,920
-    (["orbit", "H4", "--seed", "@1", "--max-order", "1000"], 60),
-])
-def test_max_order_bounds_only_the_walk_that_runs(capsys, argv, lines):
+@pytest.mark.parametrize("argv,limit,lines", [
+    (["orbit", "B(8)", "--seed", "1,1,1,1,1,1,1,1"], 200_000, 128),  # |B(8)| = 10,321,920
+    (["orbit", "H4", "--seed", "@1"], 1000, 60),
+], ids=["argv0-128", "argv1-60"])
+def test_max_order_bounds_only_the_walk_that_runs(capsys, max_order, argv, limit, lines):
+    max_order(limit)
     code, payload = run_json(capsys, *argv)
     assert code == 0 and payload["lines"] == lines
 
 
-def test_orbit_passing_max_order_is_a_size_limit(capsys):
+def test_orbit_passing_max_order_is_a_size_limit(capsys, max_order):
     # a generic H4 orbit has 7200 lines
-    assert main(["orbit", "H4", "--seed", "1,2,3,4", "--max-order", "1000"]) == 4
+    max_order(1000)
+    assert main(["orbit", "H4", "--seed", "1,2,3,4"]) == 4
     assert "orbit of H4 passes max_order=1000 lines" in capsys.readouterr().err
 
 
@@ -127,6 +131,17 @@ def test_family_above_max_order_fails_at_once(capsys, monkeypatch, argv, err):
     assert main(argv) == 4
     assert capsys.readouterr().err == err
     assert built == []
+
+
+@pytest.mark.parametrize("command", ["group", "scan"])
+def test_closure_passing_max_order_partway_is_a_size_limit(capsys, max_order, f4_path,
+                                                           command):
+    # an explicit group has no closed-form order to refuse at once: its
+    # closure walk stops in the batch that passes the limit (|F4| = 1152)
+    max_order(100)
+    assert main([command, f"explicit:{f4_path}"]) == 4
+    assert capsys.readouterr().err == (f"resource error: closure of explicit:{f4_path} "
+                                       "exceeds max_order=100\n")
 
 
 def test_family_too_large_to_build_is_refused_before_its_order():
@@ -752,15 +767,20 @@ def test_reproduce_rejects_unknown_table(capsys):
         ["reproduce", "all", "--tmax", "4"],  # every row is checked through its own t
         ["reproduce", "all", "--max-order", "1000"],  # the table fixes every walk
         ["orbit", "B(2)", "--seed", "1,0", "--dedup-digits", "8"],  # the grid is a constant
+        # the size limit is a constant too
+        ["group", "B(2)", "--max-order", "1000"],
+        ["orbit", "B(2)", "--seed", "1,0", "--max-order", "1000"],
+        ["union", "B(2)", "--x", "1,0", "--y", "1,1", "--t", "2", "--max-order", "1000"],
+        ["scan", "B(2)", "--max-order", "1000"],
     ],
 )
 def test_usage_errors(argv, capsys):
     assert main(argv) == 3
 
 
-_COMMON_FLAGS = ["--max-order", "--tmax", "--format"]
+_COMMON_FLAGS = ["--tmax", "--format"]
 _SUBCOMMAND_FLAGS = {
-    "group": ["--max-order", "--format"],
+    "group": ["--format"],
     "orbit": ["--seed", "--dump", *_COMMON_FLAGS],
     "union": ["--x", "--y", "--t", "--emit", *_COMMON_FLAGS],
     "scan": ["--seed", *_COMMON_FLAGS],
@@ -801,8 +821,9 @@ def test_readme_flag_table_matches_the_parser():
     assert shown == offered
 
 
-def test_resource_limit_exit(capsys):
-    assert main(["group", "H4", "--max-order", "100"]) == 4
+def test_resource_limit_exit(capsys, max_order):
+    max_order(100)
+    assert main(["group", "H4"]) == 4
 
 
 # a number in e-notation is rounding noise, which differs across BLAS builds

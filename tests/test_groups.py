@@ -235,9 +235,10 @@ def test_a_group_without_generators_is_refused():
         FiniteMatrixGroup(parse_group_spec("binT"), ())
 
 
-def test_size_limit():
+def test_size_limit(max_order):
     # building checks no size; the closure that would pass max_order does
-    g = build_group("H4", max_order=100)
+    max_order(100)
+    g = build_group("H4")
     with pytest.raises(SizeLimitError, match=re.escape("closure of H4 exceeds max_order=100")):
         g.elements
 
@@ -306,7 +307,7 @@ def test_explicit_complex_field_with_real_entries(tmp_path):
 
 
 def test_family_too_large_to_build_is_refused():
-    # only a family whose order and squared dimension both pass max_order
+    # only a family whose squared dimension passes max_order
     with pytest.raises(SizeLimitError, match="its dimension 500 squared"):
         build_group("heis(500)")
     assert build_group("heis(60)").dim == 60  # order 216000, dimension 60
@@ -416,9 +417,10 @@ def test_explicit_generator_file(f4_path):
     assert sizes == [12, 12, 48, 48]
 
 
-def test_explicit_orbit_walk_stops_at_max_order(f4_path):
+def test_explicit_orbit_walk_stops_at_max_order(f4_path, max_order):
     # no closed-form order: a generic F4 orbit (576 lines) passes max_order=100
-    g = build_group(f"explicit:{f4_path}", max_order=100)
+    max_order(100)
+    g = build_group(f"explicit:{f4_path}")
     with pytest.raises(SizeLimitError):
         orbit_lines(g, np.array([4.0, 3.0, 2.0, 1.0]))
 

@@ -187,7 +187,7 @@ def test_intern_matches_a_dict_reference(entries, cut):
     assert n == len(seen)
 
 
-def test_walk_returns_rows_in_discovery_order():
+def test_walk_returns_rows_in_discovery_order(max_order):
     # x -> 2x and x -> x + 3 on Z/11, against a plain breadth-first search
     # that takes each level generator by generator; the group's two 1x1
     # generators only count the maps, which the step applies itself
@@ -197,7 +197,8 @@ def test_walk_returns_rows_in_discovery_order():
         level = [f(x) for f in maps for x in frontier]
         frontier = [y for n, y in enumerate(level) if y not in order and y not in level[:n]]
         order += frontier
-    g = FiniteMatrixGroup(GroupSpec("explicit", ("toy",), "toy"), (np.eye(1),) * 2, 11)
+    max_order(11)
+    g = FiniteMatrixGroup(GroupSpec("explicit", ("toy",), "toy"), (np.eye(1),) * 2)
     rows = g.walk(np.array([[1.0]]),
                   lambda block, batch: np.concatenate([f(block) for f in maps[batch]]),
                   "too many", "split", "residues")
@@ -219,9 +220,10 @@ def test_walk_maps_are_the_generator_permutations(label):
         assert np.abs(rows @ h - rows[perm]).max() < 1e-12
 
 
-def test_walk_stops_past_limit_without_maps():
+def test_walk_stops_past_limit_without_maps(max_order):
     entry = catalog_entry("H4")  # seed @4 has a 600-line orbit
-    g = build_group("H4", max_order=100)
+    max_order(100)
+    g = build_group("H4")
     gens_t = np.stack(g.generators).transpose(0, 2, 1)
     with pytest.raises(SizeLimitError, match="^too many$"):
         g.walk(_canonicalize_rows(entry.seeds[3][None]),

@@ -238,9 +238,11 @@ def test_union_rejects_a_partial_orbit_merge():
     assert union_lines(X, plain, (Fraction(1, 2), Fraction(1, 2))).group is None
 
 
-def test_groups_and_line_sets_compare_by_identity():
+def test_groups_and_line_sets_compare_by_identity(max_order):
     # generators are arrays, so field-wise == would raise on their truth value
-    g, h = build_group("B(2)"), build_group("B(2)", max_order=1000)
+    g = build_group("B(2)")
+    max_order(1000)  # drops the cached group, so B(2) is built again
+    h = build_group("B(2)")
     X, Y = (orbit_lines(g, np.array([1.0, 0.0])) for _ in range(2))
     for a, b in ((g, h), (X, Y)):
         assert a == a and a != b

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import builtins
 import fnmatch
 import importlib
 import importlib.util
@@ -95,6 +96,30 @@ def test_no_module_keeps_an_unused_import():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_every_name_a_module_reads_is_bound():
+    # an annotation is read only by a type checker or typing.get_type_hints,
+    # so a name it uses that nothing binds would otherwise go unnoticed; a
+    # name bound anywhere in the module counts as bound everywhere in it
+    unbound = []
+    for path in sorted(Path(orbitdesigns.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = set(dir(builtins))
+        read = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, ast.arg):
+                bound.add(node.arg)
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                bound.add(node.name)
+            elif isinstance(node, ast.Name):
+                (read if isinstance(node.ctx, ast.Load) else bound).add(node.id)
+        unbound += [f"{path.name}: {name}" for name in sorted(read - bound)]
+    assert unbound == []
 
 
 def test_every_data_file_ships_in_the_package():
