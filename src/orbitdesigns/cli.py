@@ -279,7 +279,7 @@ def cmd_scan(args) -> int:
     }
     pairs = f"{rep.t_pairs[0]}-{rep.t_pairs[1]}" if rep.t_pairs else "{}"
     out = [
-        f"group: {g.spec.label} (order {g.order}, dim {g.dim}, {g.field})",
+        f"group: {g.spec.label} (order {len(g.elements)}, dim {g.dim}, {g.field})",
         f"seed: {args.seed}, samples: {SAMPLES}",
         "t  verdict        max residual  unanimous",
     ]

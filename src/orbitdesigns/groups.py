@@ -10,8 +10,8 @@ H3/H4 and discrete Heisenberg groups; G(m,p,n), H3 and H4 are generated by
 _reflection in their roots. A(d), B(d) and D(d) are aliases that check their
 own parameter and name G(1,1,d+1), G(2,1,d) and G(2,2,d); G(1,1,n) is
 realized on the sum-zero hyperplane. Explicit generator files
-(explicit:<path>) have their own loader and no closed-form order. Every
-group, family or explicit, is built only from generators that are unitary
+(explicit:<path>) have a loader that only parses them, and no closed-form
+order. Every group is built only from square generators of one size, unitary
 within REL_EQ: FiniteMatrixGroup refuses any other. catalog() returns the
 built-in groups with their seed vectors as one tuple, built once per process.
 """
@@ -67,21 +67,30 @@ _STEP_BYTES = 1 << 24  # images a walk forms at once, unless one generator's tak
 class FiniteMatrixGroup:
     """A finite unitary matrix group, given by its generators.
 
-    generators  (d, d) unitary matrices, all float64 for a real group
-                (field "R") or all complex128 (field "C")
+    generators  (k, d, d) array of k unitary matrices, float64 for a real
+                group (field "R") or complex128 (field "C")
 
-    A group is made only from at least one generator, each unitary within
-    REL_EQ, so every product of them stays finite; else InputError.
+    A group is made only from a sequence of at least one generator, square
+    of one size and each unitary within REL_EQ, so every product of them
+    stays finite; else InputError. It holds them as one array of one dtype.
     `elements` is enumerated on first use only, and it and every orbit walk
     over the group stop past numerics.MAX_ORDER rows.
     """
 
     spec: GroupSpec
-    generators: tuple
+    generators: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.generators:
+        shapes = {np.shape(g) for g in self.generators}
+        if not shapes:
             raise InputError("no generators")
+        if any(len(s) != 2 or s[0] != s[1] for s in shapes):
+            raise InputError("generators must be square matrices")
+        if len(shapes) > 1:
+            raise InputError("generators must share one dimension")
+        gens = np.stack(self.generators)
+        object.__setattr__(self, "generators",
+                           gens.astype(np.result_type(gens, float), copy=False))
         for i, dev in enumerate(self.unitarity_deviations, start=1):
             if not dev <= REL_EQ:  # inf and nan fail too
                 raise InputError(f"generators of {self.spec} must be unitary: generator {i} "
@@ -108,9 +117,9 @@ class FiniteMatrixGroup:
         elements found.
         """
         spec, gens, digits = self.spec, self.generators, numerics.DEDUP_DIGITS
-        expected = group_order(spec)
+        expected = self.order
         elements = self.walk(
-            np.eye(self.dim, dtype=gens[0].dtype)[None],
+            np.eye(self.dim, dtype=gens.dtype)[None],
             lambda block, batch: np.concatenate([block @ g for g in gens[batch]]),
             closure_limit(spec),
             f"closure of {spec} passes its order {expected}: copies of "
@@ -132,12 +141,12 @@ class FiniteMatrixGroup:
 
     @property
     def dim(self) -> int:
-        return self.generators[0].shape[0]
+        return self.generators.shape[1]
 
     @property
     def field(self) -> str:
         """"C" when the generators are complex, else "R"."""
-        return "C" if np.iscomplexobj(self.generators[0]) else "R"
+        return "C" if np.iscomplexobj(self.generators) else "R"
 
     def walk(self, start: np.ndarray, step, too_many: str, split: str,
              noun: str) -> np.ndarray:
@@ -150,7 +159,7 @@ class FiniteMatrixGroup:
         ConsistencyError(split). A walk that ends must find rows that every
         generator permutes, else the dedup keys split or merged rows:
         ConsistencyError, naming the rows by noun."""
-        known, max_order = group_order(self.spec), numerics.MAX_ORDER
+        known, max_order = self.order, numerics.MAX_ORDER
         exact = known is not None and known <= max_order
         limit = known if exact else max_order
         k = len(self.generators)
@@ -166,8 +175,7 @@ class FiniteMatrixGroup:
                 if len(index) > limit:
                     raise ConsistencyError(split) if exact else SizeLimitError(too_many)
                 parts.append((at, images[new]))
-            # a round's only batch is not copied
-            at, frontier = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+            at, frontier = map(np.concatenate, zip(*parts))
             targets.append(at.reshape(k, -1))
             found.append(frontier)
         # maps[g, j] is the position of row j's image under g: a permutation iff it hits all n
@@ -181,10 +189,9 @@ class FiniteMatrixGroup:
         return np.concatenate(found)
 
     @property
-    def order(self) -> int:
-        """The family's closed-form order, else the number of closed elements."""
-        known = group_order(self.spec)
-        return known if known is not None else len(self.elements)
+    def order(self) -> int | None:
+        """The family's closed-form order; None for an explicit group (len(elements) closes it)."""
+        return group_order(self.spec)
 
     def embed_seed(self, v: np.ndarray) -> np.ndarray:
         """Map a seed vector, scaled by numerics.pow2_scaled, into the
@@ -200,7 +207,7 @@ class FiniteMatrixGroup:
             if np.abs(v.imag).max() > 1e-12:
                 raise InputError(f"{self.spec} is a real group; seed has imaginary parts")
             v = v.real
-        v = v.astype(self.generators[0].dtype)
+        v = v.astype(self.generators.dtype)
         if self.seed_basis is not None and len(v) == self.seed_basis.shape[0]:
             if abs(v.sum()) > REL_EQ:
                 raise InputError(
@@ -366,19 +373,11 @@ def _load_explicit(path: str) -> list[np.ndarray]:
         gens = [np.array([[_entry(e) for e in row] for row in mat]) for mat in data["generators"]]
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed generator entry: {exc}") from exc
-    if not gens:
-        raise InputError("generator list is empty")
-    if any(M.ndim != 2 or M.shape[0] != M.shape[1] for M in gens):
-        raise InputError("generators must be square matrices")
-    if not all(np.isfinite(M).all() for M in gens):
-        raise InputError("generator entries must be finite numbers")
-    d = gens[0].shape[0]
-    if any(g.shape[0] != d for g in gens):
-        raise InputError("generators must share one dimension")
     if data["field"] == "R":
-        if max(float(np.abs(g.imag).max()) for g in gens) > 1e-12:
+        # per generator, so a nan in any fails; initial: an empty matrix has no max
+        if not all(np.abs(g.imag).max(initial=0.0) <= 1e-12 for g in gens):
             raise InputError("field 'R' but generators have imaginary parts")
-        gens = [g.real.copy() for g in gens]
+        gens = [g.real for g in gens]
     return gens
 
 
@@ -449,14 +448,12 @@ def build_group(spec: GroupSpec | str) -> FiniteMatrixGroup:
     return _build_cached(spec)
 
 
-@lru_cache(maxsize=64)
-def _build_cached(spec: GroupSpec) -> FiniteMatrixGroup:
-    return _assemble(spec)
-
-
 def _assemble(spec: GroupSpec) -> FiniteMatrixGroup:
     _refuse_dimension(spec)
-    return FiniteMatrixGroup(spec, tuple(build_generators(spec)))
+    return FiniteMatrixGroup(spec, build_generators(spec))
+
+
+_build_cached = lru_cache(maxsize=64)(_assemble)
 
 
 def _refuse_dimension(spec: GroupSpec) -> None:

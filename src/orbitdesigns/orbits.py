@@ -124,14 +124,13 @@ def orbit_lines(group: FiniteMatrixGroup, seed: np.ndarray,
     the group order when that has a closed form; a dedup key that splits one
     line into several or merges two is an error.
     """
-    from .groups import group_order  # not at module level: verify loads orbits, not groups
     x = group.embed_seed(np.asarray(seed))  # scaled: its norm cannot overflow
     nx = np.linalg.norm(x)
     if nx == 0.0:
         raise InputError("zero seed vector")
     digits = numerics.DEDUP_DIGITS
-    order = group_order(group.spec)
-    gens_t = np.stack(group.generators).transpose(0, 2, 1)
+    order = group.order
+    gens_t = group.generators.transpose(0, 2, 1)
     split = f"copies of one line split into distinct dedup keys at {digits} digits"
     reps = group.walk(
         _canonicalize_rows((x / nx)[None]),

@@ -42,7 +42,7 @@ SAMPLES = 20  # random pairs that cross-check the counts
 
 def _p_G(group: FiniteMatrixGroup, x: np.ndarray, y: np.ndarray, t_max: int) -> list[float]:
     """[p_G(x, y, t) for t = 1..t_max]."""
-    n = group.order
+    n = len(group.elements)
     sums = moments(x[None], np.ones(1), group.elements @ y, np.ones(n), t_max)
     return [m / n for m in sums]
 

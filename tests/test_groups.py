@@ -235,6 +235,35 @@ def test_a_group_without_generators_is_refused():
         FiniteMatrixGroup(parse_group_spec("binT"), ())
 
 
+@pytest.mark.parametrize("gens,message", [
+    ((np.zeros((2, 3)),), "generators must be square matrices"),
+    ((np.eye(2)[None],), "generators must be square matrices"),
+    ((np.eye(2), np.eye(3)), "generators must share one dimension"),
+])
+def test_a_group_of_malformed_shapes_is_refused(gens, message):
+    # the group judges its generators' shapes itself, before numpy stacks them
+    with pytest.raises(InputError, match=f"^{message}$"):
+        FiniteMatrixGroup(parse_group_spec("explicit:shapes.json"), gens)
+
+
+def test_generators_are_held_as_one_array_of_one_dtype():
+    spec = parse_group_spec("explicit:mixed.json")
+    g = FiniteMatrixGroup(spec, [np.eye(2), np.diag([1j, -1j])])
+    assert g.field == "C"
+    assert g.generators.dtype == np.complex128 and g.generators.shape == (2, 2, 2)
+    # integer matrices are held as float64, so a seed cast to their dtype keeps its value
+    g = FiniteMatrixGroup(spec, [np.array([[0, 1], [1, 0]])])
+    assert g.field == "R" and g.generators.dtype == np.float64
+    assert np.array_equal(g.embed_seed(np.array([0.5, 0.25])), [0.5, 0.25])
+
+
+def test_the_order_of_an_explicit_group_closes_nothing(f4_path, closures):
+    g = build_group(f"explicit:{f4_path}")
+    assert g.order is None
+    assert closures == []
+    assert len(g.elements) == 1152 and closures == [g.spec]
+
+
 def test_size_limit(max_order):
     # building checks no size; the closure that would pass max_order does
     max_order(100)
@@ -406,7 +435,7 @@ def test_catalog_named_seed_examples():
 
 def test_explicit_generator_file(f4_path):
     g = build_group(f"explicit:{f4_path}")
-    assert g.order == 1152
+    assert len(g.elements) == 1152
     assert g.dim == 4
     assert g.field == "R"
     assert _elements_unitarity(g) <= 1e-9
@@ -430,7 +459,7 @@ _EXPLICIT_REJECTIONS = {
     "not json": "generator file is not valid JSON",
     json.dumps({"generators": [[[1, 0], [0, 1]]]}): "needs 'field' and 'generators' keys",
     json.dumps({"field": "Q", "generators": [[[1, 0], [0, 1]]]}): "field must be 'R' or 'C'",
-    json.dumps({"field": "R", "generators": []}): "generator list is empty",
+    json.dumps({"field": "R", "generators": []}): "no generators",
     json.dumps({"field": "R", "generators": [[[1, 0, 0], [0, 1, 0]]]}): "must be square",
     json.dumps({"field": "R", "generators": [[[1]], [[1, 0], [0, 1]]]}):
         "generators must share one dimension",
@@ -438,9 +467,17 @@ _EXPLICIT_REJECTIONS = {
         "must be unitary: generator 1 deviates from unitary by 1.000e+00",
     json.dumps({"field": "R", "generators": [[[[0, 1], 0], [0, [0, 1]]]]}):
         "field 'R' but generators have imaginary parts",
-    # json reads 1e400 as inf and NaN as nan
-    '{"field": "R", "generators": [[[1e400, 0], [0, 1]]]}': "entries must be finite",
-    '{"field": "R", "generators": [[[NaN, 0], [0, 1]]]}': "entries must be finite",
+    # json reads 1e400 as inf and NaN as nan; a nan imaginary part is not dropped,
+    # in the first generator or a later one
+    '{"field": "R", "generators": [[[1e400, 0], [0, 1]]]}':
+        "must be unitary: generator 1 deviates from unitary by nan",
+    '{"field": "R", "generators": [[[NaN, 0], [0, 1]]]}':
+        "must be unitary: generator 1 deviates from unitary by nan",
+    '{"field": "R", "generators": [[[[1, NaN], 0], [0, 1]]]}':
+        "field 'R' but generators have imaginary parts",
+    '{"field": "R", "generators": [[[1, 0], [0, 1]], [[[1, NaN], 0], [0, 1]]]}':
+        "field 'R' but generators have imaginary parts",
+    json.dumps({"field": "R", "generators": [[]]}): "generators must be square matrices",
     # finite, but not unitary; M*M overflows to an inf deviation
     json.dumps({"field": "R", "generators": [[[1e200, 0], [0, 1]]]}):
         "must be unitary: generator 1 deviates from unitary by inf",
